@@ -91,8 +91,14 @@ def sun_check(
 
     Requires y to be one of the nearest cloud points to x. The first grid
     value where some other point is strictly closer than the tie threshold
-    falsifies the candidate and is reported with the competitor.
+    falsifies the candidate and is reported with the competitor. The grid
+    needs at least two points and lambda_max must be positive and finite,
+    so that a pass never rests on an empty or degenerate ray.
     """
+    if int(grid) < 2:
+        raise ValueError(f"the ray grid needs at least 2 points, got {grid}")
+    if not 0.0 < float(lambda_max) < np.inf:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
     pr = project(s, cloud, vx, tie_tol=tie_tol)

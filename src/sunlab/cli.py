@@ -107,6 +107,8 @@ def _point(text: str, s: Space, cloud: PointCloud | None = None) -> np.ndarray:
         vec = np.array([float(p) for p in parts], dtype=float)
     except ValueError:
         raise ParseError(f"cannot parse point {text!r}")
+    if not np.isfinite(vec).all():
+        raise ParseError(f"point {text!r} has non-finite coordinates")
     if vec.size != s.dim:
         raise DimensionMismatch(f"point {text!r} has {vec.size} coordinates, space has {s.dim}")
     return vec
@@ -120,7 +122,7 @@ def _emit(args, command: str, config: dict, result: dict, code: int) -> int:
         "config": config,
         "result": result,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     out = getattr(args, "out", None)
     if out:
         _atomic_write(out, text)
@@ -506,6 +508,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"sunlab: error: invalid JSON: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
+        print(f"sunlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -25,6 +25,8 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise DimensionMismatch("a point cloud is a 2d array, one point per row")
+        if not np.isfinite(pts).all():
+            raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
 
@@ -68,7 +70,10 @@ def cloud_to_json(cloud: PointCloud) -> dict:
 def cloud_from_json(data) -> PointCloud:
     if not isinstance(data, dict) or "points" not in data:
         raise ParseError("point cloud JSON needs a 'points' array")
-    return PointCloud(np.asarray(data["points"], dtype=float))
+    pts = np.asarray(data["points"], dtype=float)
+    if pts.size == 0:
+        raise EmptyCloud("point cloud JSON has no points")
+    return PointCloud(pts)
 
 
 def load_cloud(path: str) -> PointCloud:

@@ -11,15 +11,20 @@ keeps membership queries cheap no matter how many balls were drawn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
+from .approx import _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
 from .space import Space, _check_vector, norm, unit_ball_extents
 
 SLAB_TOL = 1e-10
+
+# Most box x point x functional entries _slab_witnesses compares at once.
+_WITNESS_BUDGET = 1 << 18
 
 _GRID_DEFAULT = {1: 512, 2: 96, 3: 24}
 
@@ -115,12 +120,9 @@ class HullApprox:
 def _pair_positions(s: Space) -> tuple[np.ndarray, np.ndarray]:
     """Positions of each representative and of its negation in s.functionals."""
     lookup = {row.tobytes(): i for i, row in enumerate(s.functionals)}
-    rep_idx = np.empty(s.n_pairs, dtype=int)
-    neg_idx = np.empty(s.n_pairs, dtype=int)
-    for i, row in enumerate(s.representatives):
-        rep_idx[i] = lookup[row.tobytes()]
-        neg = np.where(row == 0.0, 0.0, -row)
-        neg_idx[i] = lookup[neg.tobytes()]
+    reps = s.representatives
+    rep_idx = np.array([lookup[row.tobytes()] for row in reps])
+    neg_idx = np.array([lookup[np.where(row == 0.0, 0.0, -row).tobytes()] for row in reps])
     return rep_idx, neg_idx
 
 
@@ -148,10 +150,12 @@ def ball_hull_outer(
     rng = np.random.default_rng(seed)
     random_part = mid + rng.uniform(-1.0, 1.0, size=(n_balls - 3, s.dim)) * max(width, 0.0)
     centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
-    to_x = np.max(centers @ s.functionals.T - (s.functionals @ vx), axis=1)
-    to_y = np.max(centers @ s.functionals.T - (s.functionals @ vy), axis=1)
+    # One row per functional, so that every reduction runs along the balls.
+    vals = np.ascontiguousarray((centers @ s.functionals.T).T)
+    to_x = np.max(vals - (s.functionals @ vx)[:, None], axis=0)
+    to_y = np.max(vals - (s.functionals @ vy)[:, None], axis=0)
     radii = np.maximum(to_x, to_y)
-    upper = np.min(centers @ s.functionals.T + radii[:, None], axis=0)
+    upper = np.min(vals + radii, axis=1)
     return HullApprox(
         space=s,
         x=vx,
@@ -371,12 +375,38 @@ def _rep_values(s: Space, cloud: PointCloud) -> np.ndarray:
     return cloud.points @ s.representatives.T
 
 
-def _norm_matrix(vals: np.ndarray) -> np.ndarray:
-    m = vals.shape[0]
-    out = np.empty((m, m))
-    for i in range(m):
-        out[i] = np.max(np.abs(vals - vals[i]), axis=1)
+def _slab_witnesses(vals, lo, hi, ends, tol) -> np.ndarray:
+    """For each box k, the lowest-index row of vals (the cloud's m x p
+    representative values), other than the two rows ends[k], with
+    lo[k] - tol <= vals <= hi[k] + tol; -1 if there is none. The m points
+    lie along the innermost axis, where numpy compares far faster."""
+    out = np.full(len(lo), -1)
+    cols = np.ascontiguousarray(vals.T)
+    step = max(1, _WITNESS_BUDGET // vals.size)
+    for start in range(0, len(lo), step):
+        part = slice(start, start + step)
+        inside = ((cols >= lo[part, :, None] - tol) & (cols <= hi[part, :, None] + tol)).all(axis=1)
+        inside[np.arange(inside.shape[0])[:, None], ends[part]] = False
+        out[part] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
     return out
+
+
+def _pair_witnesses(s, cloud, vals, limit, hull, tol, n_balls, seed):
+    """Yield (i, js, found) over the pairs (i, j), i < j, farther apart than
+    limit in row-major order, found[k] being the witness of (i, js[k]). The
+    hull of (i, j) is sampled with seed + i*m + j, one pair at a time, so a
+    caller that stops at a pair without a witness samples no hull after it."""
+    m = len(cloud)
+    for i in range(m - 1):
+        js = i + 1 + np.flatnonzero(np.abs(vals[i + 1 :] - vals[i]).max(axis=1) > limit)
+        ends = np.stack([np.full(js.size, i), js], axis=1)
+        if hull == "interval":
+            yield i, js, _slab_witnesses(vals, vals[ends].min(1), vals[ends].max(1), ends, tol)
+            continue
+        for e in ends:
+            x, y = cloud.points[e]
+            box = ball_hull_outer(s, x, y, n_balls, seed + i * m + int(e[1])).as_slabs()
+            yield i, e[1:], _slab_witnesses(vals, box.lo[None], box.hi[None], e[None], tol)
 
 
 def m_connected(
@@ -390,13 +420,13 @@ def m_connected(
 ) -> MConnectReport:
     """Scale-relative Menger connectedness of a finite cloud.
 
-    Every pair farther apart than adjacency_eps must have a third cloud
-    point inside its hull. Pairs at or below adjacency_eps are exempt: a
-    finite sample cannot refine below its own resolution, and the default
-    eps is exactly that resolution (the minimal positive pairwise distance).
-    A two-point cloud never qualifies. adjacency_eps=0 gives the literal
-    unscaled definition. hull="interval" tests the slab interval;
-    hull="oracle" tests the sampled ball hull instead.
+    Every pair must have a third cloud point inside its hull, except pairs
+    at distance at most eps + tol * (1 + eps), eps = adjacency_eps: a finite
+    sample cannot refine below its own resolution, the default eps is that
+    resolution (the minimal pairwise distance), and tol exempts spacings
+    that exceed eps only by rounding, as in an np.arange grid. A two-point
+    cloud never qualifies; adjacency_eps=0 gives the literal definition.
+    hull="interval" tests the slab interval, "oracle" the sampled ball hull.
     """
     cloud.require_nonempty()
     cloud.require_unique()
@@ -406,33 +436,24 @@ def m_connected(
     if m == 1:
         return MConnectReport(True, None, 0.0, 0, 0, hull)
     vals = _rep_values(s, cloud)
-    dmat = _norm_matrix(vals)
-    positive = dmat[np.triu_indices(m, k=1)]
-    eps = float(positive.min()) if adjacency_eps is None else float(adjacency_eps)
+    if adjacency_eps is None:
+        eps = min(float(np.abs(vals[i + 1 :] - vals[i]).max(axis=1).min()) for i in range(m - 1))
+    else:
+        eps = float(adjacency_eps)
     if m == 2:
         return MConnectReport(False, (0, 1), eps, 1, 0, hull)
 
     checked = 0
-    exempt = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dmat[i, j] <= eps:
-                exempt += 1
-                continue
-            checked += 1
-            if hull == "interval":
-                lo = np.minimum(vals[i], vals[j]) - tol
-                hi = np.maximum(vals[i], vals[j]) + tol
-                ok = np.logical_and((vals >= lo).all(axis=1), (vals <= hi).all(axis=1))
-            else:
-                approx = ball_hull_outer(
-                    s, cloud.points[i], cloud.points[j], n_balls=n_balls, seed=seed + i * m + j
-                )
-                ok = approx.contains_many(cloud.points)
-            ok[i] = ok[j] = False
-            if not ok.any():
-                return MConnectReport(False, (i, j), eps, checked, exempt, hull)
-    return MConnectReport(True, None, eps, checked, exempt, hull)
+    limit = _tie_threshold(eps, tol)
+    for i, js, found in _pair_witnesses(s, cloud, vals, limit, hull, tol, n_balls, seed):
+        gap = np.flatnonzero(found < 0)
+        if gap.size:
+            j = int(js[gap[0]])
+            checked += int(gap[0]) + 1
+            visited = i * (m - 1) - i * (i - 1) // 2 + j - i
+            return MConnectReport(False, (i, j), eps, checked, visited - checked, hull)
+        checked += js.size
+    return MConnectReport(True, None, eps, checked, m * (m - 1) // 2 - checked, hull)
 
 
 @dataclass(frozen=True)
@@ -458,26 +479,8 @@ def m_connectivity_graph(
     cloud.require_unique()
     if hull not in ("interval", "oracle"):
         raise ValueError("hull must be 'interval' or 'oracle'")
-    m = len(cloud)
-    edges: list[tuple[int, int]] = []
-    if m < 3:
-        return MGraph(m, edges)
-    vals = _rep_values(s, cloud)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if hull == "interval":
-                lo = np.minimum(vals[i], vals[j]) - tol
-                hi = np.maximum(vals[i], vals[j]) + tol
-                ok = np.logical_and((vals >= lo).all(axis=1), (vals <= hi).all(axis=1))
-            else:
-                approx = ball_hull_outer(
-                    s, cloud.points[i], cloud.points[j], n_balls=n_balls, seed=seed + i * m + j
-                )
-                ok = approx.contains_many(cloud.points)
-            ok[i] = ok[j] = False
-            if ok.any():
-                edges.append((i, j))
-    return MGraph(m, edges)
+    rows = _pair_witnesses(s, cloud, _rep_values(s, cloud), -np.inf, hull, tol, n_balls, seed)
+    return MGraph(len(cloud), [(i, int(j)) for i, js, found in rows for j in js[found >= 0]])
 
 
 def slab_vertices_2d(p: SlabPolytope, tol: float = 1e-9) -> np.ndarray:
@@ -493,21 +496,18 @@ def slab_vertices_2d(p: SlabPolytope, tol: float = 1e-9) -> np.ndarray:
         lines.append((f, b))
         lines.append((-f, -a))
     pts = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a1, b1 = lines[i]
-            a2, b2 = lines[j]
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            if abs(det) < 1e-14:
-                continue
-            z = np.array(
-                [
-                    (b1 * a2[1] - b2 * a1[1]) / det,
-                    (a1[0] * b2 - a2[0] * b1) / det,
-                ]
-            )
-            if p.contains(z, tol=tol):
-                pts.append(z)
+    for (a1, b1), (a2, b2) in itertools.combinations(lines, 2):
+        det = a1[0] * a2[1] - a1[1] * a2[0]
+        if abs(det) < 1e-14:
+            continue
+        z = np.array(
+            [
+                (b1 * a2[1] - b2 * a1[1]) / det,
+                (a1[0] * b2 - a2[0] * b1) / det,
+            ]
+        )
+        if p.contains(z, tol=tol):
+            pts.append(z)
     if not pts:
         return np.empty((0, 2))
     arr = np.unique(np.round(np.asarray(pts), decimals=9), axis=0)

@@ -18,8 +18,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch, DuplicatePoints, EndpointNotInCloud, WeightMismatch
-from .hull import SLAB_TOL, interval
-from .space import Space, _check_vector
+from .hull import SLAB_TOL, _rep_values, _slab_witnesses, interval
+from .space import Space, _check_vector, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
 
@@ -156,8 +156,6 @@ def between_equiv_check(
     # back to the midpoint when no candidate lands inside.
     m2 = np.nonzero(mode == 2)[0]
     if m2.size:
-        from .space import unit_ball_extents
-
         ext = unit_ball_extents(s)
         for idx in m2:
             box = interval(s, X[idx], Y[idx])
@@ -224,25 +222,13 @@ class BetweennessGraph:
         return len(self.cloud)
 
     def edges(self) -> list[tuple[int, int, float]]:
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.adjacency[i, j]:
-                    out.append((i, j, float(self.dist[i, j])))
-        return out
+        i, j = np.nonzero(np.triu(self.adjacency))
+        return [(int(a), int(b), float(self.dist[a, b])) for a, b in zip(i, j)]
 
 
 def _assoc_dist_matrix(s: Space, w: Weights, cloud: PointCloud) -> np.ndarray:
-    if cloud.dim != s.dim:
-        raise DimensionMismatch(
-            f"cloud dimension {cloud.dim} does not match space dimension {s.dim}"
-        )
-    vals = cloud.points @ s.representatives.T
-    m = vals.shape[0]
-    out = np.empty((m, m))
-    for i in range(m):
-        out[i] = np.abs(vals - vals[i]) @ w.alphas
-    return out
+    vals = _rep_values(s, cloud)
+    return np.array([np.abs(vals - v) @ w.alphas for v in vals])
 
 
 def betweenness_graph(s: Space, w: Weights, cloud: PointCloud, eps: float = 0.0) -> BetweennessGraph:
@@ -369,14 +355,15 @@ def monotone_path(
 ) -> Path | PathNotFound:
     """Shortest admissible path between two cloud points.
 
-    Edges never skip an intermediary: when some third point lies metrically
-    between two points, the direct edge between them is removed and the
-    route must pass through a witness (which costs nothing, since
-    betweenness is exactly additivity of the associated norm). hop > 0
-    additionally drops edges longer than hop, the epsilon-net regime where
-    an unreachable endpoint means the set is not monotone path-connected at
-    that scale. Success requires total length <= |x - y| + eps, with eps
-    defaulting to 1e-6 * |x - y|.
+    Dijkstra runs on the cloud graph, where hop > 0 drops edges longer than
+    hop: the epsilon-net regime, in which an unreachable endpoint means the
+    set is not monotone path-connected at that scale. refine then splits
+    each step at a cloud point in its slab interval (widened by tol), and
+    the halves again, until no step skips an intermediary; no point enters
+    the path twice, so at most m splits happen. Splitting keeps the length,
+    since betweenness is exactly additivity of the associated norm. Success
+    requires the length, summed left to right, to be <= |x - y| + eps, with
+    eps defaulting to 1e-6 * |x - y|.
     """
     check_weights(s, w)
     cloud.require_nonempty()
@@ -390,35 +377,26 @@ def monotone_path(
 
     graph = betweenness_graph(s, w, cloud, eps=hop)
     dist = graph.dist
-    adjacency = graph.adjacency.copy()
-    m = len(cloud)
     target = float(dist[ix, iy])
     eps_val = 1e-6 * target if eps is None else float(eps)
 
-    if refine:
-        for u in range(m):
-            through = dist[u][:, None] + dist
-            through[u, :] = np.inf
-            np.fill_diagonal(through, np.inf)
-            blocked = through.min(axis=0) <= dist[u] + tol
-            blocked[u] = False
-            adjacency[u] &= ~blocked
-
-    weights = np.where(adjacency, dist, 0.0)
+    weights = np.where(graph.adjacency, dist, 0.0)
     lengths, pred = dijkstra(
         csr_matrix(weights), directed=False, indices=ix, return_predecessors=True
     )
     if not np.isfinite(lengths[iy]):
         return PathNotFound(reason="unreachable", target=target, eps=eps_val, hop=hop)
-    length = float(lengths[iy])
-    if length > target + eps_val:
-        return PathNotFound(
-            reason="slack_exceeded", target=target, eps=eps_val, hop=hop, best_length=length
-        )
     order = [iy]
     while order[-1] != ix:
         order.append(int(pred[order[-1]]))
     order.reverse()
+    if refine:
+        order = _split_steps(_rep_values(s, cloud), order, tol)
+    length = float(np.cumsum(dist[order[:-1], order[1:]])[-1])
+    if length > target + eps_val:
+        return PathNotFound(
+            reason="slack_exceeded", target=target, eps=eps_val, hop=hop, best_length=length
+        )
     pts = cloud.points[order]
     return Path(
         points=pts,
@@ -427,6 +405,27 @@ def monotone_path(
         defect=length - target,
         verdicts=_verdicts(s, pts, tol),
     )
+
+
+def _split_steps(vals: np.ndarray, order: list[int], tol: float) -> list[int]:
+    """Split each step (u, nxt[u]) of a path at its witness from
+    _slab_witnesses, and the new steps again. A witness already on the path
+    (it has a successor or ends the path) is skipped."""
+    nxt = np.full(len(vals), -1)
+    nxt[order[:-1]] = order[1:]
+    starts = np.asarray(order[:-1])
+    while starts.size:
+        ends = np.stack([starts, nxt[starts]], axis=1)
+        found = _slab_witnesses(vals, vals[ends].min(1), vals[ends].max(1), ends, tol)
+        new = (found >= 0) & (nxt[found] < 0) & (found != order[-1])
+        z, first = np.unique(found[new], return_index=True)
+        u = starts[new][first]
+        nxt[z], nxt[u] = nxt[u], z
+        starts = np.concatenate([u, z])
+    out = [order[0]]
+    while out[-1] != order[-1]:
+        out.append(int(nxt[out[-1]]))
+    return out
 
 
 @dataclass(frozen=True)

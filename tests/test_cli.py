@@ -266,3 +266,49 @@ def test_svg_skipped_in_higher_dimension(capsys, tmp_path):
     assert not fig.exists()
     assert "skipped" in err
     assert json.loads(out)["result"]["interval"]["slabs"]
+
+
+# --- malformed input ----------------------------------------------------------
+
+
+NAN_CLOUD = {"points": [[0.0, 0.0], [1.0, float("nan")], [2.0, 0.0]]}
+SUN_QUERY = ["sun", "--query", "1,5"]
+
+
+@pytest.mark.parametrize(
+    "cloud, argv",
+    [
+        pytest.param(TWO_POINTS, [*SUN_QUERY, "--grid", "0"], id="sun-grid-0"),
+        pytest.param(TWO_POINTS, [*SUN_QUERY, "--grid", "1"], id="sun-grid-1"),
+        pytest.param(TWO_POINTS, [*SUN_QUERY, "--lambda-max", "-5"], id="sun-lambda-neg"),
+        pytest.param(TWO_POINTS, [*SUN_QUERY, "--lambda-max", "inf"], id="sun-lambda-inf"),
+        pytest.param(TWO_POINTS, ["sun", "--trials", "0"], id="sun-trials-0"),
+        pytest.param(
+            TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--balls", "2"], id="hull-balls-2"
+        ),
+        pytest.param(
+            COLLINEAR3, ["path", "--from", "0", "--to", "2", "--hop", "-1"], id="path-hop-neg"
+        ),
+        pytest.param(NAN_CLOUD, ["project", "--query", "0.5,0.5"], id="project-nan-cloud"),
+        pytest.param(COLLINEAR3, ["project", "--query", "nan,0"], id="project-nan-query"),
+    ],
+)
+def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
+    command, *rest = argv
+    code, out, err = _run(
+        capsys, [command, "--space", "linf2", "--cloud", cloud_file(cloud), *rest]
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sunlab: error:")
+
+
+def test_empty_json_cloud_reports_empty_cloud(capsys, cloud_file):
+    code, _, err = _run(
+        capsys,
+        ["mconnect", "--space", "linf2", "--cloud", cloud_file({"points": []})],
+    )
+    assert code == 1
+    assert err == "sunlab: error: point cloud JSON has no points\n"

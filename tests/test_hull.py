@@ -194,6 +194,19 @@ def test_mconnected_two_sheet_witness_aligned():
     assert np.array_equal(u[1:], v[1:])
 
 
+@pytest.mark.parametrize("step, stop", [(0.1, 0.85), (0.05, 0.425)])
+def test_mconnected_arange_grid(step, stop):
+    """Neighbour spacings of an np.arange grid differ in the last bit
+    (0.1 against 0.09999999999999998); the exemption tolerance keeps them
+    all exempt, so the 9 x 9 grid is connected."""
+    ticks = np.arange(0.0, stop, step)
+    assert ticks.size == 9
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    rep = m_connected(LINF2, PointCloud(grid))
+    assert rep.connected and rep.witness is None
+    assert rep.pairs_checked + rep.pairs_exempt == 81 * 80 // 2
+
+
 def test_mconnected_oracle_hull_agrees_on_hand_cases():
     cloud = PointCloud([[0, 0], [1, 0], [2, 0]])
     assert m_connected(LINF2, cloud, hull="oracle", n_balls=200).connected

@@ -209,6 +209,18 @@ def test_path_without_hop_uses_direct_edge():
     assert p.length == 2.0 and len(p.points) == 2
 
 
+@pytest.mark.parametrize("dst", [2, 1])
+def test_path_near_coincident_points(dst):
+    """Points 1 and 2 lie within the slab tolerance of each other, so each
+    is a witness for the other's steps; splitting must still terminate."""
+    w = uniform_weights(LINF2)
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0 + 1e-12, 0.0]])
+    p = monotone_path(LINF2, w, cloud, cloud.points[0], cloud.points[dst])
+    assert not isinstance(p, PathNotFound)
+    assert p.monotone
+    assert np.array_equal(p.points[[0, -1]], cloud.points[[0, dst]])
+
+
 # --- monotonicity verdicts ---------------------------------------------------
 
 
