@@ -8,7 +8,7 @@ never the full ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,36 @@ from .space import Space, _check_vector, norms
 
 TIE_TOL = 1e-9
 
+# Most query x point x functional entries _nearest compares at once.
+_NEAREST_BUDGET = 1 << 18
+
 
 def _tie_threshold(dmin: float, tie_tol: float) -> float:
     return dmin + tie_tol * (1.0 + dmin)
+
+
+def _nearest(q_vals: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of q_vals, the max-norm distance to the nearest row of
+    vals and the lowest index attaining it. The rows of vals lie along the
+    innermost axis, where numpy reduces far faster."""
+    dist = np.empty(len(q_vals))
+    arg = np.empty(len(q_vals), dtype=int)
+    cols = np.ascontiguousarray(vals.T)
+    step = max(1, _NEAREST_BUDGET // max(cols.size, 1))
+    for start in range(0, len(q_vals), step):
+        part = slice(start, start + step)
+        d = np.abs(q_vals[part, :, None] - cols).max(axis=1)
+        arg[part] = d.argmin(axis=1)
+        dist[part] = d.min(axis=1)
+    return dist, arg
+
+
+def _check_ray_grid(lambda_max: float, grid: int) -> None:
+    """A pass must never rest on an empty or degenerate ray."""
+    if int(grid) < 2:
+        raise ValueError(f"the ray grid needs at least 2 points, got {grid}")
+    if not 0.0 < float(lambda_max) < np.inf:
+        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +119,9 @@ def sun_check(
     Requires y to be one of the nearest cloud points to x. The first grid
     value where some other point is strictly closer than the tie threshold
     falsifies the candidate and is reported with the competitor. The grid
-    needs at least two points and lambda_max must be positive and finite,
-    so that a pass never rests on an empty or degenerate ray.
+    needs at least two points and lambda_max must be positive and finite.
     """
-    if int(grid) < 2:
-        raise ValueError(f"the ray grid needs at least 2 points, got {grid}")
-    if not 0.0 < float(lambda_max) < np.inf:
-        raise ValueError(f"lambda_max must be positive and finite, got {lambda_max}")
+    _check_ray_grid(lambda_max, grid)
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
     pr = project(s, cloud, vx, tie_tol=tie_tol)
@@ -110,18 +133,8 @@ def sun_check(
 
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
-    ray_vals = ray @ s.representatives.T
-    cloud_vals = cloud.points @ s.representatives.T
     dist_to_y = norms(s, ray - vy)
-    best = np.full(lams.size, np.inf)
-    arg = np.zeros(lams.size, dtype=int)
-    for start in range(0, len(cloud), 2048):
-        block = cloud_vals[start : start + 2048]
-        d = np.max(np.abs(ray_vals[:, None, :] - block[None, :, :]), axis=2)
-        local = d.min(axis=1)
-        take = local < best
-        arg = np.where(take, start + d.argmin(axis=1), arg)
-        best = np.minimum(best, local)
+    best, arg = _nearest(ray @ s.representatives.T, cloud.points @ s.representatives.T)
 
     ok = dist_to_y <= best + tie_tol * (1.0 + best)
     if bool(ok.all()):
@@ -203,15 +216,7 @@ class SunSampleReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "queries": self.queries,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "strict": self.strict,
-            "lambda_max": self.lambda_max,
-            "grid": self.grid,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def is_sun_sampled(
@@ -228,8 +233,10 @@ def is_sun_sampled(
     Default mode accepts a query when some nearest point passes; strict
     mode demands that every nearest point passes (the sampled analogue of
     requiring each best approximation to be a luminosity point). Queries
-    already in the cloud are vacuous and recorded as skipped.
+    already in the cloud are vacuous and recorded as skipped; the grid
+    and lambda_max are checked even when every query is skipped.
     """
+    _check_ray_grid(lambda_max, grid)
     qs = np.asarray(queries, dtype=float)
     if qs.ndim != 2 or qs.shape[0] == 0:
         raise ValueError("queries must be a nonempty (q, dim) array")

@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Each subcommand is a thin driver: parse inputs, call one library
-operation, emit a JSON report (optionally an SVG when the space is
-two-dimensional). Exit codes: 0 success or no falsification, 1 usage or
-input error, 2 falsification found.
+operation, return its result and exit code (and write an SVG when asked
+and the space is two-dimensional). `main` wraps every result in the same
+JSON report, whose config echoes the parsed options. Exit codes: 0
+success or no falsification, 1 usage or input error, 2 falsification
+found.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .approx import NoCandidate, find_luminosity, is_sun_sampled, project
 from .cloud import PointCloud, load_cloud
 from .embed import embed_cloud, make_embedding
 from .errors import DimensionMismatch, ParseError, SunlabError
-from .hull import hull_interval_gap, interval, m_connected, slab_vertices_2d
+from .hull import ball_hull_outer, hull_interval_gap, interval, m_connected, slab_vertices_2d
 from .metric import (
     PathNotFound,
     geometric_weights,
@@ -81,8 +84,8 @@ def _load_space(text: str) -> Space:
         )
 
 
-def _load_weights(s: Space, text: str | None):
-    if text is None or text == "geometric":
+def _load_weights(s: Space, text: str):
+    if text == "geometric":
         return geometric_weights(s)
     if text == "uniform":
         return uniform_weights(s)
@@ -114,18 +117,22 @@ def _point(text: str, s: Space, cloud: PointCloud | None = None) -> np.ndarray:
     return vec
 
 
-def _emit(args, command: str, config: dict, result: dict, code: int) -> int:
+def _emit(args, result: dict, code: int) -> int:
+    """Write the report envelope; its config echoes every parsed option
+    except the command itself and where the output goes."""
+    config = {
+        k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "svg")
+    }
     report = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "seed": config.get("seed", 0),
+        "seed": args.seed,
         "config": config,
         "result": result,
     }
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        _atomic_write(out, text)
+    if args.out:
+        _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     return code
@@ -134,21 +141,23 @@ def _emit(args, command: str, config: dict, result: dict, code: int) -> int:
 def _maybe_svg(args, s: Space, build) -> None:
     """Render the figure when requested and the space is planar; never let
     figure output change the exit code."""
-    path = getattr(args, "svg", None)
-    if not path:
+    if not args.svg:
         return
     if s.dim != 2:
         print(f"sunlab: note: --svg skipped, space has dimension {s.dim}", file=sys.stderr)
         return
-    scene = build()
-    _atomic_write(path, scene.render())
+    _atomic_write(args.svg, build().render())
 
 
-def cmd_interval(args) -> int:
+def _ends(args, s: Space, cloud: PointCloud | None) -> tuple[np.ndarray, np.ndarray]:
+    """The --from and --to points; `from` is a keyword, hence the getattr."""
+    return _point(getattr(args, "from"), s, cloud), _point(args.to, s, cloud)
+
+
+def cmd_interval(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud) if args.cloud else None
-    x = _point(args.src, s, cloud)
-    y = _point(args.dst, s, cloud)
+    x, y = _ends(args, s, cloud)
     box = interval(s, x, y)
     result = {"interval": box.to_json()}
     if s.dim == 2:
@@ -164,38 +173,16 @@ def cmd_interval(args) -> int:
         return sc
 
     _maybe_svg(args, s, scene)
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "from": args.src,
-        "to": args.dst,
-        "seed": args.seed,
-    }
-    return _emit(args, "interval", config, result, EXIT_OK)
+    return result, EXIT_OK
 
 
-def cmd_hull(args) -> int:
+def cmd_hull(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud) if args.cloud else None
-    x = _point(args.src, s, cloud)
-    y = _point(args.dst, s, cloud)
+    x, y = _ends(args, s, cloud)
     rep = hull_interval_gap(s, x, y, n_balls=args.balls, seed=args.seed, resolution=args.grid)
-    result = {
-        "pair": [list(rep.pair[0]), list(rep.pair[1])],
-        "contained": rep.contained,
-        "gap": rep.gap,
-        "witness": rep.witness,
-        "inclusion_witness": rep.inclusion_witness,
-        "step": rep.step,
-        "n_grid": rep.n_grid,
-        "n_interval": rep.n_interval,
-        "n_hull": rep.n_hull,
-        "n_balls": args.balls,
-    }
 
     def scene():
-        from .hull import ball_hull_outer
-
         approx = ball_hull_outer(s, x, y, n_balls=args.balls, seed=args.seed)
         sc = svg.Scene()
         sc.add_polygon(slab_vertices_2d(approx.as_slabs()), svg.HULL, dashed=True)
@@ -205,20 +192,10 @@ def cmd_hull(args) -> int:
         return sc
 
     _maybe_svg(args, s, scene)
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "from": args.src,
-        "to": args.dst,
-        "balls": args.balls,
-        "grid": args.grid,
-        "seed": args.seed,
-    }
-    code = EXIT_OK if rep.contained else EXIT_FALSIFIED
-    return _emit(args, "hull", config, result, code)
+    return {**asdict(rep), "n_balls": args.balls}, EXIT_OK if rep.contained else EXIT_FALSIFIED
 
 
-def cmd_mconnect(args) -> int:
+def cmd_mconnect(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud)
     rep = m_connected(
@@ -229,7 +206,6 @@ def cmd_mconnect(args) -> int:
         n_balls=args.balls,
         seed=args.seed,
     )
-    result = rep.to_json()
 
     def scene():
         sc = svg.Scene()
@@ -243,24 +219,14 @@ def cmd_mconnect(args) -> int:
         return sc
 
     _maybe_svg(args, s, scene)
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "hull": args.hull,
-        "eps": args.eps,
-        "balls": args.balls,
-        "seed": args.seed,
-    }
-    code = EXIT_OK if rep.connected else EXIT_FALSIFIED
-    return _emit(args, "mconnect", config, result, code)
+    return rep.to_json(), EXIT_OK if rep.connected else EXIT_FALSIFIED
 
 
-def cmd_path(args) -> int:
+def cmd_path(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud)
     w = _load_weights(s, args.weights)
-    x = _point(args.src, s, cloud)
-    y = _point(args.dst, s, cloud)
+    x, y = _ends(args, s, cloud)
     out = monotone_path(s, w, cloud, x, y, eps=args.eps, hop=args.hop, tol=args.tol)
 
     def scene():
@@ -277,29 +243,16 @@ def cmd_path(args) -> int:
         return sc
 
     _maybe_svg(args, s, scene)
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "weights": args.weights or "geometric",
-        "from": args.src,
-        "to": args.dst,
-        "eps": args.eps,
-        "hop": args.hop,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
     if isinstance(out, PathNotFound):
-        return _emit(args, "path", config, out.to_json(), EXIT_FALSIFIED)
-    result = {"found": True, "target": out.target, **out.to_json()}
-    return _emit(args, "path", config, result, EXIT_OK)
+        return out.to_json(), EXIT_FALSIFIED
+    return {"found": True, "target": out.target, **out.to_json()}, EXIT_OK
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud)
     q = _point(args.query, s)
     pr = project(s, cloud, q, tie_tol=args.tol)
-    result = pr.to_json()
 
     def scene():
         sc = svg.Scene()
@@ -310,17 +263,10 @@ def cmd_project(args) -> int:
         return sc
 
     _maybe_svg(args, s, scene)
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "query": args.query,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
-    return _emit(args, "project", config, result, EXIT_OK)
+    return pr.to_json(), EXIT_OK
 
 
-def cmd_sun(args) -> int:
+def cmd_sun(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud)
     if args.query is not None and args.trials is not None:
@@ -333,12 +279,10 @@ def cmd_sun(args) -> int:
                 s, cloud, q.reshape(1, -1),
                 lambda_max=args.lambda_max, grid=args.grid, strict=True,
             )
-            result = rep.to_json()
             passed = rep.passed
             ray_end = None
         else:
             rep = find_luminosity(s, cloud, q, lambda_max=args.lambda_max, grid=args.grid)
-            result = rep.to_json()
             passed = rep.holds
             ray_end = None
             if not isinstance(rep, NoCandidate):
@@ -366,7 +310,6 @@ def cmd_sun(args) -> int:
             s, cloud, queries,
             lambda_max=args.lambda_max, grid=args.grid, strict=args.strict,
         )
-        result = rep.to_json()
         passed = rep.passed
 
         def scene():
@@ -378,20 +321,10 @@ def cmd_sun(args) -> int:
 
         _maybe_svg(args, s, scene)
 
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "query": args.query,
-        "trials": args.trials,
-        "lambda_max": args.lambda_max,
-        "grid": args.grid,
-        "strict": args.strict,
-        "seed": args.seed,
-    }
-    return _emit(args, "sun", config, result, EXIT_OK if passed else EXIT_FALSIFIED)
+    return rep.to_json(), EXIT_OK if passed else EXIT_FALSIFIED
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud)
     indices = None
@@ -400,20 +333,12 @@ def cmd_embed(args) -> int:
     e = make_embedding(s, indices)
     res = embed_cloud(e, cloud)
     result = {"embedding": e.to_json(), "target_dim": int(e.indices.size), **res.to_json()}
-    config = {
-        "space": args.space,
-        "cloud": args.cloud,
-        "indices": args.indices,
-        "seed": args.seed,
-    }
-    return _emit(args, "embed", config, result, EXIT_OK)
+    return result, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     result = run_verify(trials=args.trials, seed=args.seed)
-    config = {"trials": args.trials, "seed": args.seed}
-    code = EXIT_OK if result["passed"] else EXIT_FALSIFIED
-    return _emit(args, "verify", config, result, code)
+    return result, EXIT_OK if result["passed"] else EXIT_FALSIFIED
 
 
 def _build_parser() -> _Parser:
@@ -434,14 +359,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("interval", help="slab representation of the interval of a pair")
     common(p, cloud_required=False)
-    p.add_argument("--from", dest="src", required=True, help="cloud index or coordinates")
-    p.add_argument("--to", dest="dst", required=True, help="cloud index or coordinates")
+    p.add_argument("--from", required=True, help="cloud index or coordinates")
+    p.add_argument("--to", required=True, help="cloud index or coordinates")
     p.set_defaults(func=cmd_interval)
 
     p = sub.add_parser("hull", help="sampled ball hull of a pair and its gap to the interval")
     common(p, cloud_required=False)
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument("--from", required=True)
+    p.add_argument("--to", required=True)
     p.add_argument("--balls", type=int, default=2000, help="number of sampled balls")
     p.add_argument("--grid", type=int, default=None, help="grid resolution per axis")
     p.set_defaults(func=cmd_hull)
@@ -455,9 +380,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("path", help="shortest monotone path between two cloud points")
     common(p)
-    p.add_argument("--weights", help="geometric, uniform, or a weights JSON path")
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
+    p.add_argument(
+        "--weights", default="geometric", help="geometric, uniform, or a weights JSON path"
+    )
+    p.add_argument("--from", required=True)
+    p.add_argument("--to", required=True)
     p.add_argument("--eps", type=float, default=None, help="length slack (default relative)")
     p.add_argument("--hop", type=float, default=0.0, help="maximum edge length, 0 = unbounded")
     p.add_argument("--tol", type=float, default=1e-9)
@@ -496,20 +423,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # Coordinates near the float limit overflow to inf in differences;
+        # such input is rejected rather than reported.
+        with np.errstate(over="raise"):
+            return _emit(args, *args.func(args))
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except SunlabError as exc:
-        print(f"sunlab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"sunlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"sunlab: error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (SunlabError, OSError, ValueError, FloatingPointError) as exc:
         print(f"sunlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _tie_threshold
+from .approx import _nearest, _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .space import Space, _check_vector, norm, unit_ball_extents
+from .space import Space, _check_vector, _rep_mask, norm, unit_ball_extents
 
 SLAB_TOL = 1e-10
 
@@ -118,12 +118,12 @@ class HullApprox:
 
 
 def _pair_positions(s: Space) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of each representative and of its negation in s.functionals."""
-    lookup = {row.tobytes(): i for i, row in enumerate(s.functionals)}
-    reps = s.representatives
-    rep_idx = np.array([lookup[row.tobytes()] for row in reps])
-    neg_idx = np.array([lookup[np.where(row == 0.0, 0.0, -row).tobytes()] for row in reps])
-    return rep_idx, neg_idx
+    """Positions of each representative and of its negation in s.functionals.
+
+    The functionals are distinct, sorted lexicographically and closed under
+    negation; negation reverses that order, so row i negates to row k-1-i."""
+    rep = np.flatnonzero(_rep_mask(s.functionals))
+    return rep, len(s.functionals) - 1 - rep
 
 
 def ball_hull_outer(
@@ -201,14 +201,6 @@ class GapReport:
     n_hull: int
     inclusion_witness: list | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "pair": [list(self.pair[0]), list(self.pair[1])],
-            "contained": self.contained,
-            "gap": self.gap,
-            "witness": self.witness,
-        }
-
 
 def hull_interval_gap(
     s: Space,
@@ -262,12 +254,7 @@ def hull_interval_gap(
     witness = None
     if sliver.size:
         reps = s.representatives
-        ref_vals = reference @ reps.T
-        best = np.full(sliver.shape[0], np.inf)
-        for start in range(0, sliver.shape[0], 1024):
-            chunk = sliver[start : start + 1024] @ reps.T
-            d = np.max(np.abs(chunk[:, None, :] - ref_vals[None, :, :]), axis=2)
-            best[start : start + 1024] = d.min(axis=1)
+        best, _ = _nearest(sliver @ reps.T, reference @ reps.T)
         k = int(np.argmax(best))
         gap = float(best[k])
         witness = sliver[k].tolist()

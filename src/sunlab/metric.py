@@ -10,7 +10,7 @@ surrogates for monotone geodesics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -332,14 +332,7 @@ class PathNotFound:
     best_length: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "found": False,
-            "reason": self.reason,
-            "target": self.target,
-            "eps": self.eps,
-            "hop": self.hop,
-            "best_length": self.best_length,
-        }
+        return {"found": False, **asdict(self)}
 
 
 def monotone_path(

@@ -165,6 +165,13 @@ def test_sun_sampled_skips_member_queries():
     assert rep.passed
 
 
+@pytest.mark.parametrize("bad", [{"grid": 0}, {"lambda_max": -5}])
+def test_sun_sampled_checks_the_ray_when_every_query_is_skipped(bad):
+    cloud = PointCloud([[0, 0], [0, 2]])
+    with pytest.raises(ValueError):
+        is_sun_sampled(LINF2, cloud, cloud.points, **bad)
+
+
 def test_sun_sampled_strict_hand_case():
     cloud = PointCloud([[0, 0], [0, 2]])
     rep = is_sun_sampled(LINF2, cloud, np.array([[1.0, 1.0]]), strict=True)

@@ -238,6 +238,69 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+CLOUD = "<cloud path>"
+LINF2_CLOUD = ["--space", "linf2", "--cloud", CLOUD]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        pytest.param(
+            ["interval", "--space", "linf2", "--from", "0,0", "--to", "2,1"],
+            {"space": "linf2", "cloud": None, "from": "0,0", "to": "2,1", "seed": 0},
+            id="interval",
+        ),
+        pytest.param(
+            ["hull", *LINF2_CLOUD, "--from", "0", "--to", "2", "--balls", "50"],
+            {
+                "space": "linf2", "cloud": CLOUD, "from": "0", "to": "2", "balls": 50,
+                "grid": None, "seed": 0,
+            },
+            id="hull",
+        ),
+        pytest.param(
+            ["mconnect", *LINF2_CLOUD, "--seed", "3"],
+            {
+                "space": "linf2", "cloud": CLOUD, "hull": "interval", "eps": None,
+                "balls": 2000, "seed": 3,
+            },
+            id="mconnect",
+        ),
+        pytest.param(
+            ["path", *LINF2_CLOUD, "--from", "0", "--to", "2"],
+            {
+                "space": "linf2", "cloud": CLOUD, "weights": "geometric", "from": "0",
+                "to": "2", "eps": None, "hop": 0.0, "tol": 1e-9, "seed": 0,
+            },
+            id="path",
+        ),
+        pytest.param(
+            ["project", *LINF2_CLOUD, "--query", "1,5"],
+            {"space": "linf2", "cloud": CLOUD, "query": "1,5", "tol": 1e-9, "seed": 0},
+            id="project",
+        ),
+        pytest.param(
+            ["sun", *LINF2_CLOUD, "--query", "1,5"],
+            {
+                "space": "linf2", "cloud": CLOUD, "query": "1,5", "trials": None,
+                "lambda_max": 16.0, "grid": 256, "strict": False, "seed": 0,
+            },
+            id="sun",
+        ),
+        pytest.param(
+            ["embed", *LINF2_CLOUD],
+            {"space": "linf2", "cloud": CLOUD, "indices": None, "seed": 0},
+            id="embed",
+        ),
+        pytest.param(["verify", "--trials", "5"], {"trials": 5, "seed": 0}, id="verify"),
+    ],
+)
+def test_config_echoes_every_option(capsys, cloud_file, argv, config):
+    path = cloud_file(COLLINEAR3)
+    _, out, _ = _run(capsys, [path if a == CLOUD else a for a in argv])
+    assert json.loads(out)["config"] == {k: path if v == CLOUD else v for k, v in config.items()}
+
+
 def test_svg_written_for_planar_space(capsys, cloud_file, tmp_path):
     fig = tmp_path / "fig.svg"
     code, _, _ = _run(
@@ -272,6 +335,7 @@ def test_svg_skipped_in_higher_dimension(capsys, tmp_path):
 
 
 NAN_CLOUD = {"points": [[0.0, 0.0], [1.0, float("nan")], [2.0, 0.0]]}
+HUGE_CLOUD = {"points": [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]}
 SUN_QUERY = ["sun", "--query", "1,5"]
 
 
@@ -291,6 +355,8 @@ SUN_QUERY = ["sun", "--query", "1,5"]
         ),
         pytest.param(NAN_CLOUD, ["project", "--query", "0.5,0.5"], id="project-nan-cloud"),
         pytest.param(COLLINEAR3, ["project", "--query", "nan,0"], id="project-nan-query"),
+        pytest.param(HUGE_CLOUD, ["mconnect"], id="mconnect-overflow"),
+        pytest.param(HUGE_CLOUD, ["path", "--from", "0", "--to", "1"], id="path-overflow"),
     ],
 )
 def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):

@@ -15,6 +15,7 @@ from sunlab import (
     random_space,
     slab_vertices_2d,
 )
+from sunlab.hull import _pair_positions
 
 LINF2 = builtin("linf", 2)
 L12 = builtin("l1", 2)
@@ -120,6 +121,18 @@ def test_hull_as_slabs_matches_predicate():
     slabs = h.as_slabs()
     pts = rng.uniform(-3, 3, size=(500, 2))
     assert np.array_equal(h.contains_many(pts), slabs.contains_many(pts))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [builtin(name, n) for name in ("linf", "l1") for n in (1, 2, 3, 4)]
+    + [random_space(dim, dim + extra, seed=dim * 10 + extra) for dim in (2, 3) for extra in (0, 3)],
+    ids=lambda s: s.name,
+)
+def test_pair_positions_locate_each_representative_and_its_negation(s):
+    rep, neg = _pair_positions(s)
+    assert np.array_equal(s.functionals[rep], s.representatives)
+    assert np.array_equal(s.functionals[neg], -s.representatives)
 
 
 def test_gap_zero_for_linf2_box():

@@ -1,6 +1,7 @@
 """Property tests: the betweenness kernel behind m_connected and
-m_connectivity_graph against a brute-force triple loop, and the invariants
-of monotone paths on epsilon-nets.
+m_connectivity_graph against a brute-force triple loop, the nearest-point
+kernel behind the sun ray scan and the hull gap against a brute-force
+scan, and the invariants of monotone paths on epsilon-nets.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
@@ -23,7 +24,8 @@ from sunlab import (
     monotone_path,
     uniform_weights,
 )
-from sunlab import hull
+from sunlab import approx, hull
+from sunlab.approx import _nearest
 from sunlab.hull import _slab_witnesses
 from sunlab.verify import max_nn_distance
 
@@ -75,6 +77,25 @@ def test_slab_witnesses_is_lowest_brute_force_witness(case, data):
         found = _slab_witnesses(vals, np.minimum(a, b), np.maximum(a, b), ends, 0.0)
     want = [min(_between(vals, i, j), default=-1) for i, j in ends]
     assert found.tolist() == want
+
+
+@PROPERTY
+@given(dyadic_clouds(), st.data())
+def test_nearest_is_lowest_brute_force_minimiser(case, data):
+    """Dyadic values make max-norm distances tie often; the kernel must
+    return the lowest tied index. A small budget splits the queries."""
+    s, cloud = case
+    vals = cloud.points @ s.representatives.T
+    coords = st.tuples(*[st.integers(-6, 6)] * s.dim)
+    queries = np.asarray(data.draw(st.lists(coords, min_size=1, max_size=12)), dtype=float) / 8.0
+    q_vals = queries @ s.representatives.T
+    budget = data.draw(st.sampled_from([1, 7, 100, approx._NEAREST_BUDGET]))
+    with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
+        dist, arg = _nearest(q_vals, vals)
+    for q, d, k in zip(q_vals, dist, arg):
+        brute = [np.max(np.abs(q - v)) for v in vals]
+        assert d == min(brute)
+        assert k == brute.index(min(brute))
 
 
 @PROPERTY
