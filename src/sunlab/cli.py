@@ -180,10 +180,17 @@ def cmd_hull(args) -> tuple[dict, int]:
     s = _load_space(args.space)
     cloud = load_cloud(args.cloud) if args.cloud else None
     x, y = _ends(args, s, cloud)
-    rep = hull_interval_gap(s, x, y, n_balls=args.balls, seed=args.seed, resolution=args.grid)
+    # The figure draws the hull the gap is measured on, so sample it once.
+    # Only planar spaces get a figure, and they pass the gap's dimension
+    # check, so sampling first raises no error that the gap would not.
+    approx = None
+    if args.svg and s.dim == 2:
+        approx = ball_hull_outer(s, x, y, n_balls=args.balls, seed=args.seed)
+    rep = hull_interval_gap(
+        s, x, y, n_balls=args.balls, seed=args.seed, resolution=args.grid, hull=approx
+    )
 
     def scene():
-        approx = ball_hull_outer(s, x, y, n_balls=args.balls, seed=args.seed)
         sc = svg.Scene()
         sc.add_polygon(slab_vertices_2d(approx.as_slabs()), svg.HULL, dashed=True)
         sc.add_polygon(slab_vertices_2d(interval(s, x, y)), svg.INTERVAL)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch, DuplicatePoints, EndpointNotInCloud, WeightMismatch
@@ -22,6 +20,16 @@ from .hull import SLAB_TOL, _rep_values, _slab_witnesses, interval
 from .space import Space, _check_vector, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
+
+
+def __getattr__(name: str):
+    """`dijkstra` is scipy's, imported on first use: scipy.sparse takes
+    about 0.2 s to import and only monotone_path needs it."""
+    if name == "dijkstra":
+        from scipy.sparse.csgraph import dijkstra
+
+        return dijkstra
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,6 +380,12 @@ def monotone_path(
     dist = graph.dist
     target = float(dist[ix, iy])
     eps_val = 1e-6 * target if eps is None else float(eps)
+
+    from scipy.sparse import csr_matrix
+
+    # Read through the module, so that a replaced `metric.dijkstra` is the
+    # one called: perfbench's tracer times Dijkstra that way.
+    from .metric import dijkstra
 
     weights = np.where(graph.adjacency, dist, 0.0)
     lengths, pred = dijkstra(

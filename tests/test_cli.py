@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from sunlab import cli, hull
 from sunlab.cli import main
 
 COLLINEAR3 = {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
@@ -316,6 +321,26 @@ def test_svg_written_for_planar_space(capsys, cloud_file, tmp_path):
     assert text.rstrip().endswith("</svg>")
 
 
+def test_hull_svg_samples_the_hull_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    ball_hull_outer = hull.ball_hull_outer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ball_hull_outer(*args, **kwargs)
+
+    monkeypatch.setattr(hull, "ball_hull_outer", counted)
+    monkeypatch.setattr(cli, "ball_hull_outer", counted)
+    fig = tmp_path / "fig.svg"
+    code, _, _ = _run(
+        capsys,
+        ["hull", "--space", "l1(2)", "--from", "0,0", "--to", "1,0.5", "--svg", str(fig)],
+    )
+    assert code == 0
+    assert fig.read_text().startswith("<svg")
+    assert len(calls) == 1
+
+
 def test_svg_skipped_in_higher_dimension(capsys, tmp_path):
     fig = tmp_path / "fig.svg"
     code, out, err = _run(
@@ -378,3 +403,55 @@ def test_empty_json_cloud_reports_empty_cloud(capsys, cloud_file):
     )
     assert code == 1
     assert err == "sunlab: error: point cloud JSON has no points\n"
+
+
+# --- import boundary ------------------------------------------------------------
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import sunlab.cli
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = sunlab.cli.main(list(argv))
+    return code, scipy_loaded()
+
+cloud = sys.argv[1]
+out = {"import": scipy_loaded()}
+out["interval"] = run("interval", "--space", "linf2", "--from", "0,0", "--to", "2,1")
+out["project"] = run("project", "--space", "linf2", "--cloud", cloud, "--query", "0.4,0")
+out["sun"] = run("sun", "--space", "linf2", "--cloud", cloud, "--query", "1,5", "--grid", "8")
+out["embed"] = run("embed", "--space", "l1(2)", "--cloud", cloud)
+out["mconnect"] = run("mconnect", "--space", "linf2", "--cloud", cloud)
+out["path"] = run("path", "--space", "linf2", "--cloud", cloud, "--from", "0", "--to", "2")
+print(json.dumps(out))
+"""
+
+
+def test_only_path_loads_scipy(cloud_file):
+    """scipy.sparse is most of the package's import time; only commands that
+    reach Dijkstra or the unit-ball LP may load it. path runs last, to show
+    that the probe sees the import when it happens."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, cloud_file(COLLINEAR3)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") == []
+    path_code, path_scipy = seen.pop("path")
+    assert seen == {
+        "interval": [0, []],
+        "project": [0, []],
+        "sun": [0, []],
+        "embed": [0, []],
+        "mconnect": [0, []],
+    }
+    assert path_code == 0
+    assert "scipy.sparse.csgraph" in path_scipy

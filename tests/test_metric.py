@@ -221,6 +221,26 @@ def test_path_near_coincident_points(dst):
     assert np.array_equal(p.points[[0, -1]], cloud.points[[0, dst]])
 
 
+def test_path_calls_dijkstra_through_the_module(monkeypatch):
+    """scipy is imported on first use, but `sunlab.metric.dijkstra` stays an
+    attribute, and replacing it (perfbench times Dijkstra that way) takes
+    effect in monotone_path."""
+    from sunlab import metric
+
+    calls = []
+    scipy_dijkstra = metric.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["indices"])
+        return scipy_dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "dijkstra", counted)
+    cloud = PointCloud([[0, 0], [1, 0], [2, 0]])
+    p = monotone_path(LINF2, ONES, cloud, [0, 0], [2, 0])
+    assert not isinstance(p, PathNotFound)
+    assert calls == [0]
+
+
 # --- monotonicity verdicts ---------------------------------------------------
 
 

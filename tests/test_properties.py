@@ -1,7 +1,9 @@
 """Property tests: the betweenness kernel behind m_connected and
 m_connectivity_graph against a brute-force triple loop, the nearest-point
 kernel behind the sun ray scan and the hull gap against a brute-force
-scan, and the invariants of monotone paths on epsilon-nets.
+scan, the invariants of monotone paths on epsilon-nets, the symmetries of
+project, contraction under a partial embedding, and the three-way
+betweenness equivalence.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
@@ -17,11 +19,17 @@ from hypothesis import strategies as st
 from sunlab import (
     PathNotFound,
     PointCloud,
+    between_equiv_check,
     builtin,
+    embed_cloud,
     geometric_weights,
     m_connected,
     m_connectivity_graph,
+    make_embedding,
     monotone_path,
+    norm,
+    project,
+    random_space,
     uniform_weights,
 )
 from sunlab import approx, hull
@@ -169,3 +177,67 @@ def test_found_paths_are_additive_unskipping_and_monotone(case):
     for a, b in zip(idx[:-1], idx[1:]):
         assert _between(vals, a, b) == []
     assert p.monotone
+
+
+def _dyadic_vector(dim):
+    return st.tuples(*[st.integers(-6, 6)] * dim).map(lambda v: np.asarray(v, dtype=float) / 8.0)
+
+
+@PROPERTY
+@given(dyadic_clouds(), st.data())
+def test_project_is_translation_equivariant(case, data):
+    s, cloud = case
+    q = data.draw(_dyadic_vector(s.dim))
+    shift = data.draw(_dyadic_vector(s.dim))
+    before = project(s, cloud, q)
+    after = project(s, PointCloud(cloud.points + shift), q + shift)
+    assert after.indices.tolist() == before.indices.tolist()
+    assert after.distance == before.distance
+
+
+@PROPERTY
+@given(dyadic_clouds(), st.data())
+def test_project_is_scale_equivariant(case, data):
+    """Distinct dyadic distances differ by at least 1/8, far above the tie
+    tolerance at every drawn scale, so the tied set cannot change."""
+    s, cloud = case
+    q = data.draw(_dyadic_vector(s.dim))
+    c = 2.0 ** data.draw(st.integers(-4, 4))
+    before = project(s, cloud, q)
+    after = project(s, PointCloud(cloud.points * c), q * c)
+    assert after.indices.tolist() == before.indices.tolist()
+    assert after.distance == c * before.distance
+
+
+@PROPERTY
+@given(dyadic_clouds(), st.data())
+def test_partial_embedding_never_increases_a_distance(case, data):
+    s, cloud = case
+    indices = data.draw(
+        st.lists(st.integers(0, s.n_pairs - 1), min_size=1, max_size=s.n_pairs - 1, unique=True)
+    )
+    e = make_embedding(s, indices)
+    res = embed_cloud(e, cloud)
+    img, src = res.cloud.points, cloud.points[res.preimages]
+    for i, j in _pairs(len(img)):
+        assert norm(e.target, img[i] - img[j]) <= norm(s, src[i] - src[j])
+
+
+@st.composite
+def equiv_spaces(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SPACES))
+    dim = draw(st.integers(2, 3))
+    return random_space(dim, pairs=dim + draw(st.integers(0, 3)), seed=draw(st.integers(0, 999)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    equiv_spaces(),
+    st.sampled_from([uniform_weights, geometric_weights]),
+    st.integers(0, 2**32 - 1),
+)
+def test_betweenness_equivalence_has_no_disagreement(s, weights, seed):
+    rep = between_equiv_check(s, weights(s), trials=60, seed=seed)
+    assert rep.disagreements == []
+    assert rep.passed
