@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicatePoints, EmptyCloud, ParseError
+from .space import _first_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,12 +43,11 @@ class PointCloud:
             raise EmptyCloud("operation needs at least one point")
 
     def require_unique(self) -> None:
-        seen: dict[bytes, int] = {}
-        for i, row in enumerate(self.points):
-            key = np.where(row == 0.0, 0.0, row).tobytes()
-            if key in seen:
-                raise DuplicatePoints(f"points {seen[key]} and {i} coincide")
-            seen[key] = i
+        first = _first_rows(self.points)
+        dup = np.flatnonzero(first != np.arange(len(self)))
+        if dup.size:
+            i = dup[0]
+            raise DuplicatePoints(f"points {first[i]} and {i} coincide")
 
     def index_of(self, x, tol: float = 1e-12) -> int | None:
         """Index of x in the cloud (exact match first, then within tol)."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .space import Space, _check_vector, builtin, norm, space_from_json, space_to_json
+from .space import Space, _check_vector, _first_rows, builtin, norm, space_from_json, space_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,22 +85,14 @@ def embed_cloud(e: Embedding, cloud: PointCloud) -> EmbedResult:
             f"cloud dimension {cloud.dim} does not match source dimension {e.source.dim}"
         )
     imgs = cloud.points @ e.selected.T
-    rows: list[np.ndarray] = []
-    preimages: list[int] = []
-    multiplicities: list[int] = []
-    seen: dict[bytes, int] = {}
-    for i, row in enumerate(imgs):
-        row = np.where(row == 0.0, 0.0, row)
-        key = row.tobytes()
-        if key in seen:
-            multiplicities[seen[key]] += 1
-            continue
-        seen[key] = len(rows)
-        rows.append(row)
-        preimages.append(i)
-        multiplicities.append(1)
-    pts = np.asarray(rows) if rows else np.empty((0, e.indices.size))
-    return EmbedResult(cloud=PointCloud(pts), preimages=preimages, multiplicities=multiplicities)
+    first = _first_rows(imgs)
+    kept = np.flatnonzero(first == np.arange(len(first)))
+    pts = imgs[kept]
+    return EmbedResult(
+        cloud=PointCloud(np.where(pts == 0.0, 0.0, pts)),
+        preimages=kept.tolist(),
+        multiplicities=np.bincount(first, minlength=len(first))[kept].tolist(),
+    )
 
 
 @dataclass(frozen=True)

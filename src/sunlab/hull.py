@@ -132,13 +132,12 @@ def ball_hull_outer(
     y,
     n_balls: int = 2000,
     seed: int = 0,
-    halfwidth: float = 4.0,
 ) -> HullApprox:
     """Sample balls containing {x, y} and intersect them.
 
     The first three centers are x, y and the midpoint; the rest are drawn
-    uniformly from the coordinate box of half-width `halfwidth * ||x - y||`
-    around the midpoint. Each ball gets the smallest admissible radius
+    uniformly from the coordinate box of half-width `4 * ||x - y||` around
+    the midpoint. Each ball gets the smallest admissible radius
     max(||c - x||, ||c - y||).
     """
     vx = _check_vector(s, x)
@@ -146,7 +145,7 @@ def ball_hull_outer(
     if n_balls < 3:
         raise ValueError("n_balls must be at least 3 (the deterministic seeds)")
     mid = 0.5 * (vx + vy)
-    width = halfwidth * norm(s, vx - vy)
+    width = 4.0 * norm(s, vx - vy)
     rng = np.random.default_rng(seed)
     random_part = mid + rng.uniform(-1.0, 1.0, size=(n_balls - 3, s.dim)) * max(width, 0.0)
     centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
@@ -450,9 +449,6 @@ class MGraph:
 
     n: int
     edges: list[tuple[int, int]]
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
 def m_connectivity_graph(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch, DuplicatePoints, EndpointNotInCloud, WeightMismatch
-from .hull import SLAB_TOL, _rep_values, _slab_witnesses, interval
+from .hull import SLAB_TOL, _rep_values, _slab_witnesses
 from .space import Space, _check_vector, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
@@ -37,7 +37,6 @@ class Weights:
     """Positive weights, one per representative functional pair."""
 
     alphas: np.ndarray
-    scheme: str = "custom"
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.alphas, dtype=float)
@@ -52,20 +51,15 @@ class Weights:
     def total(self) -> float:
         return float(self.alphas.sum())
 
-    def to_json(self) -> dict:
-        if self.scheme in ("geometric", "uniform"):
-            return {"scheme": self.scheme}
-        return {"alphas": list(self.alphas)}
-
 
 def geometric_weights(s: Space) -> Weights:
     """alpha_i = 2^-i, normalized to sum exactly 1."""
     raw = 0.5 ** np.arange(1, s.n_pairs + 1)
-    return Weights(alphas=raw / raw.sum(), scheme="geometric")
+    return Weights(alphas=raw / raw.sum())
 
 
 def uniform_weights(s: Space) -> Weights:
-    return Weights(alphas=np.full(s.n_pairs, 1.0 / s.n_pairs), scheme="uniform")
+    return Weights(alphas=np.full(s.n_pairs, 1.0 / s.n_pairs))
 
 
 def weights_from_json(s: Space, data: dict) -> Weights:
@@ -160,24 +154,24 @@ def between_equiv_check(
     m1 = mode == 1
     t = rng.uniform(0.0, 1.0, size=(int(m1.sum()), 1))
     Z[m1] = X[m1] * (1.0 - t) + Y[m1] * t
-    # Mode 2: rejection samples from the interval's coordinate box, falling
-    # back to the midpoint when no candidate lands inside.
-    m2 = np.nonzero(mode == 2)[0]
-    if m2.size:
-        ext = unit_ball_extents(s)
-        for idx in m2:
-            box = interval(s, X[idx], Y[idx])
-            mid = 0.5 * (X[idx] + Y[idx])
-            half = 0.5 * np.max(np.abs((X[idx] - Y[idx]) @ reps.T)) * ext
-            cand = mid + rng.uniform(-1.0, 1.0, size=(24, n)) * half
-            hits = box.contains_many(cand, tol=0.0)
-            Z[idx] = cand[np.argmax(hits)] if hits.any() else mid
-
     VX = X @ reps.T
     VY = Y @ reps.T
-    VZ = Z @ reps.T
     lo = np.minimum(VX, VY)
     hi = np.maximum(VX, VY)
+    # Mode 2: rejection samples from the interval's coordinate box, 24 per
+    # trial, falling back to the midpoint when no candidate lands inside.
+    m2 = np.nonzero(mode == 2)[0]
+    if m2.size:
+        mid = 0.5 * (X[m2] + Y[m2])
+        spread = np.max(np.abs((X[m2] - Y[m2]) @ reps.T), axis=1, keepdims=True)
+        half = 0.5 * spread * unit_ball_extents(s)
+        cand = mid[:, None] + rng.uniform(-1.0, 1.0, size=(m2.size, 24, n)) * half[:, None]
+        vals = cand @ reps.T
+        hits = ((vals >= lo[m2, None]) & (vals <= hi[m2, None])).all(axis=2)
+        picked = cand[np.arange(m2.size), hits.argmax(axis=1)]
+        Z[m2] = np.where(hits.any(axis=1)[:, None], picked, mid)
+
+    VZ = Z @ reps.T
     in_a = np.logical_and((VZ >= lo - slab_tol).all(axis=1), (VZ <= hi + slab_tol).all(axis=1))
     defect_b = np.abs(VX - VZ) + np.abs(VZ - VY) - np.abs(VX - VY)
     in_b = np.max(defect_b, axis=1) <= tol

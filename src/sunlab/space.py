@@ -28,6 +28,24 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
     return rows[order]
 
 
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row with the same bytes, with
+    -0.0 read as 0.0.
+
+    Rows are compared by their bytes, not by float ==, so NaN rows with one
+    bit pattern match each other. Each folded row is viewed as one void
+    scalar; np.unique sorts stably when asked for indices, so it returns
+    first occurrences.
+    """
+    m, width = rows.shape
+    if width == 0:  # no void view of zero bytes; every empty row matches row 0
+        return np.zeros(m, dtype=np.intp)
+    folded = np.where(rows == 0.0, 0.0, rows)
+    keys = folded.view(np.dtype((np.void, folded.itemsize * width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
 @dataclass(frozen=True, eq=False)
 class Space:
     """A finite-dimensional space with a polyhedral norm.
@@ -80,20 +98,22 @@ def make_space(functionals, name: str = "") -> Space:
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise DimensionMismatch("functionals must form a nonempty 2d array")
     arr = _canonical(arr)
-    n = arr.shape[1]
+    k, n = arr.shape
 
-    seen: dict[bytes, int] = {}
-    for i, row in enumerate(arr):
-        key = row.tobytes()
-        if key in seen:
-            raise NotSymmetric(f"duplicate functional at rows {seen[key]} and {i}")
-        seen[key] = i
-    for row in arr:
-        if not row.any():
+    # Row k + i of the stack is the negation of row i; it is in the family
+    # exactly when its first match lies among the first k rows.
+    first = _first_rows(np.vstack([arr, -arr]))
+    dup = np.flatnonzero(first[:k] != np.arange(k))
+    if dup.size:
+        i = dup[0]
+        raise NotSymmetric(f"duplicate functional at rows {first[i]} and {i}")
+    zero = ~arr.any(axis=1)
+    bad = np.flatnonzero(zero | (first[k:] >= k))
+    if bad.size:
+        i = bad[0]
+        if zero[i]:
             raise Degenerate("zero functional in family")
-        neg = np.where(row == 0.0, 0.0, -row)
-        if neg.tobytes() not in seen:
-            raise NotSymmetric(f"family lacks the negation of {row.tolist()}")
+        raise NotSymmetric(f"family lacks the negation of {arr[i].tolist()}")
 
     if np.linalg.matrix_rank(arr) < n:
         raise Degenerate("family does not positively span the dual space")

@@ -22,10 +22,10 @@ from .space import Space, builtin, random_space
 from .errors import DimensionMismatch
 
 
-def default_spaces(random_count: int = 4, seed: int = 12345) -> list[Space]:
-    """The builtin battery plus a few random validated spaces."""
+def default_spaces(seed: int = 12345) -> list[Space]:
+    """The builtin battery plus four random validated spaces."""
     spaces = [builtin(name, n) for name in ("linf", "l1") for n in (2, 3, 4)]
-    for i in range(random_count):
+    for i in range(4):
         dim = 2 + i % 3
         spaces.append(random_space(dim, pairs=dim + 2, seed=seed + i))
     return spaces
@@ -222,8 +222,8 @@ def path_suite(seed: int = 0) -> dict:
     return {"cases": results, "passed": all(r["ok"] for r in results)}
 
 
-def run_verify(trials: int = 1000, seed: int = 0, random_count: int = 4) -> dict:
-    spaces = default_spaces(random_count=random_count, seed=seed + 1000)
+def run_verify(trials: int = 1000, seed: int = 0) -> dict:
+    spaces = default_spaces(seed=seed + 1000)
     grid_spaces = [s for s in spaces if s.dim <= 3]
     sections = {
         "equivalence": equivalence_suite(spaces, trials, seed),

@@ -61,3 +61,16 @@ def test_index_of_exact_and_tolerant():
     assert cloud.index_of([1.0, 1.0]) == 1
     assert cloud.index_of([1.0 + 1e-14, 1.0]) == 1
     assert cloud.index_of([1.1, 1.0]) is None
+
+
+def test_require_unique_names_the_first_repeat_and_its_original():
+    cloud = PointCloud([[1, 2], [3, 4], [1, 2], [3, 4]])
+    with pytest.raises(DuplicatePoints) as err:
+        cloud.require_unique()
+    assert str(err.value) == "points 0 and 2 coincide"
+
+
+def test_require_unique_on_zero_width_rows():
+    with pytest.raises(DuplicatePoints) as err:
+        PointCloud(np.empty((3, 0))).require_unique()
+    assert str(err.value) == "points 0 and 1 coincide"

@@ -145,3 +145,37 @@ def test_norm_convergence_shuffled_orderings():
 def test_norm_convergence_rejects_zero():
     with pytest.raises(ValueError):
         norm_convergence_check(LINF2, orderings=2, x=[0, 0])
+
+
+def _embed_cloud_by_dict(e, cloud):
+    """Reference: collapse embedded rows with a dict keyed by their bytes."""
+    rows, preimages, multiplicities, seen = [], [], [], {}
+    for i, row in enumerate(cloud.points @ e.selected.T):
+        row = np.where(row == 0.0, 0.0, row)
+        key = row.tobytes()
+        if key in seen:
+            multiplicities[seen[key]] += 1
+            continue
+        seen[key] = len(rows)
+        rows.append(row)
+        preimages.append(i)
+        multiplicities.append(1)
+    return np.asarray(rows).reshape(-1, e.indices.size), preimages, multiplicities
+
+
+def test_embed_cloud_matches_dict_reference():
+    """Small integer points under random partial indices collide often, and
+    points with zero coordinates give -0.0 and 0.0 images."""
+    rng = np.random.default_rng(8)
+    s = builtin("l1", 3)
+    for _ in range(20):
+        k = int(rng.integers(1, s.n_pairs + 1))
+        e = make_embedding(s, rng.permutation(s.n_pairs)[:k])
+        pts = rng.integers(-2, 3, size=(int(rng.integers(0, 60)), 3)).astype(float)
+        pts[rng.random(pts.shape) < 0.2] = -0.0
+        res = embed_cloud(e, PointCloud(pts))
+        rows, preimages, multiplicities = _embed_cloud_by_dict(e, PointCloud(pts))
+        assert res.cloud.points.tobytes() == rows.tobytes()
+        assert res.cloud.points.shape == rows.shape
+        assert res.preimages == preimages
+        assert res.multiplicities == multiplicities

@@ -2,8 +2,9 @@
 m_connectivity_graph against a brute-force triple loop, the nearest-point
 kernel behind the sun ray scan and the hull gap against a brute-force
 scan, the invariants of monotone paths on epsilon-nets, the symmetries of
-project, contraction under a partial embedding, and the three-way
-betweenness equivalence.
+project, contraction under a partial embedding, the three-way
+betweenness equivalence, and the duplicate-row kernel against a byte-keyed
+dict.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
@@ -35,6 +36,7 @@ from sunlab import (
 from sunlab import approx, hull
 from sunlab.approx import _nearest
 from sunlab.hull import _slab_witnesses
+from sunlab.space import _first_rows
 from sunlab.verify import max_nn_distance
 
 SPACES = [builtin("linf", 2), builtin("l1", 2), builtin("linf", 3), builtin("l1", 3)]
@@ -241,3 +243,15 @@ def test_betweenness_equivalence_has_no_disagreement(s, weights, seed):
     rep = between_equiv_check(s, weights(s), trials=60, seed=seed)
     assert rep.disagreements == []
     assert rep.passed
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.data())
+def test_first_rows_matches_byte_keyed_dict(width, data):
+    """Entries from a small set repeat rows often, and -0.0 must match 0.0."""
+    entry = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
+    rows = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=40))
+    rows = np.asarray(rows, dtype=float).reshape(-1, width)
+    seen: dict[bytes, int] = {}
+    want = [seen.setdefault(np.where(r == 0.0, 0.0, r).tobytes(), i) for i, r in enumerate(rows)]
+    assert _first_rows(rows).tolist() == want

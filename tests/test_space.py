@@ -185,3 +185,20 @@ def test_unit_ball_extents_vertex_oracle_2d():
         assert len(verts) >= 3
         ext = unit_ball_extents(s)
         assert np.allclose(np.abs(verts).max(axis=0), ext, atol=1e-7)
+
+
+def test_make_space_zero_functional_is_degenerate():
+    with pytest.raises(Degenerate, match="^zero functional in family$"):
+        make_space([[1, 0], [-1, 0], [0, 0], [0, 1]])
+
+
+def test_make_space_names_the_first_row_lacking_its_negation():
+    with pytest.raises(NotSymmetric) as err:
+        make_space([[-2, 0], [0, 0], [1, 0], [-1, 0]])
+    assert str(err.value) == "family lacks the negation of [-2.0, 0.0]"
+
+
+def test_make_space_names_duplicate_rows_in_canonical_order():
+    with pytest.raises(NotSymmetric) as err:
+        make_space([[1, 0], [1, 0], [0, 0]])
+    assert str(err.value) == "duplicate functional at rows 1 and 2"
