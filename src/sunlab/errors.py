@@ -18,7 +18,7 @@ class Degenerate(SunlabError):
 
 
 class TooLarge(SunlabError):
-    """A construction would exceed the configured functional budget."""
+    """A construction would exceed its budget of functionals or bases."""
 
 
 class DuplicatePoints(SunlabError):

@@ -11,6 +11,7 @@ phrased in terms of it.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -91,12 +92,15 @@ def make_space(functionals, name: str = "") -> Space:
 
     Raises NotSymmetric if the family is not closed under negation (or
     contains duplicates after canonical normalization), Degenerate if it does
-    not span (equivalently, if the induced expression is not a norm), and
-    DimensionMismatch for ragged input.
+    not span (equivalently, if the induced expression is not a norm),
+    DimensionMismatch for an array that is not 2d or has no rows or no
+    columns, and ValueError for ragged rows and for NaN or infinite entries.
     """
     arr = np.asarray(functionals, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] == 0:
+    if arr.ndim != 2 or 0 in arr.shape:
         raise DimensionMismatch("functionals must form a nonempty 2d array")
+    if not np.isfinite(arr).all():
+        raise ValueError("functional entries must be finite")
     arr = _canonical(arr)
     k, n = arr.shape
 
@@ -229,29 +233,42 @@ def space_from_name(text: str) -> Space:
 def unit_ball_extents(s: Space) -> np.ndarray:
     """Per-axis extent of the unit ball: R_i = max { |v_i| : ||v|| <= 1 }.
 
-    Solved exactly as a linear program over the H-representation
-    { v : F v <= 1 }. Used to size report grids, cached per space.
+    Exact, with no solver. By LP duality R_i is the least l1 norm of a y
+    with A^T y = e_i, A the (p, n) representatives, and some optimum is a
+    basic solution (Dantzig 1963): for a basis B of n linearly independent
+    representatives, y is zero off B and row i of B^-1 on it. So R_i is the
+    minimum of that row's l1 norm over all C(p, n) bases, inverted in stacks
+    of at most 2**18 matrix entries. A basis counts as singular when |det B|
+    is at most n * eps times the Hadamard bound prod ||row||, a test that
+    scaling the family leaves alone. The cost is C(p, n) small inverses;
+    above DEFAULT_BUDGET of them it raises TooLarge (a 3-d family with 185
+    pairs is the largest that fits).
+    Used to size report grids and rejection boxes, cached per space.
     """
     cached = getattr(s, "_extents", None)
     if cached is not None:
         return cached
-    from scipy.optimize import linprog
-
-    k = s.functionals.shape[0]
-    ext = np.empty(s.dim)
-    for i in range(s.dim):
-        c = np.zeros(s.dim)
-        c[i] = -1.0
-        res = linprog(
-            c,
-            A_ub=s.functionals,
-            b_ub=np.ones(k),
-            bounds=[(None, None)] * s.dim,
-            method="highs",
+    reps = s.representatives
+    p, n = reps.shape
+    count = math.comb(p, n)
+    if count > DEFAULT_BUDGET:
+        raise TooLarge(
+            f"unit ball extents need {count} bases of {n} among {p} functional pairs, "
+            f"budget {DEFAULT_BUDGET}"
         )
-        if res.status != 0:  # pragma: no cover - validated spaces are bounded
-            raise Degenerate(f"unit ball extent LP failed along axis {i}: {res.message}")
-        ext[i] = -res.fun
+    bases = itertools.combinations(range(p), n)
+    per_block = max(1, 2**18 // (n * n))
+    tol = n * np.finfo(float).eps
+    ext = np.full(n, np.inf)
+    for _ in range(0, count, per_block):
+        flat = itertools.chain.from_iterable(itertools.islice(bases, per_block))
+        block = reps[np.fromiter(flat, dtype=np.intp).reshape(-1, n)]
+        hadamard = np.prod(np.linalg.norm(block, axis=2), axis=1)
+        regular = np.abs(np.linalg.det(block)) > tol * hadamard
+        rows = np.abs(np.linalg.inv(block[regular])).sum(axis=2)
+        ext = np.minimum(ext, rows.min(axis=0, initial=np.inf))
+    if not np.isfinite(ext).all():
+        raise Degenerate("every basis of representatives is numerically singular")
     ext.setflags(write=False)
     object.__setattr__(s, "_extents", ext)
     return ext

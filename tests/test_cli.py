@@ -362,6 +362,10 @@ def test_svg_skipped_in_higher_dimension(capsys, tmp_path):
 NAN_CLOUD = {"points": [[0.0, 0.0], [1.0, float("nan")], [2.0, 0.0]]}
 HUGE_CLOUD = {"points": [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]}
 SUN_QUERY = ["sun", "--query", "1,5"]
+# A dict in argv is a space written to a JSON file; its --space comes after
+# the test's own "--space linf2" and so overrides it.
+NAN_SPACE = {"functionals": [[float("nan"), 1], [float("nan"), -1], [0, 1], [0, -1]]}
+ZERO_WIDTH_SPACE = {"functionals": [[], []]}
 
 
 @pytest.mark.parametrize(
@@ -382,10 +386,16 @@ SUN_QUERY = ["sun", "--query", "1,5"]
         pytest.param(COLLINEAR3, ["project", "--query", "nan,0"], id="project-nan-query"),
         pytest.param(HUGE_CLOUD, ["mconnect"], id="mconnect-overflow"),
         pytest.param(HUGE_CLOUD, ["path", "--from", "0", "--to", "1"], id="path-overflow"),
+        pytest.param(TWO_POINTS, ["mconnect", "--space", NAN_SPACE], id="space-nan"),
+        pytest.param(
+            TWO_POINTS, ["mconnect", "--space", ZERO_WIDTH_SPACE], id="space-zero-width"
+        ),
     ],
 )
 def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
-    command, *rest = argv
+    command, *rest = [
+        cloud_file(a, name="space.json") if isinstance(a, dict) else a for a in argv
+    ]
     code, out, err = _run(
         capsys, [command, "--space", "linf2", "--cloud", cloud_file(cloud), *rest]
     )
@@ -427,6 +437,7 @@ out["project"] = run("project", "--space", "linf2", "--cloud", cloud, "--query",
 out["sun"] = run("sun", "--space", "linf2", "--cloud", cloud, "--query", "1,5", "--grid", "8")
 out["embed"] = run("embed", "--space", "l1(2)", "--cloud", cloud)
 out["mconnect"] = run("mconnect", "--space", "linf2", "--cloud", cloud)
+out["hull"] = run("hull", "--space", "l1(2)", "--from", "0,0", "--to", "1,0.5", "--balls", "50")
 out["path"] = run("path", "--space", "linf2", "--cloud", cloud, "--from", "0", "--to", "2")
 print(json.dumps(out))
 """
@@ -434,8 +445,9 @@ print(json.dumps(out))
 
 def test_only_path_loads_scipy(cloud_file):
     """scipy.sparse is most of the package's import time; only commands that
-    reach Dijkstra or the unit-ball LP may load it. path runs last, to show
-    that the probe sees the import when it happens."""
+    reach Dijkstra may load it. hull sizes its grid by the unit ball's
+    extents, which need no solver. path runs last, to show that the probe
+    sees the import when it happens."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -452,6 +464,7 @@ def test_only_path_loads_scipy(cloud_file):
         "sun": [0, []],
         "embed": [0, []],
         "mconnect": [0, []],
+        "hull": [0, []],
     }
     assert path_code == 0
     assert "scipy.sparse.csgraph" in path_scipy

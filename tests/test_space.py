@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sunlab import (
     Ball,
     Degenerate,
+    DimensionMismatch,
     NotSymmetric,
     TooLarge,
     ball_contains,
@@ -169,13 +174,69 @@ def test_ball_contains_hand_cases():
 
 
 def test_unit_ball_extents_builtins():
-    for name, n in (("linf", 2), ("linf", 4), ("l1", 2), ("l1", 3)):
-        ext = unit_ball_extents(builtin(name, n))
-        assert np.allclose(ext, 1.0, atol=1e-9)
+    spaces = [builtin("linf", n) for n in range(1, 9)] + [builtin("l1", n) for n in range(1, 5)]
+    for s in spaces:
+        assert unit_ball_extents(s).tolist() == [1.0] * s.dim, s.name
+
+
+def test_unit_ball_extents_follow_a_tiny_scale():
+    """An absolute singularity threshold would reject every basis of a family
+    scaled by 1e-8 (det 1e-24 in dimension 3); a relative one scales along."""
+    for s in (builtin("linf", 3), builtin("l1", 3), random_space(3, pairs=6, seed=1)):
+        small = make_space(s.functionals * 1e-8)
+        assert np.allclose(unit_ball_extents(small), 1e8 * unit_ball_extents(s), rtol=1e-14)
+
+
+def test_unit_ball_extents_over_budget_name_the_basis_count():
+    with pytest.raises(TooLarge, match=f"need {math.comb(64, 7)} bases"):
+        unit_ball_extents(builtin("l1", 7))
+
+
+def _linprog_extents(s):
+    """Reference: R_i = max v_i subject to F v <= 1, one HiGHS LP per axis."""
+    from scipy.optimize import linprog
+
+    ext = []
+    for i in range(s.dim):
+        c = np.zeros(s.dim)
+        c[i] = -1.0
+        res = linprog(
+            c,
+            A_ub=s.functionals,
+            b_ub=np.ones(s.functionals.shape[0]),
+            bounds=[(None, None)] * s.dim,
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        ext.append(-res.fun)
+    return np.array(ext)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(0, 6),
+    st.integers(0, 2**16),
+    st.sampled_from([-20, 0, 20]),
+)
+def test_unit_ball_extents_match_linprog(dim, extra, seed, power):
+    """HiGHS fails on families scaled by 2**20, so the reference solves the
+    unscaled family and scales back; powers of two scale exactly."""
+    s = random_space(dim, pairs=dim + extra, seed=seed)
+    expect = _linprog_extents(s) * 2.0**-power
+    got = unit_ball_extents(make_space(s.functionals * 2.0**power))
+    assert np.max(np.abs(got - expect) / expect) <= 1e-12
+
+
+def test_unit_ball_extents_span_several_blocks():
+    """C(60, 3) = 34220 bases of 3 x 3 fill two blocks of 2**18 entries."""
+    s = random_space(3, pairs=60, seed=8)
+    expect = _linprog_extents(s)
+    assert np.max(np.abs(unit_ball_extents(s) - expect) / expect) <= 1e-12
 
 
 def test_unit_ball_extents_vertex_oracle_2d():
-    """Cross-check the LP extents against explicit vertex enumeration of the
+    """Cross-check the extents against explicit vertex enumeration of the
     unit ball, which is the slab polytope with every slab equal to [-1, 1]."""
     for seed in (3, 4, 5):
         s = random_space(2, pairs=5, seed=seed)
@@ -185,6 +246,19 @@ def test_unit_ball_extents_vertex_oracle_2d():
         assert len(verts) >= 3
         ext = unit_ball_extents(s)
         assert np.allclose(np.abs(verts).max(axis=0), ext, atol=1e-7)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_make_space_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^functional entries must be finite$"):
+        make_space([[bad, 1], [-bad, -1], [0, 1], [0, -1]])
+
+
+def test_make_space_rejects_zero_width_functionals():
+    with pytest.raises(DimensionMismatch):
+        make_space([[], []])
+    with pytest.raises(DimensionMismatch):
+        space_from_json({"functionals": [[], []]})
 
 
 def test_make_space_zero_functional_is_degenerate():
