@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import NotANearestPoint, QueryInCloud
-from .space import Space, _check_vector, norms
+from .space import Space, _check_slack, _check_vector, norms
 
 TIE_TOL = 1e-9
 
@@ -68,6 +68,9 @@ class ProjectionResult:
 
 
 def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> ProjectionResult:
+    """Every cloud point within the tie threshold of the nearest distance;
+    tie_tol must be finite and nonnegative."""
+    _check_slack("tie_tol", tie_tol)
     cloud.require_nonempty()
     vx = _check_vector(s, x)
     dists = norms(s, cloud.points - vx)
@@ -112,7 +115,6 @@ def sun_check(
     y,
     lambda_max: float = 16.0,
     grid: int = 256,
-    tie_tol: float = TIE_TOL,
 ) -> SunReport:
     """Test y against the ray condition on a uniform lambda grid.
 
@@ -124,9 +126,9 @@ def sun_check(
     _check_ray_grid(lambda_max, grid)
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
-    pr = project(s, cloud, vx, tie_tol=tie_tol)
+    pr = project(s, cloud, vx)
     dy = float(np.max(np.abs(s.representatives @ (vx - vy))))
-    if cloud.index_of(vy) is None or dy > _tie_threshold(pr.distance, tie_tol):
+    if cloud.index_of(vy) is None or dy > _tie_threshold(pr.distance, TIE_TOL):
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"
         )
@@ -136,7 +138,7 @@ def sun_check(
     dist_to_y = norms(s, ray - vy)
     best, arg = _nearest(ray @ s.representatives.T, cloud.points @ s.representatives.T)
 
-    ok = dist_to_y <= best + tie_tol * (1.0 + best)
+    ok = dist_to_y <= _tie_threshold(best, TIE_TOL)
     if bool(ok.all()):
         return SunReport(
             x=vx.tolist(),
@@ -185,18 +187,15 @@ def find_luminosity(
     x,
     lambda_max: float = 16.0,
     grid: int = 256,
-    tie_tol: float = TIE_TOL,
 ) -> SunReport | NoCandidate:
     """Search the nearest points of x for one passing the ray test."""
     vx = _check_vector(s, x)
     if cloud.index_of(vx) is not None:
         raise QueryInCloud("query already belongs to the cloud")
-    pr = project(s, cloud, vx, tie_tol=tie_tol)
+    pr = project(s, cloud, vx)
     reports = []
     for idx in pr.indices:
-        rep = sun_check(
-            s, cloud, vx, cloud.points[idx], lambda_max=lambda_max, grid=grid, tie_tol=tie_tol
-        )
+        rep = sun_check(s, cloud, vx, cloud.points[idx], lambda_max=lambda_max, grid=grid)
         if rep.holds:
             return rep
         reports.append(rep)
@@ -225,7 +224,6 @@ def is_sun_sampled(
     queries,
     lambda_max: float = 16.0,
     grid: int = 256,
-    tie_tol: float = TIE_TOL,
     strict: bool = False,
 ) -> SunSampleReport:
     """Run the ray test for every query.
@@ -247,19 +245,14 @@ def is_sun_sampled(
             skipped.append(qi)
             continue
         if strict:
-            pr = project(s, cloud, q, tie_tol=tie_tol)
+            pr = project(s, cloud, q)
             for idx in pr.indices:
-                rep = sun_check(
-                    s, cloud, q, cloud.points[idx],
-                    lambda_max=lambda_max, grid=grid, tie_tol=tie_tol,
-                )
+                rep = sun_check(s, cloud, q, cloud.points[idx], lambda_max=lambda_max, grid=grid)
                 if not rep.holds:
                     failures.append({"query": qi, "report": rep.to_json()})
                     break
         else:
-            res = find_luminosity(
-                s, cloud, q, lambda_max=lambda_max, grid=grid, tie_tol=tie_tol
-            )
+            res = find_luminosity(s, cloud, q, lambda_max=lambda_max, grid=grid)
             if not res.holds:
                 failures.append({"query": qi, "report": res.to_json()})
     return SunSampleReport(

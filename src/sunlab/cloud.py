@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicatePoints, EmptyCloud, ParseError
-from .space import _first_rows
+from .space import _first_rows, _float_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +70,7 @@ def cloud_to_json(cloud: PointCloud) -> dict:
 def cloud_from_json(data) -> PointCloud:
     if not isinstance(data, dict) or "points" not in data:
         raise ParseError("point cloud JSON needs a 'points' array")
-    pts = np.asarray(data["points"], dtype=float)
+    pts = _float_rows(data["points"], ParseError, "point cloud JSON")
     if pts.size == 0:
         raise EmptyCloud("point cloud JSON has no points")
     return PointCloud(pts)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .space import Space, _check_vector, _first_rows, builtin, norm, space_from_json, space_to_json
+from .space import Space, _check_vector, _first_rows, builtin, space_to_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,10 +49,6 @@ def make_embedding(source: Space, indices=None) -> Embedding:
     canonical order)."""
     idx = np.arange(source.n_pairs) if indices is None else np.asarray(indices, dtype=int)
     return Embedding(source=source, indices=idx, target=builtin("linf", int(idx.size)))
-
-
-def embedding_from_json(data: dict) -> Embedding:
-    return make_embedding(space_from_json(data["source"]), data.get("indices"))
 
 
 def embed_point(e: Embedding, x) -> np.ndarray:
@@ -92,55 +88,4 @@ def embed_cloud(e: Embedding, cloud: PointCloud) -> EmbedResult:
         cloud=PointCloud(np.where(pts == 0.0, 0.0, pts)),
         preimages=kept.tolist(),
         multiplicities=np.bincount(first, minlength=len(first))[kept].tolist(),
-    )
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    order: list[int]
-    prefix_norms: list[float]
-    nondecreasing: bool
-    exact_at_full: bool
-
-
-@dataclass(frozen=True)
-class NormConvReport:
-    norm: float
-    orderings: list[OrderingReport]
-    passed: bool
-
-
-def norm_convergence_check(s: Space, orderings: int, x, seed: int = 0) -> NormConvReport:
-    """Prefix norms under several orderings of the representative family.
-
-    Ordering 0 is the canonical order; the rest are seeded shuffles. Each
-    prefix norm is the running max of |f(x)|, so the sequence must be
-    nondecreasing and hit the true norm exactly at the full family.
-    """
-    vx = _check_vector(s, x)
-    if not vx.any():
-        raise ValueError("norm convergence is only meaningful for nonzero x")
-    if orderings < 1:
-        raise ValueError("need at least one ordering")
-    vals = np.abs(s.representatives @ vx)
-    full = norm(s, vx)
-    rng = np.random.default_rng(seed)
-    reports = []
-    for k in range(orderings):
-        order = np.arange(s.n_pairs) if k == 0 else rng.permutation(s.n_pairs)
-        prefix = np.maximum.accumulate(vals[order])
-        nd = bool(np.all(np.diff(prefix) >= 0.0))
-        exact = bool(prefix[-1] == full)
-        reports.append(
-            OrderingReport(
-                order=[int(i) for i in order],
-                prefix_norms=[float(v) for v in prefix],
-                nondecreasing=nd,
-                exact_at_full=exact,
-            )
-        )
-    return NormConvReport(
-        norm=full,
-        orderings=reports,
-        passed=all(r.nondecreasing and r.exact_at_full for r in reports),
     )

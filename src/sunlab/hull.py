@@ -19,7 +19,7 @@ import numpy as np
 from .approx import _nearest, _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .space import Space, _check_vector, _rep_mask, norm, unit_ball_extents
+from .space import Space, _check_slack, _check_vector, _rep_mask, norm, unit_ball_extents
 
 SLAB_TOL = 1e-10
 
@@ -98,16 +98,14 @@ class HullApprox:
     upper: np.ndarray
     seed: int
     n_balls: int
-    tol: float = SLAB_TOL
 
-    def contains(self, z, tol: float | None = None) -> bool:
-        t = self.tol if tol is None else tol
-        return bool(np.all(self.space.functionals @ _check_vector(self.space, z) <= self.upper + t))
+    def contains(self, z, tol: float = SLAB_TOL) -> bool:
+        vals = self.space.functionals @ _check_vector(self.space, z)
+        return bool(np.all(vals <= self.upper + tol))
 
-    def contains_many(self, points: np.ndarray, tol: float | None = None) -> np.ndarray:
-        t = self.tol if tol is None else tol
+    def contains_many(self, points: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
         vals = np.asarray(points, dtype=float) @ self.space.functionals.T
-        return (vals <= self.upper + t).all(axis=1)
+        return (vals <= self.upper + tol).all(axis=1)
 
     def as_slabs(self) -> SlabPolytope:
         """The sampled intersection rewritten as slabs over representatives."""
@@ -212,12 +210,15 @@ def hull_interval_gap(
 ) -> GapReport:
     """Measure the one-sided Hausdorff gap from the sampled hull to the
     interval on a shared grid (the interval is always inside the hull, so
-    the other side is zero)."""
+    the other side is zero). The grid has `resolution` points per axis, at
+    least 2, with a per-dimension default."""
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
     if s.dim not in _GRID_DEFAULT:
         raise DimensionMismatch("grid gap reports are available for dim <= 3 only")
-    res = resolution or _GRID_DEFAULT[s.dim]
+    res = _GRID_DEFAULT[s.dim] if resolution is None else resolution
+    if res < 2:
+        raise ValueError(f"the gap grid needs at least 2 points per axis, got {res}")
     box = interval(s, vx, vy)
     approx = hull if hull is not None else ball_hull_outer(s, vx, vy, n_balls=n_balls, seed=seed)
 
@@ -279,7 +280,6 @@ class MeiReport:
     seed: int
     n_balls: int
     resolution: int
-    gap_tol: float
     max_gap: float
     mean_gap: float
     worst: GapReport | None
@@ -292,17 +292,15 @@ def mei_check(
     trials: int,
     seed: int,
     n_balls: int = 2000,
-    resolution: int | None = None,
-    gap_tol: float | None = None,
 ) -> MeiReport:
     """Compare the sampled hull against the interval on random pairs.
 
     A trial counts as a violation when the interval leaks outside the
-    sampled hull (never expected) or when the gap exceeds gap_tol, whose
-    default is twice the grid step of that trial.
+    sampled hull (never expected) or when the gap exceeds twice the grid
+    step of that trial.
     """
     rng = np.random.default_rng(seed)
-    res = resolution or _GRID_DEFAULT.get(s.dim)
+    res = _GRID_DEFAULT.get(s.dim)
     if res is None:
         raise DimensionMismatch("mei_check needs dim <= 3 for its grids")
     reports: list[GapReport] = []
@@ -312,10 +310,9 @@ def mei_check(
         y = rng.uniform(-1.0, 1.0, size=s.dim)
         rep = hull_interval_gap(s, x, y, n_balls=n_balls, seed=seed + 1 + t, resolution=res)
         reports.append(rep)
-        tol_t = gap_tol if gap_tol is not None else 2.0 * rep.step
         if not rep.contained:
             violations.append({"trial": t, "kind": "inclusion", "witness": rep.inclusion_witness})
-        elif rep.gap > tol_t:
+        elif rep.gap > 2.0 * rep.step:
             violations.append({"trial": t, "kind": "gap", "gap": rep.gap, "witness": rep.witness})
     gaps = [r.gap for r in reports]
     worst = reports[int(np.argmax(gaps))] if reports else None
@@ -324,7 +321,6 @@ def mei_check(
         seed=seed,
         n_balls=n_balls,
         resolution=res,
-        gap_tol=gap_tol if gap_tol is not None else -1.0,
         max_gap=float(max(gaps)) if gaps else 0.0,
         mean_gap=float(np.mean(gaps)) if gaps else 0.0,
         worst=worst,
@@ -418,6 +414,8 @@ def m_connected(
     cloud.require_unique()
     if hull not in ("interval", "oracle"):
         raise ValueError("hull must be 'interval' or 'oracle'")
+    if adjacency_eps is not None:
+        _check_slack("adjacency_eps", adjacency_eps)
     m = len(cloud)
     if m == 1:
         return MConnectReport(True, None, 0.0, 0, 0, hull)
@@ -440,30 +438,6 @@ def m_connected(
             return MConnectReport(False, (i, j), eps, checked, visited - checked, hull)
         checked += js.size
     return MConnectReport(True, None, eps, checked, m * (m - 1) // 2 - checked, hull)
-
-
-@dataclass(frozen=True)
-class MGraph:
-    """The raw pair relation: edge (i, j) iff a third cloud point lies in
-    the hull of the pair. No adjacency exemption is applied here."""
-
-    n: int
-    edges: list[tuple[int, int]]
-
-
-def m_connectivity_graph(
-    s: Space,
-    cloud: PointCloud,
-    hull: str = "interval",
-    tol: float = SLAB_TOL,
-    n_balls: int = 2000,
-    seed: int = 0,
-) -> MGraph:
-    cloud.require_unique()
-    if hull not in ("interval", "oracle"):
-        raise ValueError("hull must be 'interval' or 'oracle'")
-    rows = _pair_witnesses(s, cloud, _rep_values(s, cloud), -np.inf, hull, tol, n_balls, seed)
-    return MGraph(len(cloud), [(i, int(j)) for i, js, found in rows for j in js[found >= 0]])
 
 
 def slab_vertices_2d(p: SlabPolytope, tol: float = 1e-9) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import DimensionMismatch, DuplicatePoints, EndpointNotInCloud, WeightMismatch
 from .hull import SLAB_TOL, _rep_values, _slab_witnesses
-from .space import Space, _check_vector, unit_ball_extents
+from .space import Space, _check_slack, _check_vector, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
 
@@ -34,7 +34,7 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """Positive weights, one per representative functional pair."""
+    """Positive finite weights, one per representative functional pair."""
 
     alphas: np.ndarray
 
@@ -44,6 +44,8 @@ class Weights:
             raise WeightMismatch("alphas must be a nonempty vector")
         if not np.all(arr > 0):
             raise WeightMismatch("all weights must be strictly positive")
+        if not np.isfinite(arr).all():
+            raise WeightMismatch("all weights must be finite")
         object.__setattr__(self, "alphas", arr)
         arr.setflags(write=False)
 
@@ -116,7 +118,6 @@ class EquivReport:
     trials: int
     seed: int
     tol: float
-    slab_tol: float
     disagreements: list
     counts: dict
     passed: bool
@@ -128,7 +129,6 @@ def between_equiv_check(
     trials: int,
     seed: int,
     tol: float = BETWEEN_TOL,
-    slab_tol: float = SLAB_TOL,
 ) -> EquivReport:
     """Run three independent betweenness predicates on random triples.
 
@@ -172,7 +172,7 @@ def between_equiv_check(
         Z[m2] = np.where(hits.any(axis=1)[:, None], picked, mid)
 
     VZ = Z @ reps.T
-    in_a = np.logical_and((VZ >= lo - slab_tol).all(axis=1), (VZ <= hi + slab_tol).all(axis=1))
+    in_a = np.logical_and((VZ >= lo - SLAB_TOL).all(axis=1), (VZ <= hi + SLAB_TOL).all(axis=1))
     defect_b = np.abs(VX - VZ) + np.abs(VZ - VY) - np.abs(VX - VY)
     in_b = np.max(defect_b, axis=1) <= tol
     defect_c = defect_b @ alphas
@@ -195,7 +195,6 @@ def between_equiv_check(
         trials=trials,
         seed=seed,
         tol=tol,
-        slab_tol=slab_tol,
         disagreements=disagreements,
         counts={
             "between": int(in_b.sum()),
@@ -358,8 +357,13 @@ def monotone_path(
     the path twice, so at most m splits happen. Splitting keeps the length,
     since betweenness is exactly additivity of the associated norm. Success
     requires the length, summed left to right, to be <= |x - y| + eps, with
-    eps defaulting to 1e-6 * |x - y|.
+    eps defaulting to 1e-6 * |x - y|. eps, hop and tol must be finite and
+    nonnegative.
     """
+    if eps is not None:
+        _check_slack("eps", eps)
+    _check_slack("hop", hop)
+    _check_slack("tol", tol)
     check_weights(s, w)
     cloud.require_nonempty()
     ix = cloud.index_of(x)

@@ -87,16 +87,33 @@ def _rep_mask(rows: np.ndarray) -> np.ndarray:
     return lead > 0
 
 
+def _float_rows(rows, error: type[Exception], what: str) -> np.ndarray:
+    """`rows` as a float array. Rows of unequal length raise `error`, naming
+    the first row whose length differs from row 0's; numpy's own message
+    names neither."""
+    try:
+        return np.asarray(rows, dtype=float)
+    except ValueError:
+        lengths = [np.size(row) for row in rows]
+        for i, length in enumerate(lengths):
+            if length != lengths[0]:
+                raise error(
+                    f"{what} rows have inconsistent lengths: row 0 has {lengths[0]} entries, "
+                    f"row {i} has {length}"
+                ) from None
+        raise
+
+
 def make_space(functionals, name: str = "") -> Space:
     """Validate a functional family and build a Space.
 
     Raises NotSymmetric if the family is not closed under negation (or
     contains duplicates after canonical normalization), Degenerate if it does
     not span (equivalently, if the induced expression is not a norm),
-    DimensionMismatch for an array that is not 2d or has no rows or no
-    columns, and ValueError for ragged rows and for NaN or infinite entries.
+    DimensionMismatch for ragged rows and for an array that is not 2d or has
+    no rows or no columns, and ValueError for NaN or infinite entries.
     """
-    arr = np.asarray(functionals, dtype=float)
+    arr = _float_rows(functionals, DimensionMismatch, "functional")
     if arr.ndim != 2 or 0 in arr.shape:
         raise DimensionMismatch("functionals must form a nonempty 2d array")
     if not np.isfinite(arr).all():
@@ -124,21 +141,21 @@ def make_space(functionals, name: str = "") -> Space:
     return Space(dim=n, functionals=arr, name=name)
 
 
-def builtin(name: str, n: int, budget: int = DEFAULT_BUDGET) -> Space:
+def builtin(name: str, n: int) -> Space:
     """Construct a standard space: 'linf' (coordinate functionals) or 'l1'
-    (all sign vectors, 2**n functionals, subject to the budget)."""
+    (all sign vectors, 2**n functionals, at most DEFAULT_BUDGET of them)."""
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
     if name == "linf":
-        if 2 * n > budget:
-            raise TooLarge(f"linf({n}) needs {2 * n} functionals, budget {budget}")
+        if 2 * n > DEFAULT_BUDGET:
+            raise TooLarge(f"linf({n}) needs {2 * n} functionals, budget {DEFAULT_BUDGET}")
         eye = np.eye(n)
         fam = np.vstack([eye, -eye])
         return make_space(fam, name=f"linf({n})")
     if name == "l1":
         count = 2**n
-        if count > budget:
-            raise TooLarge(f"l1({n}) needs 2**{n} functionals, budget {budget}")
+        if count > DEFAULT_BUDGET:
+            raise TooLarge(f"l1({n}) needs 2**{n} functionals, budget {DEFAULT_BUDGET}")
         fam = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
         return make_space(fam, name=f"l1({n})")
     raise ValueError(f"unknown builtin space {name!r}")
@@ -162,6 +179,12 @@ def random_space(dim: int, pairs: int, seed: int) -> Space:
             return make_space(fam, name=f"random(dim={dim},pairs={pairs},seed={seed})")
 
 
+def _check_slack(name: str, value: float) -> None:
+    """A tolerance or slack must be a finite number >= 0."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def _check_vector(s: Space, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (s.dim,):
@@ -180,22 +203,6 @@ def norms(s: Space, points: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(f"expected (m, {s.dim}) array, got shape {pts.shape}")
     return np.max(np.abs(pts @ s.representatives.T), axis=1)
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("ball radius must be nonnegative")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-
-
-def ball_contains(s: Space, b: Ball, x, tol: float = 1e-12) -> bool:
-    """Membership of x in the closed ball, with boundary tolerance."""
-    return norm(s, _check_vector(s, x) - b.center) <= b.radius + tol
 
 
 def space_to_json(s: Space) -> dict:

@@ -10,10 +10,10 @@ from .space import Space
 
 _W, _H, _PAD = 640.0, 480.0, 40.0
 
-_POINT = "#33658a"
-_ENDPOINT = "#c23b22"
-_INTERVAL = "#2a9d8f"
-_HULL = "#e76f51"
+POINT = "#33658a"
+ENDPOINT = "#c23b22"
+INTERVAL = "#2a9d8f"
+HULL = "#e76f51"
 _EDGE_OK = "#2a9d2a"
 _EDGE_BAD = "#c23b22"
 
@@ -35,7 +35,7 @@ class Scene:
         self._note(vertices)
         self._body.append(("poly", np.asarray(vertices, dtype=float), color, dashed))
 
-    def add_points(self, pts: np.ndarray, color: str = _POINT, radius: float = 3.0) -> None:
+    def add_points(self, pts: np.ndarray, color: str = POINT, radius: float = 3.0) -> None:
         self._note(pts)
         self._body.append(("pts", np.asarray(pts, dtype=float).reshape(-1, 2), color, radius))
 
@@ -119,6 +119,3 @@ def edge_colors_for_path(s: Space, pts: np.ndarray, verdicts: list[MonotoneVerdi
                 bad = True
         colors.append(_EDGE_BAD if bad else _EDGE_OK)
     return colors
-
-
-POINT, ENDPOINT, INTERVAL, HULL = _POINT, _ENDPOINT, _INTERVAL, _HULL

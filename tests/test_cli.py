@@ -362,10 +362,16 @@ def test_svg_skipped_in_higher_dimension(capsys, tmp_path):
 NAN_CLOUD = {"points": [[0.0, 0.0], [1.0, float("nan")], [2.0, 0.0]]}
 HUGE_CLOUD = {"points": [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]}
 SUN_QUERY = ["sun", "--query", "1,5"]
-# A dict in argv is a space written to a JSON file; its --space comes after
-# the test's own "--space linf2" and so overrides it.
+# A dict in argv is written to a JSON file: a space after --space, which
+# comes after the test's own "--space linf2" and so overrides it, or
+# weights after --weights.
 NAN_SPACE = {"functionals": [[float("nan"), 1], [float("nan"), -1], [0, 1], [0, -1]]}
 ZERO_WIDTH_SPACE = {"functionals": [[], []]}
+RAGGED_SPACE = {"functionals": [[1, 0], [-1]]}
+RAGGED_CLOUD = {"points": [[1, 0], [1]]}
+INF_WEIGHTS = {"alphas": [float("inf"), 1]}
+GAPPED_CLOUD = {"points": [[0, 0], [5, 0], [9, 3]]}
+PATH_0_2 = ["path", "--from", "0", "--to", "2"]
 
 
 @pytest.mark.parametrize(
@@ -379,9 +385,7 @@ ZERO_WIDTH_SPACE = {"functionals": [[], []]}
         pytest.param(
             TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--balls", "2"], id="hull-balls-2"
         ),
-        pytest.param(
-            COLLINEAR3, ["path", "--from", "0", "--to", "2", "--hop", "-1"], id="path-hop-neg"
-        ),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--hop", "-1"], id="path-hop-neg"),
         pytest.param(NAN_CLOUD, ["project", "--query", "0.5,0.5"], id="project-nan-cloud"),
         pytest.param(COLLINEAR3, ["project", "--query", "nan,0"], id="project-nan-query"),
         pytest.param(HUGE_CLOUD, ["mconnect"], id="mconnect-overflow"),
@@ -389,6 +393,23 @@ ZERO_WIDTH_SPACE = {"functionals": [[], []]}
         pytest.param(TWO_POINTS, ["mconnect", "--space", NAN_SPACE], id="space-nan"),
         pytest.param(
             TWO_POINTS, ["mconnect", "--space", ZERO_WIDTH_SPACE], id="space-zero-width"
+        ),
+        pytest.param(TWO_POINTS, ["mconnect", "--space", RAGGED_SPACE], id="space-ragged"),
+        pytest.param(RAGGED_CLOUD, ["mconnect"], id="cloud-ragged"),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--weights", INF_WEIGHTS], id="weights-inf"),
+        pytest.param(
+            COLLINEAR3, ["project", "--query", "0.5,0.5", "--tol", "-1"], id="project-tol-neg"
+        ),
+        pytest.param(GAPPED_CLOUD, ["mconnect", "--eps", "nan"], id="mconnect-eps-nan"),
+        pytest.param(GAPPED_CLOUD, ["mconnect", "--eps", "-1"], id="mconnect-eps-neg"),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--hop", "inf"], id="path-hop-inf"),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--tol", "nan"], id="path-tol-nan"),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--eps", "-1"], id="path-eps-neg"),
+        pytest.param(
+            TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--grid", "1"], id="hull-grid-1"
+        ),
+        pytest.param(
+            TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--grid", "0"], id="hull-grid-0"
         ),
     ],
 )

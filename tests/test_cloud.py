@@ -30,6 +30,14 @@ def test_csv_ragged_rows_rejected(tmp_path):
         load_cloud(str(p))
 
 
+def test_json_ragged_rows_rejected():
+    with pytest.raises(ParseError) as err:
+        cloud_from_json({"points": [[1, 0], [1]]})
+    assert str(err.value) == (
+        "point cloud JSON rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"
+    )
+
+
 def test_csv_bad_number_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("0,zero\n")

@@ -7,15 +7,14 @@ from sunlab import (
     builtin,
     embed_cloud,
     embed_point,
-    embedding_from_json,
     interval,
     interval_contains,
     m_connected,
     make_embedding,
     norm,
-    norm_convergence_check,
     norms,
     random_space,
+    space_from_json,
 )
 
 LINF2 = builtin("linf", 2)
@@ -52,7 +51,8 @@ def test_embedding_validates_indices():
 
 def test_embedding_json_roundtrip():
     e = make_embedding(L12, indices=[1])
-    back = embedding_from_json(e.to_json())
+    data = e.to_json()
+    back = make_embedding(space_from_json(data["source"]), data["indices"])
     assert np.array_equal(back.indices, e.indices)
     assert np.array_equal(back.source.functionals, L12.functionals)
 
@@ -120,31 +120,6 @@ def test_mconnectedness_transports_through_full_family():
     assert m_connected(L12, cloud).connected
     res = embed_cloud(make_embedding(L12), cloud)
     assert m_connected(builtin("linf", 2), res.cloud).connected
-
-
-def test_norm_convergence_canonical_values():
-    rep = norm_convergence_check(builtin("linf", 3), orderings=1, x=[1, 2, 3])
-    assert rep.orderings[0].prefix_norms == [3.0, 3.0, 3.0]
-    assert rep.passed
-
-    rep2 = norm_convergence_check(L12, orderings=1, x=[2, 0])
-    assert rep2.orderings[0].prefix_norms == [2.0, 2.0]
-
-
-def test_norm_convergence_shuffled_orderings():
-    s = random_space(3, pairs=8, seed=20)
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=3)
-    rep = norm_convergence_check(s, orderings=6, x=x, seed=5)
-    assert rep.passed
-    assert len(rep.orderings) == 6
-    again = norm_convergence_check(s, orderings=6, x=x, seed=5)
-    assert [r.order for r in rep.orderings] == [r.order for r in again.orderings]
-
-
-def test_norm_convergence_rejects_zero():
-    with pytest.raises(ValueError):
-        norm_convergence_check(LINF2, orderings=2, x=[0, 0])
 
 
 def _embed_cloud_by_dict(e, cloud):

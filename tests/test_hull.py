@@ -10,7 +10,6 @@ from sunlab import (
     interval,
     interval_contains,
     m_connected,
-    m_connectivity_graph,
     mei_check,
     random_space,
     slab_vertices_2d,
@@ -150,6 +149,14 @@ def test_gap_nonincreasing_in_ball_count():
     assert gaps[1] <= gaps[0]
 
 
+@pytest.mark.parametrize("resolution", [-3, 0, 1])
+def test_gap_grid_needs_two_points_per_axis(resolution):
+    """A one-point grid checks no interval point and so passed vacuously;
+    0 fell back to the default grid."""
+    with pytest.raises(ValueError, match=f"at least 2 points per axis, got {resolution}$"):
+        hull_interval_gap(LINF2, [0, 0], [1, 0.5], n_balls=10, resolution=resolution)
+
+
 def test_mei_check_builtin_spaces():
     for s in (LINF2, builtin("l1", 3)):
         rep = mei_check(s, trials=25, seed=4, n_balls=600)
@@ -236,14 +243,3 @@ def test_mconnected_interval_implies_oracle():
         b = m_connected(LINF2, cloud, hull="oracle", n_balls=300, seed=trial)
         if a.connected:
             assert b.connected
-
-
-def test_connectivity_graph_collinear():
-    cloud = PointCloud([[0, 0], [1, 0], [2, 0]])
-    g = m_connectivity_graph(LINF2, cloud)
-    assert g.edges == [(0, 2)]
-
-
-def test_connectivity_graph_tiny_clouds():
-    assert m_connectivity_graph(LINF2, PointCloud([[0.0, 0.0]])).edges == []
-    assert m_connectivity_graph(LINF2, PointCloud([[0, 0], [1, 1]])).edges == []

@@ -17,8 +17,10 @@ from sunlab import (
     check_weights,
     geometric_weights,
     is_between,
+    m_connected,
     monotone_path,
     norm,
+    project,
     random_space,
     seq_convergence_check,
     uniform_weights,
@@ -53,6 +55,8 @@ def test_weights_validation():
         check_weights(LINF2, Weights(alphas=np.array([1.0, 1.0, 1.0])))
     with pytest.raises(Exception):
         Weights(alphas=np.array([0.5, 0.0]))
+    with pytest.raises(WeightMismatch, match="^all weights must be finite$"):
+        weights_from_json(LINF2, {"alphas": [float("inf"), 1.0]})
 
 
 def test_weights_from_json_forms():
@@ -179,6 +183,35 @@ def test_path_direct_edge_when_no_witness():
     assert not isinstance(p, PathNotFound)
     assert len(p.points) == 2
     assert p.length == 2.0
+
+
+NAN, INF = float("nan"), float("inf")
+LINE = PointCloud([[0, 0], [1, 0], [2, 0]])
+GAPPED = PointCloud([[0, 0], [5, 0], [9, 3]])  # not m-connected: witness (0, 1)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("tie_tol", lambda: project(LINF2, LINE, [0.5, 0.5], tie_tol=-1.0)),
+        ("tie_tol", lambda: project(LINF2, LINE, [0.5, 0.5], tie_tol=INF)),
+        ("adjacency_eps", lambda: m_connected(LINF2, GAPPED, adjacency_eps=NAN)),
+        ("eps", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], eps=-1.0)),
+        ("hop", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], hop=INF)),
+        ("hop", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], hop=-1.0)),
+        ("tol", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [0, 0], tol=NAN)),
+    ],
+    ids=[
+        "tie_tol-neg", "tie_tol-inf", "adjacency_eps-nan", "eps-neg", "hop-inf", "hop-neg",
+        "tol-nan",
+    ],
+)
+def test_tolerances_must_be_finite_and_nonnegative(name, call):
+    """A NaN adjacency_eps exempted every pair, so GAPPED passed, and a
+    negative tie_tol kept no nearest point; each bad value names its
+    parameter."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got "):
+        call()
 
 
 def test_path_endpoint_must_be_member():

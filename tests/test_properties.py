@@ -1,5 +1,5 @@
-"""Property tests: the betweenness kernel behind m_connected and
-m_connectivity_graph against a brute-force triple loop, the nearest-point
+"""Property tests: the betweenness kernel behind m_connected and path
+refinement against a brute-force triple loop, the nearest-point
 kernel behind the sun ray scan and the hull gap against a brute-force
 scan, the invariants of monotone paths on epsilon-nets, the symmetries of
 project, contraction under a partial embedding, the three-way
@@ -25,7 +25,6 @@ from sunlab import (
     embed_cloud,
     geometric_weights,
     m_connected,
-    m_connectivity_graph,
     make_embedding,
     monotone_path,
     norm,
@@ -106,15 +105,6 @@ def test_nearest_is_lowest_brute_force_minimiser(case, data):
         brute = [np.max(np.abs(q - v)) for v in vals]
         assert d == min(brute)
         assert k == brute.index(min(brute))
-
-
-@PROPERTY
-@given(dyadic_clouds())
-def test_connectivity_graph_matches_brute_force(case):
-    s, cloud = case
-    vals = cloud.points @ s.representatives.T
-    want = [(i, j) for i, j in _pairs(len(cloud)) if _between(vals, i, j)]
-    assert m_connectivity_graph(s, cloud).edges == want
 
 
 @PROPERTY

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunlab import (
-    Ball,
     Degenerate,
     DimensionMismatch,
     NotSymmetric,
     TooLarge,
-    ball_contains,
     builtin,
     make_space,
     norm,
@@ -165,14 +163,6 @@ def test_space_from_name():
         space_from_name("banana")
 
 
-def test_ball_contains_hand_cases():
-    s2 = builtin("linf", 2)
-    assert ball_contains(s2, Ball(center=np.array([0.0, 0.0]), radius=1.0), [1, 1])
-    assert not ball_contains(s2, Ball(center=np.array([0.0, 0.0]), radius=1.0), [1.5, 0])
-    s1 = builtin("l1", 2)
-    assert ball_contains(s1, Ball(center=np.array([0.0, 0.0]), radius=2.0), [1, 1])
-
-
 def test_unit_ball_extents_builtins():
     spaces = [builtin("linf", n) for n in range(1, 9)] + [builtin("l1", n) for n in range(1, 5)]
     for s in spaces:
@@ -259,6 +249,14 @@ def test_make_space_rejects_zero_width_functionals():
         make_space([[], []])
     with pytest.raises(DimensionMismatch):
         space_from_json({"functionals": [[], []]})
+
+
+def test_make_space_names_ragged_rows():
+    with pytest.raises(DimensionMismatch) as err:
+        space_from_json({"functionals": [[1, 0], [-1]]})
+    assert str(err.value) == (
+        "functional rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"
+    )
 
 
 def test_make_space_zero_functional_is_degenerate():
