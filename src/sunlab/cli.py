@@ -192,7 +192,7 @@ def cmd_hull(args) -> tuple[dict, int]:
 
     def scene():
         sc = svg.Scene()
-        sc.add_polygon(slab_vertices_2d(approx.as_slabs()), svg.HULL, dashed=True)
+        sc.add_polygon(slab_vertices_2d(approx), svg.HULL, dashed=True)
         sc.add_polygon(slab_vertices_2d(interval(s, x, y)), svg.INTERVAL)
         sc.add_points(np.array([x, y]), color=svg.ENDPOINT, radius=4.0)
         sc.add_legend([f"gap {rep.gap:.6g}", f"balls {args.balls}", f"space {s.name}"])

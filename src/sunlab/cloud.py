@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DimensionMismatch, DuplicatePoints, EmptyCloud, ParseError
 from .space import _first_rows, _float_rows
 
+_INDEX_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
@@ -49,18 +51,15 @@ class PointCloud:
             i = dup[0]
             raise DuplicatePoints(f"points {first[i]} and {i} coincide")
 
-    def index_of(self, x, tol: float = 1e-12) -> int | None:
-        """Index of x in the cloud (exact match first, then within tol)."""
-        x = np.asarray(x, dtype=float)
-        exact = np.nonzero((self.points == x).all(axis=1))[0]
-        if exact.size:
-            return int(exact[0])
-        if len(self) and tol > 0:
-            gaps = np.max(np.abs(self.points - x), axis=1)
-            j = int(np.argmin(gaps))
-            if gaps[j] <= tol:
-                return j
-        return None
+    def index_of(self, x) -> int | None:
+        """Index of the first point within _INDEX_TOL of x in every coordinate.
+        An exact match has gap 0, and argmin returns the first minimum, so
+        the first exact match wins over near ones."""
+        if not len(self):
+            return None
+        gaps = np.max(np.abs(self.points - np.asarray(x, dtype=float)), axis=1, initial=0.0)
+        j = int(np.argmin(gaps))
+        return j if gaps[j] <= _INDEX_TOL else None
 
 
 def cloud_to_json(cloud: PointCloud) -> dict:

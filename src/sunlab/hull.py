@@ -5,7 +5,7 @@ functional lies between the values at x and y; with one slab per antipodal
 pair it is a polytope in H-representation. The ball hull of {x, y} is the
 intersection of all closed balls containing both; it is approximated from
 outside by sampling admissible balls. In a polyhedral norm the intersection
-of sampled balls collapses exactly to one upper bound per functional, which
+of sampled balls is itself a slab polytope over the representatives, which
 keeps membership queries cheap no matter how many balls were drawn.
 """
 
@@ -50,13 +50,11 @@ class SlabPolytope:
 
     def contains(self, z, tol: float = SLAB_TOL) -> bool:
         vals = self.space.representatives @ _check_vector(self.space, z)
-        return bool(np.all(vals >= self.lo - tol) and np.all(vals <= self.hi + tol))
+        return bool(_in_slabs(vals, self.lo, self.hi, tol))
 
     def contains_many(self, points: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
         vals = np.asarray(points, dtype=float) @ self.space.representatives.T
-        return np.logical_and(
-            (vals >= self.lo - tol).all(axis=1), (vals <= self.hi + tol).all(axis=1)
-        )
+        return _in_slabs(vals, self.lo, self.hi, tol)
 
     def to_json(self) -> dict:
         return {
@@ -79,49 +77,40 @@ def interval_contains(p: SlabPolytope, z, tol: float = SLAB_TOL) -> bool:
     return p.contains(z, tol=tol)
 
 
+def _in_slabs(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
+    """Slab membership on representative values: whether each row of vals
+    satisfies lo - tol <= vals <= hi + tol in every slab."""
+    return ((vals >= lo - tol) & (vals <= hi + tol)).all(axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
-class HullApprox:
+class HullApprox(SlabPolytope):
     """Outer approximation of the ball hull of {x, y} by sampled balls.
 
-    `upper[j]` is min over sampled balls of f_j(center) + radius, so a point
-    z lies in the intersection of the sampled balls iff F z <= upper
-    componentwise. Centers are a seed-deterministic stream whose first three
-    entries are x, y and the midpoint, and each radius is the smallest one
-    admissible for its center, so refining n_balls keeps earlier balls.
+    Each ball is the slab polytope |f_i(z) - f_i(c)| <= r, so their
+    intersection is one too: `hi[i]` is the min over balls of f_i(c) + r and
+    `lo[i]` the max of f_i(c) - r. Centers are a seed-deterministic stream
+    whose first three entries are x, y and the midpoint, and each radius is
+    the smallest one admissible for its center, so refining n_balls keeps
+    earlier balls.
     """
 
-    space: Space
-    x: np.ndarray
-    y: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
-    upper: np.ndarray
-    seed: int
     n_balls: int
 
-    def contains(self, z, tol: float = SLAB_TOL) -> bool:
-        vals = self.space.functionals @ _check_vector(self.space, z)
-        return bool(np.all(vals <= self.upper + tol))
-
-    def contains_many(self, points: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
-        vals = np.asarray(points, dtype=float) @ self.space.functionals.T
-        return (vals <= self.upper + tol).all(axis=1)
-
-    def as_slabs(self) -> SlabPolytope:
-        """The sampled intersection rewritten as slabs over representatives."""
-        rep_idx, neg_idx = _pair_positions(self.space)
-        return SlabPolytope(
-            space=self.space, lo=-self.upper[neg_idx], hi=self.upper[rep_idx]
-        )
-
-
-def _pair_positions(s: Space) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of each representative and of its negation in s.functionals.
-
-    The functionals are distinct, sorted lexicographically and closed under
-    negation; negation reverses that order, so row i negates to row k-1-i."""
-    rep = np.flatnonzero(_rep_mask(s.functionals))
-    return rep, len(s.functionals) - 1 - rep
+    @property
+    def upper(self) -> np.ndarray:
+        """The bound of each functional of the space, in the order of
+        `space.functionals`: hi for a representative, -lo for its negation.
+        The functionals are sorted and closed under negation, and negation
+        reverses that order, so row i negates row k-1-i."""
+        funcs = self.space.functionals
+        rep = _rep_mask(funcs)
+        out = np.empty(len(funcs))
+        out[rep] = self.hi
+        out[::-1][rep] = -self.lo
+        return out
 
 
 def ball_hull_outer(
@@ -147,20 +136,18 @@ def ball_hull_outer(
     rng = np.random.default_rng(seed)
     random_part = mid + rng.uniform(-1.0, 1.0, size=(n_balls - 3, s.dim)) * max(width, 0.0)
     centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
-    # One row per functional, so that every reduction runs along the balls.
-    vals = np.ascontiguousarray((centers @ s.functionals.T).T)
-    to_x = np.max(vals - (s.functionals @ vx)[:, None], axis=0)
-    to_y = np.max(vals - (s.functionals @ vy)[:, None], axis=0)
+    reps = s.representatives
+    # One row per representative, so that every reduction runs along the balls.
+    vals = np.ascontiguousarray((centers @ reps.T).T)
+    to_x = np.abs(vals - (reps @ vx)[:, None]).max(axis=0)
+    to_y = np.abs(vals - (reps @ vy)[:, None]).max(axis=0)
     radii = np.maximum(to_x, to_y)
-    upper = np.min(vals + radii, axis=1)
     return HullApprox(
         space=s,
-        x=vx,
-        y=vy,
+        lo=np.max(vals - radii, axis=1),
+        hi=np.min(vals + radii, axis=1),
         centers=centers,
         radii=radii,
-        upper=upper,
-        seed=seed,
         n_balls=n_balls,
     )
 
@@ -209,9 +196,11 @@ def hull_interval_gap(
     hull: HullApprox | None = None,
 ) -> GapReport:
     """Measure the one-sided Hausdorff gap from the sampled hull to the
-    interval on a shared grid (the interval is always inside the hull, so
-    the other side is zero). The grid has `resolution` points per axis, at
-    least 2, with a per-dimension default."""
+    interval on a shared grid (the interval lies inside the hull, so the
+    other side is zero; `contained` checks this at x and y, which is exact
+    for two slab polytopes with the same normals). The grid has
+    `resolution` points per axis, at least 2, with a per-dimension
+    default."""
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
     if s.dim not in _GRID_DEFAULT:
@@ -221,54 +210,57 @@ def hull_interval_gap(
         raise ValueError(f"the gap grid needs at least 2 points per axis, got {res}")
     box = interval(s, vx, vy)
     approx = hull if hull is not None else ball_hull_outer(s, vx, vy, n_balls=n_balls, seed=seed)
+    # Both shapes are slab polytopes with the same normals, so the interval
+    # lies in the hull iff its endpoints do.
+    end_tol = SLAB_TOL * (1.0 + float(np.abs([box.lo, box.hi]).max()))
+    outside = [p.tolist() for p in (vx, vy) if not approx.contains(p, tol=end_tol)]
 
     if norm(s, vx - vy) == 0.0:
         return GapReport(
             pair=(vx.tolist(), vy.tolist()),
-            contained=True,
+            contained=not outside,
             gap=0.0,
             witness=None,
             step=0.0,
             n_grid=1,
             n_interval=1,
             n_hull=1,
+            inclusion_witness=outside[0] if outside else None,
         )
 
     axes = _grid_axes(s, vx, vy, res)
     step = max((float(a[1] - a[0]) for a in axes if a.size > 1), default=0.0)
     grid = _grid_points(axes)
-    in_box = box.contains_many(grid)
-    in_hull = approx.contains_many(grid)
-
-    missing = in_box & ~in_hull
-    inclusion_witness = grid[missing][0].tolist() if missing.any() else None
+    reps = s.representatives
+    vals = grid @ reps.T
+    in_box = _in_slabs(vals, box.lo, box.hi)
+    in_hull = _in_slabs(vals, approx.lo, approx.hi)
 
     # Distance reference: interval grid points plus a dense segment sample,
     # so thin intervals that miss every grid node still have a target.
     ts = np.linspace(0.0, 1.0, 257)[:, None]
     segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
-    reference = np.vstack([grid[in_box], segment])
+    reference = np.vstack([vals[in_box], segment @ reps.T])
 
-    sliver = grid[in_hull & ~in_box]
+    sliver = in_hull & ~in_box
     gap = 0.0
     witness = None
-    if sliver.size:
-        reps = s.representatives
-        best, _ = _nearest(sliver @ reps.T, reference @ reps.T)
+    if sliver.any():
+        best, _ = _nearest(vals[sliver], reference)
         k = int(np.argmax(best))
         gap = float(best[k])
-        witness = sliver[k].tolist()
+        witness = grid[sliver][k].tolist()
 
     return GapReport(
         pair=(vx.tolist(), vy.tolist()),
-        contained=not missing.any(),
+        contained=not outside,
         gap=gap,
         witness=witness,
         step=step,
         n_grid=grid.shape[0],
         n_interval=int(in_box.sum()),
         n_hull=int(in_hull.sum()),
-        inclusion_witness=inclusion_witness,
+        inclusion_witness=outside[0] if outside else None,
     )
 
 
@@ -295,8 +287,8 @@ def mei_check(
 ) -> MeiReport:
     """Compare the sampled hull against the interval on random pairs.
 
-    A trial counts as a violation when the interval leaks outside the
-    sampled hull (never expected) or when the gap exceeds twice the grid
+    A trial counts as a violation when an end of the interval lies outside
+    the sampled hull (never expected) or when the gap exceeds twice the grid
     step of that trial.
     """
     rng = np.random.default_rng(seed)
@@ -387,7 +379,7 @@ def _pair_witnesses(s, cloud, vals, limit, hull, tol, n_balls, seed):
             continue
         for e in ends:
             x, y = cloud.points[e]
-            box = ball_hull_outer(s, x, y, n_balls, seed + i * m + int(e[1])).as_slabs()
+            box = ball_hull_outer(s, x, y, n_balls, seed + i * m + int(e[1]))
             yield i, e[1:], _slab_witnesses(vals, box.lo[None], box.hi[None], e[None], tol)
 
 

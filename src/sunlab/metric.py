@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DimensionMismatch, DuplicatePoints, EndpointNotInCloud, WeightMismatch
-from .hull import SLAB_TOL, _rep_values, _slab_witnesses
+from .hull import _in_slabs, _rep_values, _slab_witnesses
 from .space import Space, _check_slack, _check_vector, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
@@ -167,12 +167,12 @@ def between_equiv_check(
         half = 0.5 * spread * unit_ball_extents(s)
         cand = mid[:, None] + rng.uniform(-1.0, 1.0, size=(m2.size, 24, n)) * half[:, None]
         vals = cand @ reps.T
-        hits = ((vals >= lo[m2, None]) & (vals <= hi[m2, None])).all(axis=2)
+        hits = _in_slabs(vals, lo[m2, None], hi[m2, None], 0.0)
         picked = cand[np.arange(m2.size), hits.argmax(axis=1)]
         Z[m2] = np.where(hits.any(axis=1)[:, None], picked, mid)
 
     VZ = Z @ reps.T
-    in_a = np.logical_and((VZ >= lo - SLAB_TOL).all(axis=1), (VZ <= hi + SLAB_TOL).all(axis=1))
+    in_a = _in_slabs(VZ, lo, hi)
     defect_b = np.abs(VX - VZ) + np.abs(VZ - VY) - np.abs(VX - VY)
     in_b = np.max(defect_b, axis=1) <= tol
     defect_c = defect_b @ alphas
@@ -233,8 +233,7 @@ def _assoc_dist_matrix(s: Space, w: Weights, cloud: PointCloud) -> np.ndarray:
 
 
 def betweenness_graph(s: Space, w: Weights, cloud: PointCloud, eps: float = 0.0) -> BetweennessGraph:
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_slack("eps", eps)
     check_weights(s, w)
     cloud.require_nonempty()
     cloud.require_unique()

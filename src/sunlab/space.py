@@ -193,8 +193,9 @@ def _check_vector(s: Space, x) -> np.ndarray:
 
 
 def norm(s: Space, x) -> float:
-    """The polyhedral norm max_f f(x)."""
-    return float(np.max(s.functionals @ _check_vector(s, x)))
+    """The polyhedral norm max_f f(x), that is max |f(x)| over the
+    representatives."""
+    return float(np.max(np.abs(s.representatives @ _check_vector(s, x))))
 
 
 def norms(s: Space, points: np.ndarray) -> np.ndarray:

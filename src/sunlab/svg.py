@@ -100,22 +100,15 @@ class Scene:
 
 
 def edge_colors_for_path(s: Space, pts: np.ndarray, verdicts: list[MonotoneVerdict], tol: float = 1e-9) -> list[str]:
-    """Color each edge by whether it moves against any functional's overall
-    direction."""
+    """Color an edge bad when it moves a non-monotone functional against
+    that functional's net direction along the path (either way, if the net
+    change is zero) by more than the verdicts' slack tol * (1 + |net|)."""
     vals = np.asarray(pts, dtype=float) @ s.representatives.T
+    if not len(vals):
+        return []
+    net = vals[-1] - vals[0]
     diffs = np.diff(vals, axis=0)
-    span = np.abs(vals[-1] - vals[0]) if len(vals) else np.zeros(s.n_pairs)
-    colors = []
-    for i in range(diffs.shape[0]):
-        bad = False
-        for v in verdicts:
-            slack = tol * (1.0 + span[v.functional])
-            d = diffs[i, v.functional]
-            if v.nondecreasing and not v.nonincreasing and d < -slack:
-                bad = True
-            elif v.nonincreasing and not v.nondecreasing and d > slack:
-                bad = True
-            elif not v.monotone:
-                bad = True
-        colors.append(_EDGE_BAD if bad else _EDGE_OK)
-    return colors
+    against = np.where(net == 0.0, np.abs(diffs), -np.sign(net) * diffs)
+    broken = [v.functional for v in verdicts if not v.monotone]
+    bad = (against[:, broken] > tol * (1.0 + np.abs(net[broken]))).any(axis=1)
+    return [_EDGE_BAD if b else _EDGE_OK for b in bad]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud
-from .hull import _GRID_DEFAULT, _grid_axes, _grid_points, ball_hull_outer, interval
+from .hull import _GRID_DEFAULT, _grid_axes, _grid_points, _in_slabs, ball_hull_outer, interval
 from .metric import (
     PathNotFound,
     between_equiv_check,
@@ -74,9 +74,10 @@ def hull_inclusion_suite(spaces: list[Space], pairs: int, seed: int) -> dict:
             box = interval(s, x, y)
             approx = ball_hull_outer(s, x, y, n_balls=128, seed=seed + 7919 * t)
             grid = _grid_points(_grid_axes(s, x, y, res))
-            inside = box.contains_many(grid)
+            vals = grid @ s.representatives.T
+            inside = _in_slabs(vals, box.lo, box.hi)
             checked += int(inside.sum())
-            bad = inside & ~approx.contains_many(grid)
+            bad = inside & ~_in_slabs(vals, approx.lo, approx.hi)
             if bad.any():
                 violations += int(bad.sum())
                 if witness is None:

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sunlab import cli, hull
+from sunlab import builtin, check_monotone, cli, hull, svg
 from sunlab.cli import main
 
 COLLINEAR3 = {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
@@ -243,6 +245,18 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_seed_7_report_is_pinned(tmp_path):
+    """Refactors must leave this report byte-identical. A change meant to
+    alter it updates the size and hash here and says so in CHANGES.md."""
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--seed", "7", "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert len(data) == 5213
+    assert hashlib.sha256(data).hexdigest() == (
+        "0ac914fe291159252d725d537bd9bc2f9927b730ce9c29f68d4ed48ad28134fe"
+    )
+
+
 CLOUD = "<cloud path>"
 LINF2_CLOUD = ["--space", "linf2", "--cloud", CLOUD]
 
@@ -339,6 +353,22 @@ def test_hull_svg_samples_the_hull_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert fig.read_text().startswith("<svg")
     assert len(calls) == 1
+
+
+def test_path_figure_marks_only_the_backward_edge():
+    """Every edge of a non-monotone path was drawn bad; only the edge that
+    moves against the path's net direction is."""
+    s = builtin("linf", 2)
+    pts = np.array([[0, 0], [1, 0], [0.5, 0], [2, 0]], dtype=float)
+    colors = svg.edge_colors_for_path(s, pts, check_monotone(s, pts))
+    assert colors == [svg._EDGE_OK, svg._EDGE_BAD, svg._EDGE_OK]
+
+
+def test_path_figure_zero_net_change_marks_every_move():
+    s = builtin("linf", 2)
+    pts = np.array([[0, 0], [1, 0], [1, 0.5], [0, 0.5]], dtype=float)
+    colors = svg.edge_colors_for_path(s, pts, check_monotone(s, pts))
+    assert colors == [svg._EDGE_BAD, svg._EDGE_OK, svg._EDGE_BAD]
 
 
 def test_svg_skipped_in_higher_dimension(capsys, tmp_path):

@@ -69,6 +69,11 @@ def test_index_of_exact_and_tolerant():
     assert cloud.index_of([1.0, 1.0]) == 1
     assert cloud.index_of([1.0 + 1e-14, 1.0]) == 1
     assert cloud.index_of([1.1, 1.0]) is None
+    # An exact match beats an earlier near one.
+    cloud = PointCloud([[1.0 + 1e-13, 1.0], [1.0, 1.0], [1.0, 1.0 - 1e-13]])
+    assert cloud.index_of([1.0, 1.0]) == 1
+    assert cloud.index_of([1.0, 1.0 - 1e-13]) == 2
+    assert PointCloud(np.empty((0, 2))).index_of([0.0, 0.0]) is None
 
 
 def test_require_unique_names_the_first_repeat_and_its_original():

@@ -14,7 +14,6 @@ from sunlab import (
     random_space,
     slab_vertices_2d,
 )
-from sunlab.hull import _pair_positions
 
 LINF2 = builtin("linf", 2)
 L12 = builtin("l1", 2)
@@ -113,13 +112,14 @@ def test_hull_degenerate_pair_shrinks_to_point():
 
 
 def test_hull_as_slabs_matches_predicate():
+    """Slab membership agrees with the ball predicate F z <= upper."""
     rng = np.random.default_rng(23)
     s = random_space(2, 5, seed=11)
     x, y = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
     h = ball_hull_outer(s, x, y, n_balls=300, seed=2)
-    slabs = h.as_slabs()
     pts = rng.uniform(-3, 3, size=(500, 2))
-    assert np.array_equal(h.contains_many(pts), slabs.contains_many(pts))
+    predicate = (pts @ s.functionals.T <= h.upper + 1e-10).all(axis=1)
+    assert np.array_equal(h.contains_many(pts), predicate)
 
 
 @pytest.mark.parametrize(
@@ -129,9 +129,13 @@ def test_hull_as_slabs_matches_predicate():
     ids=lambda s: s.name,
 )
 def test_pair_positions_locate_each_representative_and_its_negation(s):
-    rep, neg = _pair_positions(s)
-    assert np.array_equal(s.functionals[rep], s.representatives)
-    assert np.array_equal(s.functionals[neg], -s.representatives)
+    """`upper`, read from the slabs, is the per-functional bound
+    min over balls of f(center) + radius, in the order of s.functionals."""
+    rng = np.random.default_rng(24)
+    x, y = rng.uniform(-1, 1, (2, s.dim))
+    h = ball_hull_outer(s, x, y, n_balls=64, seed=1)
+    expect = (h.centers @ s.functionals.T + h.radii[:, None]).min(axis=0)
+    assert np.array_equal(h.upper, expect)
 
 
 def test_gap_zero_for_linf2_box():
@@ -147,6 +151,36 @@ def test_gap_nonincreasing_in_ball_count():
         assert rep.contained
         gaps.append(rep.gap)
     assert gaps[1] <= gaps[0]
+
+
+def test_gap_checks_endpoints_when_the_grid_misses_the_interval():
+    """The grid holds no point of this thin interval, so a grid scan finds
+    nothing; the endpoint (1, 0) lies outside the hull of (0, 0) and
+    (0.5, 0)."""
+    h = ball_hull_outer(LINF2, [0, 0], [0.5, 0])
+    rep = hull_interval_gap(LINF2, [0, 0], [1, 0], hull=h)
+    assert rep.n_interval == 0
+    assert not rep.contained
+    assert rep.inclusion_witness == [1.0, 0.0]
+
+
+def test_gap_degenerate_pair_checks_the_given_hull():
+    h = ball_hull_outer(LINF2, [0, 0], [0.5, 0])
+    assert hull_interval_gap(LINF2, [0.25, 0], [0.25, 0], hull=h).contained
+    rep = hull_interval_gap(LINF2, [2, 0], [2, 0], hull=h)
+    assert not rep.contained
+    assert rep.inclusion_witness == [2.0, 0.0]
+
+
+def test_gap_endpoint_slack_scales_with_the_pair():
+    """Sampled hulls contain their own endpoints up to rounding at every
+    scale, so containment holds far from the unit box too."""
+    rng = np.random.default_rng(25)
+    for s in (LINF2, L12, builtin("l1", 3)):
+        for scale in (1e-6, 1.0, 1e12):
+            x, y = scale * rng.uniform(-1, 1, (2, s.dim))
+            rep = hull_interval_gap(s, x, y, n_balls=100, seed=4, resolution=8)
+            assert rep.contained, (s.name, scale, rep.inclusion_witness)
 
 
 @pytest.mark.parametrize("resolution", [-3, 0, 1])

@@ -200,16 +200,19 @@ GAPPED = PointCloud([[0, 0], [5, 0], [9, 3]])  # not m-connected: witness (0, 1)
         ("hop", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], hop=INF)),
         ("hop", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], hop=-1.0)),
         ("tol", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [0, 0], tol=NAN)),
+        ("eps", lambda: betweenness_graph(LINF2, ONES, LINE, eps=NAN)),
+        ("eps", lambda: betweenness_graph(LINF2, ONES, LINE, eps=INF)),
+        ("eps", lambda: betweenness_graph(LINF2, ONES, LINE, eps=-1.0)),
     ],
     ids=[
         "tie_tol-neg", "tie_tol-inf", "adjacency_eps-nan", "eps-neg", "hop-inf", "hop-neg",
-        "tol-nan",
+        "tol-nan", "graph-eps-nan", "graph-eps-inf", "graph-eps-neg",
     ],
 )
 def test_tolerances_must_be_finite_and_nonnegative(name, call):
-    """A NaN adjacency_eps exempted every pair, so GAPPED passed, and a
-    negative tie_tol kept no nearest point; each bad value names its
-    parameter."""
+    """A NaN adjacency_eps exempted every pair, so GAPPED passed, a
+    negative tie_tol kept no nearest point, and a NaN graph eps kept every
+    edge; each bad value names its parameter."""
     with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got "):
         call()
 
