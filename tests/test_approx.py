@@ -172,6 +172,25 @@ def test_sun_sampled_checks_the_ray_when_every_query_is_skipped(bad):
         is_sun_sampled(LINF2, cloud, cloud.points, **bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_rejected(bad):
+    """A NaN or infinite query used to give a NaN distance with no
+    minimisers, so is_sun_sampled passed vacuously in both modes."""
+    cloud = PointCloud([[0, 0], [0, 2]])
+    q = [0.5, bad]
+    calls = [
+        lambda: project(LINF2, cloud, q),
+        lambda: sun_check(LINF2, cloud, q, [0, 0]),
+        lambda: sun_check(LINF2, cloud, [1, 1], [0, bad]),
+        lambda: find_luminosity(LINF2, cloud, q),
+        lambda: is_sun_sampled(LINF2, cloud, [q]),
+        lambda: is_sun_sampled(LINF2, cloud, [q], strict=True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^vector coordinates must be finite$"):
+            call()
+
+
 def test_sun_sampled_strict_hand_case():
     cloud = PointCloud([[0, 0], [0, 2]])
     rep = is_sun_sampled(LINF2, cloud, np.array([[1.0, 1.0]]), strict=True)

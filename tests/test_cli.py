@@ -257,6 +257,36 @@ def test_verify_seed_7_report_is_pinned(tmp_path):
     )
 
 
+def test_sun_and_project_reports_are_pinned(tmp_path, monkeypatch):
+    """The nearest-point kernels must leave these reports byte-identical:
+    23 of 50 sampled queries falsified on an 11-point segment, and a
+    four-way tie in an l1(3) grid cube. The clouds are written here, and
+    named by relative paths so the echoed config does not vary."""
+    monkeypatch.chdir(tmp_path)
+    t = np.linspace(0.0, 1.0, 11)
+    segment = np.column_stack([t, 0.3 * t])
+    steps = (0.0, 0.1, 0.2)
+    cube = [[a, b, c] for a in steps for b in steps for c in steps]
+    Path("segment.json").write_text(json.dumps({"points": segment.tolist()}))
+    Path("cube.json").write_text(json.dumps({"points": cube}))
+    runs = [
+        (
+            ["sun", "--space", "linf2", "--cloud", "segment.json", "--trials", "50",
+             "--seed", "3"],
+            2, 15498, "90a9433cf7fc212d5fcf72fcae37c06b9aefeb2ea6428cbcdea5783bc1c01077",
+        ),
+        (
+            ["project", "--space", "l1(3)", "--cloud", "cube.json", "--query",
+             "0.15,0.05,0.3"],
+            0, 551, "d2a72363a527d4f403665bdd7589126d0bf7a2c415ab247bc35c284bee4afe78",
+        ),
+    ]
+    for argv, code, size, digest in runs:
+        assert main([*argv, "--out", "report.json"]) == code
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 CLOUD = "<cloud path>"
 LINF2_CLOUD = ["--space", "linf2", "--cloud", CLOUD]
 

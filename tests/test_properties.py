@@ -8,7 +8,9 @@ dict.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
-the brute force needs no tolerance.
+the brute force needs no tolerance. Two properties use random floats
+instead: `norms` and the nearest-point kernel must equal the plain
+max-over-an-axis formulas bit for bit.
 """
 
 from unittest import mock
@@ -28,6 +30,7 @@ from sunlab import (
     make_embedding,
     monotone_path,
     norm,
+    norms,
     project,
     random_space,
     uniform_weights,
@@ -105,6 +108,52 @@ def test_nearest_is_lowest_brute_force_minimiser(case, data):
         brute = [np.max(np.abs(q - v)) for v in vals]
         assert d == min(brute)
         assert k == brute.index(min(brute))
+
+
+# Non-dyadic families: unit Euclidean directions.
+RANDOM_SPACES = [random_space(2, 5, 1), random_space(3, 7, 2), random_space(4, 6, 3)]
+
+
+def _random_rows(draw, count, dim):
+    finite = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    rows = draw(st.lists(st.tuples(*[finite] * dim), min_size=count, max_size=count))
+    return np.asarray(rows, dtype=float).reshape(count, dim)
+
+
+@PROPERTY
+@given(st.sampled_from(SPACES + RANDOM_SPACES), st.data())
+def test_nearest_equals_the_three_axis_formula(s, data):
+    """Random floats, and a repeated cloud row so ties still occur; budgets
+    that are not a multiple of the cloud size split queries mid-chunk."""
+    reps = s.representatives
+    cloud = _random_rows(data.draw, data.draw(st.integers(1, 12)), s.dim)
+    vals = np.vstack([cloud, cloud[:1]]) @ reps.T
+    q_vals = _random_rows(data.draw, data.draw(st.integers(1, 20)), s.dim) @ reps.T
+    budget = data.draw(st.integers(1, 5 * len(vals)) | st.just(approx._NEAREST_BUDGET))
+    with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
+        dist, arg = _nearest(q_vals, vals)
+    d = np.abs(q_vals[:, :, None] - vals.T).max(axis=1)
+    assert dist.tobytes() == d.min(axis=1).tobytes()
+    assert arg.tolist() == d.argmin(axis=1).tolist()
+
+
+NORM_SPACES = (
+    [builtin("linf", n) for n in range(1, 6)]
+    + [builtin("l1", n) for n in range(2, 5)]
+    + RANDOM_SPACES
+)
+
+
+@PROPERTY
+@given(st.sampled_from(NORM_SPACES), st.data())
+def test_norms_equals_the_max_abs_formula(s, data):
+    """Bit for bit, with zero rows, no rows, and scales from 1e-6 to 1e12."""
+    m = data.draw(st.integers(0, 20))
+    pts = _random_rows(data.draw, m, s.dim) * 10.0 ** data.draw(st.integers(-6, 12))
+    pts[np.asarray(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)] = 0.0
+    want = np.max(np.abs(pts @ s.representatives.T), axis=1)
+    got = norms(s, pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @PROPERTY
