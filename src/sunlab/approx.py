@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import NotANearestPoint, QueryInCloud
+from .errors import DimensionMismatch, NotANearestPoint, QueryInCloud
 from .space import Space, _check_slack, _check_vector, _max_abs, norms
 
 TIE_TOL = 1e-9
@@ -77,6 +77,7 @@ def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> Project
     tie_tol must be finite and nonnegative."""
     _check_slack("tie_tol", tie_tol)
     cloud.require_nonempty()
+    cloud.require_dim(s.dim)
     vx = _check_vector(s, x)
     dists = norms(s, cloud.points - vx)
     dmin = float(dists.min())
@@ -194,6 +195,7 @@ def find_luminosity(
     grid: int = 256,
 ) -> SunReport | NoCandidate:
     """Search the nearest points of x for one passing the ray test."""
+    cloud.require_dim(s.dim)
     vx = _check_vector(s, x)
     if cloud.index_of(vx) is not None:
         raise QueryInCloud("query already belongs to the cloud")
@@ -240,9 +242,14 @@ def is_sun_sampled(
     and lambda_max are checked even when every query is skipped.
     """
     _check_ray_grid(lambda_max, grid)
+    cloud.require_dim(s.dim)
     qs = np.asarray(queries, dtype=float)
     if qs.ndim != 2 or qs.shape[0] == 0:
         raise ValueError("queries must be a nonempty (q, dim) array")
+    if qs.shape[1] != s.dim:
+        raise DimensionMismatch(
+            f"query dimension {qs.shape[1]} does not match space dimension {s.dim}"
+        )
     skipped: list[int] = []
     failures: list[dict] = []
     for qi, q in enumerate(qs):

@@ -312,7 +312,7 @@ def cmd_sun(args) -> tuple[dict, int]:
         rng = np.random.default_rng(args.seed)
         lo = cloud.points.min(axis=0) - 1.0
         hi = cloud.points.max(axis=0) + 1.0
-        queries = rng.uniform(lo, hi, size=(trials, s.dim))
+        queries = rng.uniform(lo, hi, size=(trials, cloud.dim))
         rep = is_sun_sampled(
             s, cloud, queries,
             lambda_max=args.lambda_max, grid=args.grid, strict=args.strict,

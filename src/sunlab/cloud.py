@@ -44,6 +44,12 @@ class PointCloud:
         if len(self) == 0:
             raise EmptyCloud("operation needs at least one point")
 
+    def require_dim(self, dim: int) -> None:
+        if self.dim != dim:
+            raise DimensionMismatch(
+                f"cloud dimension {self.dim} does not match space dimension {dim}"
+            )
+
     def require_unique(self) -> None:
         first = _first_rows(self.points)
         dup = np.flatnonzero(first != np.arange(len(self)))

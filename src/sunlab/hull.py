@@ -19,12 +19,16 @@ import numpy as np
 from .approx import _nearest, _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .space import Space, _check_slack, _check_vector, _rep_mask, norm, unit_ball_extents
+from .space import Space, _check_slack, _check_vector, _max_abs, _rep_mask, norm, unit_ball_extents
 
 SLAB_TOL = 1e-10
 
 # Most box x point x functional entries _slab_witnesses compares at once.
 _WITNESS_BUDGET = 1 << 18
+
+# Most row x point x neighbour entries one block of m_connected's pair
+# scan holds.
+_SCAN_BUDGET = 1 << 18
 
 _GRID_DEFAULT = {1: 512, 2: 96, 3: 24}
 
@@ -342,10 +346,7 @@ class MConnectReport:
 
 
 def _rep_values(s: Space, cloud: PointCloud) -> np.ndarray:
-    if cloud.dim != s.dim:
-        raise DimensionMismatch(
-            f"cloud dimension {cloud.dim} does not match space dimension {s.dim}"
-        )
+    cloud.require_dim(s.dim)
     return cloud.points @ s.representatives.T
 
 
@@ -365,22 +366,38 @@ def _slab_witnesses(vals, lo, hi, ends, tol) -> np.ndarray:
     return out
 
 
-def _pair_witnesses(s, cloud, vals, limit, hull, tol, n_balls, seed):
-    """Yield (i, js, found) over the pairs (i, j), i < j, farther apart than
-    limit in row-major order, found[k] being the witness of (i, js[k]). The
-    hull of (i, j) is sampled with seed + i*m + j, one pair at a time, so a
-    caller that stops at a pair without a witness samples no hull after it."""
-    m = len(cloud)
-    for i in range(m - 1):
-        js = i + 1 + np.flatnonzero(np.abs(vals[i + 1 :] - vals[i]).max(axis=1) > limit)
-        ends = np.stack([np.full(js.size, i), js], axis=1)
-        if hull == "interval":
-            yield i, js, _slab_witnesses(vals, vals[ends].min(1), vals[ends].max(1), ends, tol)
-            continue
-        for e in ends:
-            x, y = cloud.points[e]
-            box = ball_hull_outer(s, x, y, n_balls, seed + i * m + int(e[1]))
-            yield i, e[1:], _slab_witnesses(vals, box.lo[None], box.hi[None], e[None], tol)
+def _sup_rows(cols: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Sup distances from cloud rows start..stop-1 to every row (cols is
+    the p x m transpose of the representative values), inf on the
+    diagonal. |a - b| == |b - a| in IEEE arithmetic, so each entry equals
+    the distance taken the other way round bit for bit."""
+    d = _max_abs(col[start:stop, None] - col for col in cols)
+    d[np.arange(stop - start), np.arange(start, stop)] = np.inf
+    return d
+
+
+def _neighbour_count(dim: int) -> int:
+    """How many nearest points of row i m_connected tries as witnesses of
+    the pairs (i, j) before the kernel: every neighbour of a point of a
+    linf(dim) grid, all at one distance, up to the 26 of linf(3)."""
+    return min(3**dim, 27) - 1
+
+
+def _near_hits(cols: np.ndarray, near: np.ndarray, start: int, stop: int, tol: float) -> np.ndarray:
+    """For rows i in start..stop-1 and columns j in start+1..m-1, whether
+    a candidate near[:, i - start] other than i and j lies in the interval
+    of (i, j). It is tested one functional at a time with the kernel's own
+    inequality lo - tol <= v <= hi + tol, lo and hi taken exactly, so a hit
+    is a real witness."""
+    m = cols.shape[1]
+    ok = near[:, :, None] != np.arange(start + 1, m)
+    ok &= (near != np.arange(start, stop))[:, :, None]
+    for col in cols:
+        a, b = col[start:stop, None], col[start + 1 :]
+        v = col[near][:, :, None]
+        ok &= np.minimum(a, b) - tol <= v
+        ok &= v <= np.maximum(a, b) + tol
+    return ok.any(axis=0)
 
 
 def m_connected(
@@ -401,6 +418,16 @@ def m_connected(
     that exceed eps only by rounding, as in an np.arange grid. A two-point
     cloud never qualifies; adjacency_eps=0 gives the literal definition.
     hull="interval" tests the slab interval, "oracle" the sampled ball hull.
+
+    The scan visits the pairs (i, j), i < j, in row-major order, in blocks
+    of 1, 2, 4, ... rows up to _SCAN_BUDGET row x point x neighbour
+    entries, so a gap in row 0 costs one row. A block computes its rows'
+    sup distances once and keeps the pairs farther apart than the
+    exemption limit. For the interval, each row's nearest other points are
+    tried as witnesses first, and only the pairs they miss go to the
+    kernel, in one call per block. The oracle samples the hull of (i, j)
+    with seed + i*m + j, one pair at a time, and none after the first gap.
+    The report is the one a pair-by-pair scan gives.
     """
     cloud.require_nonempty()
     cloud.require_unique()
@@ -412,23 +439,51 @@ def m_connected(
     if m == 1:
         return MConnectReport(True, None, 0.0, 0, 0, hull)
     vals = _rep_values(s, cloud)
+    cols = np.ascontiguousarray(vals.T)
+    k = min(_neighbour_count(s.dim), m - 1)
+    width = max(1, _SCAN_BUDGET // (m * k))
     if adjacency_eps is None:
-        eps = min(float(np.abs(vals[i + 1 :] - vals[i]).max(axis=1).min()) for i in range(m - 1))
+        blocks = range(0, m - 1, width)
+        eps = min(float(_sup_rows(cols, a, min(a + width, m - 1)).min()) for a in blocks)
     else:
         eps = float(adjacency_eps)
     if m == 2:
         return MConnectReport(False, (0, 1), eps, 1, 0, hull)
 
+    def first_gap(ends, dist, far, start, stop):
+        """Index in ends of the block's first pair without a witness, or -1."""
+        if hull == "oracle":
+            for g, (i, j) in enumerate(ends.tolist()):
+                x, y = cloud.points[i], cloud.points[j]
+                box = ball_hull_outer(s, x, y, n_balls, seed + i * m + j)
+                if _slab_witnesses(vals, box.lo[None], box.hi[None], ends[g : g + 1], tol)[0] < 0:
+                    return g
+            return -1
+        near = np.argpartition(dist, k - 1, axis=1)[:, :k].T
+        miss = np.flatnonzero(~_near_hits(cols, near, start, stop, tol)[far])
+        pairs = ends[miss]
+        found = _slab_witnesses(vals, vals[pairs].min(1), vals[pairs].max(1), pairs, tol)
+        gaps = miss[found < 0]
+        return int(gaps[0]) if gaps.size else -1
+
     checked = 0
     limit = _tie_threshold(eps, tol)
-    for i, js, found in _pair_witnesses(s, cloud, vals, limit, hull, tol, n_balls, seed):
-        gap = np.flatnonzero(found < 0)
-        if gap.size:
-            j = int(js[gap[0]])
-            checked += int(gap[0]) + 1
+    start, rows = 0, 1
+    while start < m - 1:
+        stop = min(start + rows, m - 1)
+        dist = _sup_rows(cols, start, stop)
+        far = dist[:, start + 1 :] > limit
+        far &= np.arange(start + 1, m) > np.arange(start, stop)[:, None]
+        r, c = np.nonzero(far)
+        ends = np.stack([start + r, start + 1 + c], axis=1)
+        g = first_gap(ends, dist, far, start, stop)
+        if g >= 0:
+            i, j = ends[g].tolist()
+            checked += g + 1
             visited = i * (m - 1) - i * (i - 1) // 2 + j - i
             return MConnectReport(False, (i, j), eps, checked, visited - checked, hull)
-        checked += js.size
+        checked += len(ends)
+        start, rows = stop, min(2 * rows, width)
     return MConnectReport(True, None, eps, checked, m * (m - 1) // 2 - checked, hull)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sunlab import (
+    DimensionMismatch,
     EmptyCloud,
     NoCandidate,
     NotANearestPoint,
@@ -208,3 +209,28 @@ def test_sun_sampled_two_point_diagonal_report():
     assert isinstance(rep.failures, list)
     for f in rep.failures:
         assert "query" in f
+
+
+CLOUD_3D = PointCloud([[0, 0, 0], [1, 1, 1]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: project(LINF2, CLOUD_3D, [1, 1]),
+        lambda: find_luminosity(LINF2, CLOUD_3D, [1, 1]),
+        lambda: sun_check(LINF2, CLOUD_3D, [1, 1], [0, 0]),
+        lambda: is_sun_sampled(LINF2, CLOUD_3D, [[1, 2, 3]]),
+        lambda: is_sun_sampled(LINF2, CLOUD_3D, [[1, 2]], strict=True),
+    ],
+    ids=["project", "find_luminosity", "sun_check", "sampled", "sampled-strict"],
+)
+def test_cloud_of_another_dimension_is_named(call):
+    with pytest.raises(DimensionMismatch, match="cloud dimension 3 does not match space dim"):
+        call()
+
+
+def test_sun_sampled_names_a_query_of_another_dimension():
+    cloud = PointCloud([[0, 0], [2, 0]])
+    with pytest.raises(DimensionMismatch, match="query dimension 3 does not match space dim"):
+        is_sun_sampled(LINF2, cloud, [[1, 2, 3]])

@@ -287,6 +287,67 @@ def test_sun_and_project_reports_are_pinned(tmp_path, monkeypatch):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+def test_mconnect_reports_are_pinned(tmp_path, monkeypatch):
+    """The pair scan must leave these reports byte-identical: a connected
+    9 x 9 grid in linf(2), the same grid in l1(2) with a gap in row 0, two
+    sheets in linf(3), a dyadic cloud at a given scale, a grid with holes
+    shifted off the dyadic lattice, the grid with a far point whose first
+    gap is in its last row, and the sampled ball hull on a 4 x 4 grid."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    ticks = np.arange(9) / 8.0
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    sheet = np.stack(np.meshgrid(ticks[:4], ticks[:4], indexing="ij"), axis=-1).reshape(-1, 2)
+    sheets = np.vstack([np.hstack([np.full((16, 1), c), sheet]) for c in (0.0, 1.0)])
+    dyadic = np.unique(rng.integers(-6, 7, size=(60, 2)), axis=0) / 8.0
+    holes = grid[rng.uniform(size=len(grid)) > 0.2] + rng.uniform(-1, 1, 2) / 512
+    clouds = {
+        "grid": grid,
+        "sheets": sheets,
+        "dyadic": dyadic,
+        "holes": holes,
+        "tail": np.vstack([grid, [[3.0, 3.0]]]),
+        "small": sheet[:, ::-1] * 1.5,
+    }
+    for name, pts in clouds.items():
+        Path(f"{name}.json").write_text(json.dumps({"points": pts.tolist()}))
+    runs = [
+        (
+            ["--space", "linf2", "--cloud", "grid.json"],
+            0, 372, "48dfc13c2d73d1a0a074b3aa0640ec133009291e70aee9c0dbfff3b43ed541b7",
+        ),
+        (
+            ["--space", "l1(2)", "--cloud", "grid.json"],
+            2, 389, "698dfdc13f1e0cad7e5adc7a6f7fe510c245dd13ace3a2457f343dc49e70a8b0",
+        ),
+        (
+            ["--space", "linf3", "--cloud", "sheets.json"],
+            2, 392, "e0498b33d4483d8b9201564d265910fe57e28a2a2bfff906ec4c10f2137eab7e",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "dyadic.json", "--eps", "0.25"],
+            2, 391, "898c1a04a45b505bc89836184a33ce00d64daabbc6529bf2d6bbf60a0e146e62",
+        ),
+        (
+            ["--space", "l1(2)", "--cloud", "holes.json", "--eps", "0.3"],
+            2, 388, "406bcfbfe4ffe39d02390efb0f0909f51bbcc200927d7968351db626a0fd254b",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "tail.json"],
+            2, 395, "e875367b38643318889dcb79f8b9afa2f55a8017ed9096aabab352ca5e6457b9",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "small.json", "--hull", "oracle", "--balls", "200",
+             "--seed", "5"],
+            0, 366, "d65f2eaff2f5d9fc89f6d3224078f99cef148fc873bb5e9f8cb16aebaf321a47",
+        ),
+    ]
+    for argv, code, size, digest in runs:
+        assert main(["mconnect", *argv, "--out", "report.json"]) == code
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 CLOUD = "<cloud path>"
 LINF2_CLOUD = ["--space", "linf2", "--cloud", CLOUD]
 
@@ -431,6 +492,7 @@ RAGGED_SPACE = {"functionals": [[1, 0], [-1]]}
 RAGGED_CLOUD = {"points": [[1, 0], [1]]}
 INF_WEIGHTS = {"alphas": [float("inf"), 1]}
 GAPPED_CLOUD = {"points": [[0, 0], [5, 0], [9, 3]]}
+CLOUD_3D = {"points": [[0, 0, 0], [1, 1, 1]]}
 PATH_0_2 = ["path", "--from", "0", "--to", "2"]
 
 
@@ -471,6 +533,10 @@ PATH_0_2 = ["path", "--from", "0", "--to", "2"]
         pytest.param(
             TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--grid", "0"], id="hull-grid-0"
         ),
+        pytest.param(CLOUD_3D, ["project", "--query", "1,1"], id="project-cloud-dim"),
+        pytest.param(CLOUD_3D, SUN_QUERY, id="sun-query-cloud-dim"),
+        pytest.param(CLOUD_3D, [*SUN_QUERY, "--strict"], id="sun-strict-cloud-dim"),
+        pytest.param(CLOUD_3D, ["sun", "--trials", "3"], id="sun-trials-cloud-dim"),
     ],
 )
 def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
@@ -485,6 +551,26 @@ def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sunlab: error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mconnect"],
+        ["project", "--query", "1,1"],
+        SUN_QUERY,
+        [*SUN_QUERY, "--strict"],
+        ["sun", "--trials", "3"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + [a.lstrip("-") for a in argv[1::2]]),
+)
+def test_cloud_of_another_dimension_is_named(capsys, cloud_file, argv):
+    command, *rest = argv
+    code, out, err = _run(
+        capsys, [command, "--space", "linf2", "--cloud", cloud_file(CLOUD_3D), *rest]
+    )
+    assert (code, out) == (1, "")
+    assert err == "sunlab: error: cloud dimension 3 does not match space dimension 2\n"
 
 
 def test_empty_json_cloud_reports_empty_cloud(capsys, cloud_file):

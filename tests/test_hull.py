@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sunlab import (
     random_space,
     slab_vertices_2d,
 )
+from sunlab import hull
 
 LINF2 = builtin("linf", 2)
 L12 = builtin("l1", 2)
@@ -260,6 +263,40 @@ def test_mconnected_arange_grid(step, stop):
     assert rep.connected and rep.witness is None
     assert rep.pairs_checked + rep.pairs_exempt == 81 * 80 // 2
 
+
+
+def _kernel_boxes(s, cloud):
+    """The report, and the ends of every box m_connected sends the kernel."""
+    boxes = []
+
+    def spy(vals, lo, hi, ends, tol):
+        boxes.extend(np.asarray(ends).tolist())
+        return kernel(vals, lo, hi, ends, tol)
+
+    kernel = hull._slab_witnesses
+    with mock.patch.object(hull, "_slab_witnesses", spy):
+        return m_connected(s, cloud), boxes
+
+
+def test_mconnected_grid_needs_no_kernel():
+    """Each pair of a connected grid has a witness among the grid
+    neighbours of its first point, so the prefilter settles every pair."""
+    ticks = np.arange(9) / 8.0
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    rep, boxes = _kernel_boxes(LINF2, PointCloud(grid))
+    assert rep.connected and rep.pairs_checked == 2968
+    assert boxes == []
+
+
+def test_mconnected_two_sheets_stop_in_the_first_block():
+    """The gap between a point and its copy in the other sheet lies in row
+    0, and the first block is row 0 alone. The nearest neighbour of row 0
+    settles its other pairs, so the kernel sees the gap's box alone."""
+    y = np.arange(98) / 32.0
+    pts = np.vstack([np.column_stack([np.full(98, x), y]) for x in (0.0, 0.25)])
+    rep, boxes = _kernel_boxes(LINF2, PointCloud(pts))
+    assert rep.witness == (0, 98)
+    assert boxes == [[0, 98]]
 
 def test_mconnected_oracle_hull_agrees_on_hand_cases():
     cloud = PointCloud([[0, 0], [1, 0], [2, 0]])

@@ -1,18 +1,21 @@
 """Property tests: the betweenness kernel behind m_connected and path
-refinement against a brute-force triple loop, the nearest-point
-kernel behind the sun ray scan and the hull gap against a brute-force
-scan, the invariants of monotone paths on epsilon-nets, the symmetries of
-project, contraction under a partial embedding, the three-way
-betweenness equivalence, and the duplicate-row kernel against a byte-keyed
-dict.
+refinement against a brute-force triple loop, m_connected's blocked pair
+scan against a pair-by-pair scan, the nearest-point kernel behind the sun
+ray scan and the hull gap against a brute-force scan, the invariants of
+monotone paths on epsilon-nets, the symmetries of project, contraction
+under a partial embedding, the three-way betweenness equivalence, and the
+duplicate-row kernel against a byte-keyed dict.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
 the brute force needs no tolerance. Two properties use random floats
 instead: `norms` and the nearest-point kernel must equal the plain
-max-over-an-axis formulas bit for bit.
+max-over-an-axis formulas bit for bit. The pair-scan properties also run
+in random spaces, whose values are inexact; there the pair-by-pair scan
+applies the kernel's own inequality to the same floats.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from sunlab import (
     PathNotFound,
     PointCloud,
+    ball_hull_outer,
     between_equiv_check,
     builtin,
     embed_cloud,
@@ -177,6 +181,99 @@ def test_mconnected_witness_is_first_brute_force_gap(case):
     assert rep.witness == witness
     assert rep.connected == (witness is None)
     assert (rep.adjacency_eps, rep.pairs_checked, rep.pairs_exempt) == (eps, checked, exempt)
+
+
+def _pair_by_pair(s, cloud, eps, box):
+    """(witness, pairs_checked, pairs_exempt) of the literal row-major scan:
+    a pair farther apart than the exemption limit is a gap when no third
+    point satisfies lo - tol <= v <= hi + tol for its box(i, j) = (lo, hi)."""
+    vals = cloud.points @ s.representatives.T
+    limit = eps + hull.SLAB_TOL * (1.0 + eps)
+    checked = exempt = 0
+    for i, j in _pairs(len(vals)):
+        if np.max(np.abs(vals[i] - vals[j])) <= limit:
+            exempt += 1
+            continue
+        checked += 1
+        lo, hi = box(vals, i, j)
+        inside = ((vals >= lo - hull.SLAB_TOL) & (vals <= hi + hull.SLAB_TOL)).all(axis=1)
+        inside[[i, j]] = False
+        if not inside.any():
+            return (i, j), checked, exempt
+    return None, checked, exempt
+
+
+def _min_distance(s, cloud):
+    vals = cloud.points @ s.representatives.T
+    return min(np.max(np.abs(vals[i] - vals[j])) for i, j in _pairs(len(vals)))
+
+
+@st.composite
+def scan_clouds(draw):
+    """A random dyadic cloud, or a shuffled dyadic grid with holes, in a
+    builtin or random space. Grids are often connected, so the scan runs
+    through every block."""
+    s = draw(st.sampled_from(SPACES + RANDOM_SPACES))
+    if draw(st.booleans()):
+        coords = st.tuples(*[st.integers(-4, 4)] * s.dim)
+        rows = np.asarray(draw(st.lists(coords, min_size=3, max_size=24, unique=True)))
+    else:
+        n = draw(st.integers(2, {2: 6, 3: 3, 4: 2}[s.dim]))
+        rows = np.stack(np.meshgrid(*[np.arange(n)] * s.dim, indexing="ij"), -1)
+        rows = rows.reshape(-1, s.dim)
+        keep = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        rows = rows[np.asarray(keep) | (np.arange(len(rows)) < 3)]
+        rows = rows[draw(st.permutations(range(len(rows))))]
+    return s, PointCloud(np.asarray(rows, dtype=float) / 8.0)
+
+
+# One neighbour and one-row blocks make prefilter misses and block edges
+# occur on every cloud; None keeps the library's own value.
+SCAN_PATCHES = st.tuples(st.sampled_from([1, None]), st.sampled_from([1, None]))
+
+
+@contextmanager
+def _scan_patch(patches):
+    count, budget = patches
+    with mock.patch.object(
+        hull, "_neighbour_count", hull._neighbour_count if count is None else lambda dim: count
+    ), mock.patch.object(hull, "_SCAN_BUDGET", budget or hull._SCAN_BUDGET):
+        yield
+
+
+@PROPERTY
+@given(scan_clouds(), st.sampled_from([None, 0.0, 0.125, 0.3]), SCAN_PATCHES)
+def test_mconnected_scan_is_the_pair_by_pair_scan(case, adjacency_eps, patches):
+    s, cloud = case
+    eps = _min_distance(s, cloud) if adjacency_eps is None else adjacency_eps
+
+    def interval(vals, i, j):
+        return np.minimum(vals[i], vals[j]), np.maximum(vals[i], vals[j])
+
+    witness, checked, exempt = _pair_by_pair(s, cloud, eps, interval)
+    with _scan_patch(patches):
+        rep = m_connected(s, cloud, adjacency_eps=adjacency_eps)
+    assert rep.witness == witness
+    assert rep.connected == (witness is None)
+    assert (rep.adjacency_eps, rep.pairs_checked, rep.pairs_exempt) == (eps, checked, exempt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scan_clouds(), st.integers(0, 2**16), SCAN_PATCHES)
+def test_mconnected_oracle_scan_is_the_pair_by_pair_scan(case, seed, patches):
+    """The hull of pair (i, j) is sampled with seed + i*m + j."""
+    s, cloud = case
+    m = len(cloud)
+
+    def sampled(vals, i, j):
+        box = ball_hull_outer(s, cloud.points[i], cloud.points[j], 12, seed + i * m + j)
+        return box.lo, box.hi
+
+    witness, checked, exempt = _pair_by_pair(s, cloud, _min_distance(s, cloud), sampled)
+    with _scan_patch(patches):
+        rep = m_connected(s, cloud, hull="oracle", n_balls=12, seed=seed)
+    assert rep.witness == witness
+    assert (rep.pairs_checked, rep.pairs_exempt) == (checked, exempt)
 
 
 @st.composite
