@@ -348,6 +348,52 @@ def test_mconnect_reports_are_pinned(tmp_path, monkeypatch):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+def test_path_reports_are_pinned(tmp_path, monkeypatch):
+    """The hop-graph build must leave these reports byte-identical: a 21 x 21
+    linf2 box net corner to corner and an l1(2) staircase, each with hop
+    1.5 x its largest nearest-neighbour distance, the complete graph (hop 0)
+    on a 30-point dyadic cloud, and two linf3 sheets that no hop-bounded
+    path joins."""
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(11)
+    ticks = np.arange(21) / 32.0
+    box = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    runs = [[1, 0]] * 5 + [[0, 1]] * 3 + [[1, 0]] * 4 + [[0, 1]] * 6 + [[1, 0]] * 2
+    stair = np.vstack([[0, 0], np.cumsum(runs, axis=0)]) / 16.0 @ [[0.5, 0.5], [0.5, -0.5]]
+    dyadic = np.unique(rng.integers(-8, 9, size=(34, 2)), axis=0)[:30] / 8.0
+    sheet = box.reshape(21, 21, 2)[:5, :5].reshape(-1, 2)
+    sheets = np.vstack([np.hstack([np.full((25, 1), c), sheet]) for c in (0.0, 0.5)])
+    clouds = {"box": box, "stair": stair, "dyadic": dyadic, "sheets": sheets}
+    for name, pts in clouds.items():
+        Path(f"{name}.json").write_text(json.dumps({"points": pts.tolist()}))
+    runs = [
+        (
+            ["--space", "linf2", "--cloud", "box.json", "--weights", "uniform", "--from", "0",
+             "--to", "440", "--hop", "0.0234375"],
+            0, 2342, "3a8dfa462f7afdfd2b2db6b30dc34010aaa84f90d08d52cd0e5bd169318e116b",
+        ),
+        (
+            ["--space", "l1(2)", "--cloud", "stair.json", "--weights", "geometric", "--from",
+             "0", "--to", "20", "--hop", "0.0625"],
+            0, 1508, "7d53eb6e805898cf06fa21afab45bc13654ad663473e59c97bf449114a2bd0ff",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "dyadic.json", "--weights", "uniform", "--from", "0",
+             "--to", "29", "--hop", "0"],
+            0, 770, "fa4254547caa3cd25f6be47ecd0c2694e4e694ef2f6e82f665badacbd6127a34",
+        ),
+        (
+            ["--space", "linf3", "--cloud", "sheets.json", "--from", "0", "--to", "49", "--hop",
+             "0.013392857142857142"],
+            2, 466, "df9c81e86d0c80f36fdf0280cc6e873e29d4a7e4b8a59a4c64710d09c0331f2f",
+        ),
+    ]
+    for argv, code, size, digest in runs:
+        assert main(["path", *argv, "--out", "report.json"]) == code
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 CLOUD = "<cloud path>"
 LINF2_CLOUD = ["--space", "linf2", "--cloud", CLOUD]
 
