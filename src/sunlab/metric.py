@@ -247,6 +247,92 @@ def betweenness_graph(s: Space, w: Weights, cloud: PointCloud, eps: float = 0.0)
     return BetweennessGraph(cloud=cloud, dist=dist, adjacency=adjacency, eps=eps)
 
 
+# Point pairs per block of _sorted_windows (each holds p floats), and the
+# pairs a block may add outside its rows' own windows: about what one more
+# block costs in numpy calls.
+_WINDOW_BUDGET = 2**17
+_WINDOW_WASTE = 2**12
+_ULP = np.finfo(float).eps
+
+
+def _pair_dists(vals, alphas, a, b) -> np.ndarray:
+    """Associated distances of the pairs (a[t], b[t]), by the expression
+    that _assoc_dist_matrix and _sorted_windows use."""
+    return np.abs(vals[b] - vals[a]) @ alphas
+
+
+def _sort_key(vals, alphas) -> tuple[int, np.ndarray]:
+    """The functional k of largest weight and the cloud's order by f_k."""
+    k = int(np.argmax(alphas))
+    return k, np.argsort(vals[:, k], kind="stable")
+
+
+def _sorted_windows(vals, alphas, k, order, reach):
+    """Yield blocks (rows, cols, d) with d[r, c] the associated distance of
+    the points rows[r] and cols[c], so that for every point i every j with
+    d(i, j) <= reach[i] is among the cols of i's block.
+
+    d(i, j) >= alpha_k |f_k(i) - f_k(j)|, so those j lie within
+    reach[i] / alpha_k of i in the order by f_k. The window is widened by a
+    few ulps of the distance sum and of f_k, so that a rounded distance
+    <= reach[i] is never left out; the caller filters on d itself. reach is
+    per point in that order (or one value for all), inf for the whole cloud.
+    Rows come in that order, in blocks of at most _WINDOW_BUDGET pairs and
+    _WINDOW_WASTE pairs outside the rows' windows (one row at least); each
+    block's cols are the union of its rows' windows, in index order.
+    """
+    m, p = vals.shape
+    by_functional = np.ascontiguousarray(vals.T)
+    key = by_functional[k, order]
+    reach = reach / alphas[k] * (1.0 + (p + 8) * _ULP)
+    slack = 4 * _ULP * (np.abs(key) + reach)
+    start = np.searchsorted(key, key - reach - slack, "left")
+    stop = np.searchsorted(key, key + reach + slack, "right")
+    widths = stop - start
+    r0 = 0
+    while r0 < m:
+        end = r0 + max(1, _WINDOW_BUDGET // int(widths[r0]))
+        span = np.maximum.accumulate(stop[r0:end]) - np.minimum.accumulate(start[r0:end])
+        cost = span * np.arange(1, span.size + 1)
+        waste = cost - np.cumsum(widths[r0:end])
+        r1 = r0 + max(1, np.count_nonzero((cost <= _WINDOW_BUDGET) & (waste <= _WINDOW_WASTE)))
+        rows = order[r0:r1]
+        cols = np.sort(order[start[r0:r1].min() : stop[r0:r1].max()])
+        # One functional at a time: a broadcast over the short last axis
+        # is several times slower.
+        diff = np.empty((rows.size, cols.size, p))
+        for j, col in enumerate(by_functional):
+            np.subtract(col[cols], col[rows, None], out=diff[:, :, j])
+        yield rows, cols, np.abs(diff, out=diff) @ alphas
+        r0 = r1
+
+
+def _hop_csr(vals, alphas, hop: float):
+    """The hop graph of the cloud with representative values vals, as a
+    canonical scipy CSR matrix: an edge of weight d(i, j) for every i != j
+    with d(i, j) <= hop, or every i != j when hop is 0. Memory grows with
+    the edges, not with m^2. Each distance is a row dot product with
+    alphas, as in _assoc_dist_matrix, and matches it bit for bit as long as
+    BLAS sums a row in the same order whatever the array's shape."""
+    from scipy.sparse import csr_matrix
+
+    m = len(vals)
+    k, order = _sort_key(vals, alphas)
+    counts, indices, data = [], [], []
+    for rows, cols, d in _sorted_windows(vals, alphas, k, order, hop if hop > 0.0 else np.inf):
+        keep = cols != rows[:, None]
+        if hop > 0.0:
+            keep &= d <= hop
+        counts.append(keep.sum(axis=1))
+        indices.append(np.broadcast_to(cols, d.shape)[keep])
+        data.append(d[keep])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    graph = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(m, m))
+    inv = np.empty_like(order)
+    inv[order] = np.arange(m)
+    return graph[inv]
+
+
 @dataclass(frozen=True)
 class MonotoneVerdict:
     functional: int
@@ -350,7 +436,8 @@ def monotone_path(
 
     Dijkstra runs on the cloud graph, where hop > 0 drops edges longer than
     hop: the epsilon-net regime, in which an unreachable endpoint means the
-    set is not monotone path-connected at that scale. refine then splits
+    set is not monotone path-connected at that scale. The graph is built
+    sparse (_hop_csr), so memory grows with its edges. refine then splits
     each step at a cloud point in its slab interval (widened by tol), and
     the halves again, until no step skips an intermediary; no point enters
     the path twice, so at most m splits happen. Splitting keeps the length,
@@ -373,21 +460,19 @@ def monotone_path(
         pts = cloud.points[[ix]]
         return Path(points=pts, length=0.0, target=0.0, defect=0.0, verdicts=_verdicts(s, pts, tol))
 
-    graph = betweenness_graph(s, w, cloud, eps=hop)
-    dist = graph.dist
-    target = float(dist[ix, iy])
+    cloud.require_unique()
+    vals = _rep_values(s, cloud)
+    graph = _hop_csr(vals, w.alphas, hop)
+    if np.any(graph.data <= 0.0):
+        raise DuplicatePoints("cloud has points at associated-norm distance 0")
+    target = float(_pair_dists(vals, w.alphas, [ix], [iy])[0])
     eps_val = 1e-6 * target if eps is None else float(eps)
-
-    from scipy.sparse import csr_matrix
 
     # Read through the module, so that a replaced `metric.dijkstra` is the
     # one called: perfbench's tracer times Dijkstra that way.
     from .metric import dijkstra
 
-    weights = np.where(graph.adjacency, dist, 0.0)
-    lengths, pred = dijkstra(
-        csr_matrix(weights), directed=False, indices=ix, return_predecessors=True
-    )
+    lengths, pred = dijkstra(graph, directed=False, indices=ix, return_predecessors=True)
     if not np.isfinite(lengths[iy]):
         return PathNotFound(reason="unreachable", target=target, eps=eps_val, hop=hop)
     order = [iy]
@@ -395,8 +480,8 @@ def monotone_path(
         order.append(int(pred[order[-1]]))
     order.reverse()
     if refine:
-        order = _split_steps(_rep_values(s, cloud), order, tol)
-    length = float(np.cumsum(dist[order[:-1], order[1:]])[-1])
+        order = _split_steps(vals, order, tol)
+    length = float(np.cumsum(_pair_dists(vals, w.alphas, order[:-1], order[1:]))[-1])
     if length > target + eps_val:
         return PathNotFound(
             reason="slack_exceeded", target=target, eps=eps_val, hop=hop, best_length=length
@@ -460,10 +545,14 @@ def _first_settled(tail: np.ndarray, tol: float) -> int | None:
 def seq_convergence_check(s: Space, w: Weights, sequence, limit, tol: float) -> SeqReport:
     """Compare associated-norm convergence with per-functional convergence.
 
-    The two measures are equivalent norms, so the boolean verdicts must
-    agree for any sequence whose tail behaviour is not borderline at tol;
-    the first settled indices differ by the weight scale and are reported
-    for inspection.
+    With sup the largest |f_i| of a term's offset from the limit, its
+    associated value lies between min(alpha) * sup and sum(alpha) * sup. So
+    when sum(alpha) <= 1 a tail settled in sup at tol is settled in the
+    associated norm too, while a tail settled in the associated norm at tol
+    is only known to be settled in sup at tol / min(alpha). The verdicts
+    can differ: in linf(16) with geometric weights the unit vectors taken
+    in weight order settle in the associated norm and keep sup 1. The first
+    settled indices are reported for inspection.
     """
     check_weights(s, w)
     seq = np.asarray(sequence, dtype=float)

@@ -9,10 +9,23 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import PointCloud
-from .hull import _GRID_DEFAULT, _grid_axes, _grid_points, _in_slabs, ball_hull_outer, interval
+from .hull import (
+    _GRID_DEFAULT,
+    _grid_axes,
+    _grid_points,
+    _in_slabs,
+    _rep_values,
+    ball_hull_outer,
+    interval,
+)
 from .metric import (
     PathNotFound,
+    Weights,
+    _pair_dists,
+    _sort_key,
+    _sorted_windows,
     between_equiv_check,
+    check_weights,
     geometric_weights,
     monotone_path,
     seq_convergence_check,
@@ -157,13 +170,22 @@ def two_sheet_cloud(q: int, step: float = 0.5) -> PointCloud:
     return PointCloud(np.vstack([sheet1, sheet2]))
 
 
-def max_nn_distance(s: Space, w, cloud: PointCloud) -> float:
-    """Largest nearest-neighbour associated-norm distance in the cloud."""
-    from .metric import _assoc_dist_matrix
-
-    d = _assoc_dist_matrix(s, w, cloud)
-    np.fill_diagonal(d, np.inf)
-    return float(d.min(axis=1).max())
+def max_nn_distance(s: Space, w: Weights, cloud: PointCloud) -> float:
+    """Largest nearest-neighbour associated-norm distance in the cloud; inf
+    for a one-point cloud. Each point's nearest neighbour is no farther than
+    its neighbours in the order by f_k (_sort_key), so only the sorted window
+    that distance bounds is scanned; the result equals the dense matrix's."""
+    check_weights(s, w)
+    cloud.require_nonempty()
+    vals = _rep_values(s, cloud)
+    k, order = _sort_key(vals, w.alphas)
+    steps = _pair_dists(vals, w.alphas, order[:-1], order[1:])
+    bound = np.minimum(np.append(steps, np.inf), np.insert(steps, 0, np.inf))
+    nearest = -np.inf
+    for rows, cols, d in _sorted_windows(vals, w.alphas, k, order, bound):
+        d[cols == rows[:, None]] = np.inf
+        nearest = max(nearest, float(d.min(axis=1).max()))
+    return nearest
 
 
 def path_suite() -> dict:

@@ -3,6 +3,7 @@ import pytest
 
 from sunlab import (
     DuplicatePoints,
+    EmptyCloud,
     EndpointNotInCloud,
     PathNotFound,
     PointCloud,
@@ -26,6 +27,7 @@ from sunlab import (
     uniform_weights,
     weights_from_json,
 )
+from sunlab.verify import max_nn_distance
 
 LINF2 = builtin("linf", 2)
 L12 = builtin("l1", 2)
@@ -257,6 +259,26 @@ def test_path_near_coincident_points(dst):
     assert np.array_equal(p.points[[0, -1]], cloud.points[[0, dst]])
 
 
+@pytest.mark.parametrize("hop", [0.0, 2.0])
+def test_path_rejects_points_at_distance_zero(hop):
+    """The two points differ in their bytes, so require_unique passes, but
+    half of the least subnormal rounds to a uniform-linf2 distance of 0."""
+    cloud = PointCloud([[0.0, 0.0], [5e-324, 0.0], [1.0, 0.0]])
+    cloud.require_unique()
+    with pytest.raises(DuplicatePoints, match="distance 0"):
+        monotone_path(LINF2, uniform_weights(LINF2), cloud, [0, 0], [1, 0], hop=hop)
+
+
+def test_max_nn_distance_checks_weights_and_emptiness():
+    """A one-point cloud has no neighbour, hence inf."""
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(WeightMismatch):
+        max_nn_distance(LINF2, Weights(alphas=np.ones(3)), cloud)
+    with pytest.raises(EmptyCloud):
+        max_nn_distance(LINF2, ONES, PointCloud(np.zeros((0, 2))))
+    assert max_nn_distance(LINF2, ONES, PointCloud([[1.0, 2.0]])) == np.inf
+
+
 def test_path_calls_dijkstra_through_the_module(monkeypatch):
     """scipy is imported on first use, but `sunlab.metric.dijkstra` stays an
     attribute, and replacing it (perfbench times Dijkstra that way) takes
@@ -341,6 +363,18 @@ def test_seq_constant_settles_immediately():
     seq = np.tile([1.5, -0.5], (10, 1))
     rep = seq_convergence_check(LINF2, ONES, seq, [1.5, -0.5], tol=1e-9)
     assert rep.agree and rep.assoc_index == 0 and rep.funcs_index == 0
+
+
+def test_seq_verdicts_differ_for_a_weakly_null_sequence():
+    """The unit vectors of linf(16), taken in weight order, settle in the
+    associated norm, whose geometric weights shrink along the sequence,
+    while their sup norm stays 1."""
+    s = builtin("linf", 16)
+    rep = seq_convergence_check(s, geometric_weights(s), np.eye(16)[::-1], np.zeros(16), 1e-3)
+    assert rep.assoc_converged and rep.assoc_index == 9
+    assert rep.assoc_final == pytest.approx(1.5259e-5, rel=1e-4)
+    assert not rep.funcs_converged and rep.funcs_final == 1.0
+    assert not rep.agree
 
 
 def test_seq_stuck_coordinate_fails_both():

@@ -2,31 +2,36 @@
 refinement against a brute-force triple loop, m_connected's blocked pair
 scan against a pair-by-pair scan, the nearest-point kernel behind the sun
 ray scan and the hull gap against a brute-force scan, the invariants of
-monotone paths on epsilon-nets, the symmetries of project, contraction
-under a partial embedding, the three-way betweenness equivalence, and the
-duplicate-row kernel against a byte-keyed dict.
+monotone paths on epsilon-nets, the sparse hop graph and the
+nearest-neighbour scale against the dense distance matrix, the symmetries
+of project, contraction under a partial embedding, the three-way
+betweenness equivalence, and the duplicate-row kernel against a byte-keyed
+dict.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
-the brute force needs no tolerance. Two properties use random floats
+the brute force needs no tolerance. Some properties use random floats
 instead: `norms` and the nearest-point kernel must equal the plain
-max-over-an-axis formulas bit for bit. The pair-scan properties also run
-in random spaces, whose values are inexact; there the pair-by-pair scan
-applies the kernel's own inequality to the same floats.
+max-over-an-axis formulas bit for bit, and the hop graph and the
+nearest-neighbour scale the dense matrix's. The pair-scan properties also
+run in random spaces, whose values are inexact; there the pair-by-pair
+scan applies the kernel's own inequality to the same floats.
 """
 
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from sunlab import (
     PathNotFound,
     PointCloud,
     ball_hull_outer,
     between_equiv_check,
+    betweenness_graph,
     builtin,
     embed_cloud,
     geometric_weights,
@@ -39,9 +44,10 @@ from sunlab import (
     random_space,
     uniform_weights,
 )
-from sunlab import approx, hull
+from sunlab import approx, hull, metric
 from sunlab.approx import _nearest
 from sunlab.hull import _slab_witnesses
+from sunlab.metric import _assoc_dist_matrix, _hop_csr
 from sunlab.space import _first_rows
 from sunlab.verify import max_nn_distance
 
@@ -315,6 +321,90 @@ def test_found_paths_are_additive_unskipping_and_monotone(case):
     for a, b in zip(idx[:-1], idx[1:]):
         assert _between(vals, a, b) == []
     assert p.monotone
+
+
+@st.composite
+def hop_cases(draw):
+    """Random floats or dyadic points, in a builtin space or a random one
+    with at most 6 functional pairs, under either weight scheme. With 8
+    pairs BLAS's row dot depends on the array's shape, and a few distances
+    then differ from the dense matrix's in the last bits."""
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(SPACES))
+    else:
+        dim = draw(st.integers(2, 4))
+        s = random_space(dim, pairs=draw(st.integers(dim, 6)), seed=draw(st.integers(0, 999)))
+    m = draw(st.integers(2, 30))
+    if draw(st.booleans()):
+        rows = _random_rows(draw, m, s.dim)
+    else:
+        coords = st.tuples(*[st.integers(-4, 4)] * s.dim)
+        rows = np.asarray(draw(st.lists(coords, min_size=m, max_size=m)), dtype=float) / 8.0
+    cloud = PointCloud(rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])])
+    w = draw(st.sampled_from([uniform_weights, geometric_weights]))(s)
+    # Rows a subnormal apart can still be at distance 0, which the dense
+    # graph refuses.
+    assume(np.all(_assoc_dist_matrix(s, w, cloud) + np.eye(len(cloud)) > 0.0))
+    return s, w, cloud
+
+
+# (budget, waste): one-row and seven-pair blocks split every cloud, and no
+# waste ends a block wherever the next row's window differs.
+_BUDGET, _WASTE = metric._WINDOW_BUDGET, metric._WINDOW_WASTE
+WINDOW_PATCHES = st.sampled_from([(1, _WASTE), (7, _WASTE), (_BUDGET, 0), (_BUDGET, _WASTE)])
+
+
+def _window_patch(patches):
+    budget, waste = patches
+    return mock.patch.multiple(metric, _WINDOW_BUDGET=budget, _WINDOW_WASTE=waste)
+
+
+def _assert_hop_csr_is_dense(s, w, cloud, hop, patches):
+    dense = betweenness_graph(s, w, cloud, eps=hop)
+    want = csr_matrix(np.where(dense.adjacency, dense.dist, 0.0))
+    with _window_patch(patches):
+        got = _hop_csr(cloud.points @ s.representatives.T, w.alphas, hop)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+@PROPERTY
+@given(hop_cases(), st.sampled_from([1.0, 1.5]), WINDOW_PATCHES, st.data())
+def test_hop_csr_is_the_dense_graph_bit_for_bit(case, scale, patches, data):
+    """hop is 0 (the complete graph) or a distance of the cloud, so edges of
+    exactly length hop occur, or 1.5 times one."""
+    s, w, cloud = case
+    dist = betweenness_graph(s, w, cloud).dist
+    hop = scale * data.draw(st.sampled_from(sorted(set(dist.ravel()))))
+    _assert_hop_csr_is_dense(s, w, cloud, hop, patches)
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=30, unique=True),
+    st.sampled_from([0.0, 0.1, 1.0]),
+    st.sampled_from([uniform_weights, geometric_weights]),
+    WINDOW_PATCHES,
+)
+def test_hop_csr_is_exact_when_the_sort_key_is_constant(ys, hop, weights, patches):
+    """A vertical segment in linf2: every point has the same f_0, the key of
+    largest weight, so each window spans the whole cloud."""
+    cloud = PointCloud(np.column_stack([np.full(len(ys), 0.75), ys]))
+    w = weights(LINF2)
+    assume(np.all(_assoc_dist_matrix(LINF2, w, cloud) + np.eye(len(ys)) > 0.0))
+    _assert_hop_csr_is_dense(LINF2, w, cloud, hop, patches)
+
+
+@PROPERTY
+@given(hop_cases(), WINDOW_PATCHES)
+def test_max_nn_distance_is_the_dense_formula(case, patches):
+    s, w, cloud = case
+    dist = betweenness_graph(s, w, cloud).dist
+    np.fill_diagonal(dist, np.inf)
+    with _window_patch(patches):
+        got = max_nn_distance(s, w, cloud)
+    assert np.float64(got).tobytes() == dist.min(axis=1).max().tobytes()
 
 
 def _dyadic_vector(dim):
