@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunlab import builtin, check_monotone, cli, hull, svg
+from sunlab import builtin, check_monotone, cli, hull, random_space, svg
 from sunlab.cli import main
+from sunlab.space import space_to_json
 
 COLLINEAR3 = {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
 TWO_POINTS = {"points": [[0.0, 0.0], [2.0, 0.0]]}
@@ -392,6 +393,65 @@ def test_path_reports_are_pinned(tmp_path, monkeypatch):
         assert main(["path", *argv, "--out", "report.json"]) == code
         data = Path("report.json").read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_hull_reports_are_pinned(tmp_path, monkeypatch):
+    """The slab tests on the gap grid must leave these reports
+    byte-identical: few-ball hulls with a sliver in linf2, l1(2), linf3 and
+    l1(3), a thin linf2 pair whose interval holds no grid point, a 2 x 2
+    grid, a JSON random space, a full 2000-ball hull and the l1(2) figure."""
+    monkeypatch.chdir(tmp_path)
+    Path("space.json").write_text(json.dumps(space_to_json(random_space(2, 4, seed=3))))
+    runs = [
+        (
+            ["--space", "linf2", "--from", "0,0", "--to", "1,0.5", "--balls", "4"],
+            605, "40b31424b8a98aa0fd3ff18b5ab260ab14a553a827226746c8b87d455340f0a2",
+        ),
+        (
+            ["--space", "l1(2)", "--from", "0.1,-0.2", "--to", "0.9,0.4", "--balls", "4"],
+            611, "b5ce2b39f41a5dd33cb01a31ee11639ef9a29fa17940f8b2c780284e5e343e35",
+        ),
+        (
+            ["--space", "linf3", "--from", "0,0,0", "--to", "1,0.5,0.25", "--balls", "6"],
+            670, "a3855d3c6343ec5469638d6c1c3af6df68906aa3e098aee8c22023366f1856ba",
+        ),
+        (
+            ["--space", "l1(3)", "--from=-0.3,0.2,0.1", "--to", "0.5,-0.4,0.6", "--balls",
+             "6", "--seed", "5"],
+            675, "62a14e7a76d74d70a3ae104b9b0e227038d1e592c672bf2ee6e8e9b076c15b1d",
+        ),
+        (
+            ["--space", "linf2", "--from", "0,0", "--to", "1,0", "--balls", "4"],
+            602, "ad72574e5d54cd92cc17a02427fedbb428a647ab40dc3a6c9e9f01dd682081bd",
+        ),
+        (
+            ["--space", "linf2", "--from", "0,0", "--to", "1,0.5", "--balls", "4", "--grid",
+             "2"],
+            505, "e5cc191603302029be61bc2fe5c54a7ab261a8a5bebec9b9217fa60bd521c23a",
+        ),
+        (
+            ["--space", "space.json", "--from", "0.2,-0.1", "--to=-0.5,0.7", "--balls", "4",
+             "--seed", "2"],
+            622, "da21180bf8575df6c13d33344134e16e50171f9f60e550e933fe70f78cd39378",
+        ),
+        (
+            ["--space", "linf2", "--from", "0,0", "--to", "2,1"],
+            537, "90a8caa016b3a1d729f8d1a88092475d197a9879c839e9a8dea94853fa88077a",
+        ),
+        (
+            ["--space", "l1(2)", "--from", "0,0", "--to", "1,0.5", "--balls", "4", "--svg",
+             "figure.svg"],
+            604, "37231146dc3aba5dc9aff1e10ccc094f0327ee58feb63e1e56095e3c492204d2",
+        ),
+    ]
+    for argv, size, digest in runs:
+        assert main(["hull", *argv, "--out", "report.json"]) == 0
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    data = Path("figure.svg").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        742, "a9156fcd0c636a118883cf401b8fe38ef2f010671eaa0c34b8cdae5270b66cae"
+    )
 
 
 CLOUD = "<cloud path>"

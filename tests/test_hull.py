@@ -17,6 +17,7 @@ from sunlab import (
     slab_vertices_2d,
 )
 from sunlab import hull
+from sunlab.verify import hull_inclusion_suite
 
 LINF2 = builtin("linf", 2)
 L12 = builtin("l1", 2)
@@ -205,6 +206,56 @@ def test_mei_check_dim1_exact():
     rep = mei_check(builtin("linf", 1), trials=10, seed=0, n_balls=10)
     assert rep.passed
     assert rep.max_gap == 0.0
+
+
+def test_mei_check_reports_are_pinned():
+    """The slab tests on the gap grid must leave these aggregates exact:
+    five-ball hulls, which leave a sliver in l1(2) and linf(3) and none in
+    linf(1)."""
+    rep = mei_check(builtin("linf", 1), trials=10, seed=3, n_balls=5)
+    assert (rep.max_gap, rep.mean_gap, rep.violations) == (0.0, 0.0, [])
+    rep = mei_check(L12, trials=6, seed=3, n_balls=5)
+    assert (rep.max_gap, rep.mean_gap) == (0.7097320830390861, 0.6404765981381587)
+    assert rep.violations == [
+        {"trial": 0, "kind": "gap", "gap": 0.6841977990283274,
+         "witness": [-0.10167307099950684, -1.218727452532496]},
+        {"trial": 1, "kind": "gap", "gap": 0.5518868272828492,
+         "witness": [-0.40559364318481106, 0.22258287574757274]},
+        {"trial": 2, "kind": "gap", "gap": 0.6899292681644236,
+         "witness": [-0.6042360930132926, -0.37761023080798195]},
+        {"trial": 3, "kind": "gap", "gap": 0.6109225499000954,
+         "witness": [0.5102915201504391, 0.21578588882775962]},
+        {"trial": 4, "kind": "gap", "gap": 0.7097320830390861,
+         "witness": [-0.3744488811005961, -0.46311427726716703]},
+        {"trial": 5, "kind": "gap", "gap": 0.5961910614141706,
+         "witness": [-0.36089653784208764, 0.893916494446199]},
+    ]
+    rep = mei_check(builtin("linf", 3), trials=3, seed=3, n_balls=5)
+    assert (rep.max_gap, rep.mean_gap) == (0.44714112568972464, 0.3317502347908125)
+    assert rep.violations == [
+        {"trial": 0, "kind": "gap", "gap": 0.37543506156577955,
+         "witness": [-0.8249473150970935, -1.1618193694685865, -0.11756896477504758]},
+        {"trial": 1, "kind": "gap", "gap": 0.17267451711693327,
+         "witness": [-0.7698931678833223, -0.7771144773894325, 0.6139338199761379]},
+        {"trial": 2, "kind": "gap", "gap": 0.44714112568972464,
+         "witness": [-0.13476937138773573, -0.4022531749567884, -0.1352796522660268]},
+    ]
+
+
+def test_hull_inclusion_suite_is_pinned():
+    spaces = [L12, builtin("linf", 3), random_space(2, 4, seed=3)]
+    assert hull_inclusion_suite(spaces, pairs=3, seed=5) == {
+        "spaces": [
+            {"space": "l1(2)", "pairs": 3, "grid_points_checked": 426, "violations": 0,
+             "witness": None},
+            {"space": "linf(3)", "pairs": 3, "grid_points_checked": 640, "violations": 0,
+             "witness": None},
+            {"space": "random(dim=2,pairs=4,seed=3)", "pairs": 3, "grid_points_checked": 1006,
+             "violations": 0, "witness": None},
+        ],
+        "violations": 0,
+        "passed": True,
+    }
 
 
 # --- m-connectedness -------------------------------------------------------
