@@ -149,6 +149,12 @@ def _maybe_svg(args, s: Space, build) -> None:
     _atomic_write(args.svg, build().render())
 
 
+def _check_trials(trials: int) -> None:
+    """A trial count below 1 runs no trial, so a suite would pass vacuously."""
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+
 def _ends(args, s: Space, cloud: PointCloud | None) -> tuple[np.ndarray, np.ndarray]:
     """The --from and --to points; `from` is a keyword, hence the getattr."""
     return _point(getattr(args, "from"), s, cloud), _point(args.to, s, cloud)
@@ -309,6 +315,7 @@ def cmd_sun(args) -> tuple[dict, int]:
         _maybe_svg(args, s, scene)
     else:
         trials = args.trials if args.trials is not None else 100
+        _check_trials(trials)
         rng = np.random.default_rng(args.seed)
         lo = cloud.points.min(axis=0) - 1.0
         hi = cloud.points.max(axis=0) + 1.0
@@ -344,6 +351,7 @@ def cmd_embed(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    _check_trials(args.trials)
     result = run_verify(trials=args.trials, seed=args.seed)
     return result, EXIT_OK if result["passed"] else EXIT_FALSIFIED
 

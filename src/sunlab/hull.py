@@ -58,7 +58,7 @@ class SlabPolytope:
 
     def contains_many(self, points: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
         vals = np.asarray(points, dtype=float) @ self.space.representatives.T
-        return _in_slabs(vals, self.lo, self.hi, tol)
+        return _in_slabs(np.ascontiguousarray(vals.T), self.lo, self.hi, tol)
 
     def to_json(self) -> dict:
         return {
@@ -81,10 +81,29 @@ def interval_contains(p: SlabPolytope, z, tol: float = SLAB_TOL) -> bool:
     return p.contains(z, tol=tol)
 
 
-def _in_slabs(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
-    """Slab membership on representative values: whether each row of vals
-    satisfies lo - tol <= vals <= hi + tol in every slab."""
-    return ((vals >= lo - tol) & (vals <= hi + tol)).all(axis=-1)
+def _in_slabs(columns, lo, hi, tol: float = SLAB_TOL) -> np.ndarray:
+    """Slab membership on representative values, functional-major: columns
+    holds p equal-shape arrays, the values of functional i at every point,
+    and lo and hi hold p bounds each, scalars or arrays that broadcast
+    against a column. A point is inside when lo_i - tol <= c_i <= hi_i + tol
+    for every i; the result has the shape of one column.
+
+    The test runs one functional at a time and ANDs into one mask, as
+    space._max_abs does for norms: reducing a short trailing axis of p
+    values is the slowest way to reduce in numpy, and elementwise
+    comparisons over long contiguous columns are not. Callers with many
+    points therefore pass a contiguous (p, m) block; a single point passes
+    its p values as scalars. Comparisons and & are exact and lo_i - tol is
+    formed as in the row-wise formula, so the mask equals
+    ((vals >= lo - tol) & (vals <= hi + tol)).all(axis=-1) bit for bit."""
+    it = zip(columns, lo, hi)
+    c, a, b = next(it)
+    inside = c >= a - tol
+    inside &= c <= b + tol
+    for c, a, b in it:
+        inside &= c >= a - tol
+        inside &= c <= b + tol
+    return inside
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,19 +256,20 @@ def hull_interval_gap(
     grid = _grid_points(axes)
     reps = s.representatives
     vals = grid @ reps.T
-    in_box = _in_slabs(vals, box.lo, box.hi)
-    in_hull = _in_slabs(vals, approx.lo, approx.hi)
-
-    # Distance reference: interval grid points plus a dense segment sample,
-    # so thin intervals that miss every grid node still have a target.
-    ts = np.linspace(0.0, 1.0, 257)[:, None]
-    segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
-    reference = np.vstack([vals[in_box], segment @ reps.T])
+    cols = np.ascontiguousarray(vals.T)
+    in_box = _in_slabs(cols, box.lo, box.hi)
+    in_hull = _in_slabs(cols, approx.lo, approx.hi)
 
     sliver = in_hull & ~in_box
     gap = 0.0
     witness = None
     if sliver.any():
+        # Distance reference: interval grid points plus a dense segment
+        # sample, so thin intervals that miss every grid node still have a
+        # target.
+        ts = np.linspace(0.0, 1.0, 257)[:, None]
+        segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
+        reference = np.vstack([vals[in_box], segment @ reps.T])
         best, _ = _nearest(vals[sliver], reference)
         k = int(np.argmax(best))
         gap = float(best[k])
@@ -278,7 +298,7 @@ class MeiReport:
     resolution: int
     max_gap: float
     mean_gap: float
-    worst: GapReport | None
+    worst: GapReport
     violations: list
     passed: bool
 
@@ -295,6 +315,8 @@ def mei_check(
     the sampled hull (never expected) or when the gap exceeds twice the grid
     step of that trial.
     """
+    if trials < 1:
+        raise ValueError(f"mei_check needs at least 1 trial, got {trials}")
     rng = np.random.default_rng(seed)
     res = _GRID_DEFAULT.get(s.dim)
     if res is None:
@@ -311,15 +333,14 @@ def mei_check(
         elif rep.gap > 2.0 * rep.step:
             violations.append({"trial": t, "kind": "gap", "gap": rep.gap, "witness": rep.witness})
     gaps = [r.gap for r in reports]
-    worst = reports[int(np.argmax(gaps))] if reports else None
     return MeiReport(
         trials=trials,
         seed=seed,
         n_balls=n_balls,
         resolution=res,
-        max_gap=float(max(gaps)) if gaps else 0.0,
-        mean_gap=float(np.mean(gaps)) if gaps else 0.0,
-        worst=worst,
+        max_gap=float(max(gaps)),
+        mean_gap=float(np.mean(gaps)),
+        worst=reports[int(np.argmax(gaps))],
         violations=violations,
         passed=not violations,
     )

@@ -139,6 +139,8 @@ def between_equiv_check(
     on both sides of its decision boundary.
     """
     check_weights(s, w)
+    if trials < 1:
+        raise ValueError(f"between_equiv_check needs at least 1 trial, got {trials}")
     rng = np.random.default_rng(seed)
     n, reps, alphas = s.dim, s.representatives, w.alphas
 
@@ -166,13 +168,13 @@ def between_equiv_check(
         spread = np.max(np.abs((X[m2] - Y[m2]) @ reps.T), axis=1, keepdims=True)
         half = 0.5 * spread * unit_ball_extents(s)
         cand = mid[:, None] + rng.uniform(-1.0, 1.0, size=(m2.size, 24, n)) * half[:, None]
-        vals = cand @ reps.T
-        hits = _in_slabs(vals, lo[m2, None], hi[m2, None], 0.0)
+        cols = np.moveaxis(cand @ reps.T, -1, 0)
+        hits = _in_slabs(cols, lo[m2].T[:, :, None], hi[m2].T[:, :, None], 0.0)
         picked = cand[np.arange(m2.size), hits.argmax(axis=1)]
         Z[m2] = np.where(hits.any(axis=1)[:, None], picked, mid)
 
     VZ = Z @ reps.T
-    in_a = _in_slabs(VZ, lo, hi)
+    in_a = _in_slabs(VZ.T, lo.T, hi.T)
     defect_b = np.abs(VX - VZ) + np.abs(VZ - VY) - np.abs(VX - VY)
     in_b = np.max(defect_b, axis=1) <= tol
     defect_c = defect_b @ alphas

@@ -87,10 +87,10 @@ def hull_inclusion_suite(spaces: list[Space], pairs: int, seed: int) -> dict:
             box = interval(s, x, y)
             approx = ball_hull_outer(s, x, y, n_balls=128, seed=seed + 7919 * t)
             grid = _grid_points(_grid_axes(s, x, y, res))
-            vals = grid @ s.representatives.T
-            inside = _in_slabs(vals, box.lo, box.hi)
+            cols = np.ascontiguousarray((grid @ s.representatives.T).T)
+            inside = _in_slabs(cols, box.lo, box.hi)
             checked += int(inside.sum())
-            bad = inside & ~_in_slabs(vals, approx.lo, approx.hi)
+            bad = inside & ~_in_slabs(cols, approx.lo, approx.hi)
             if bad.any():
                 violations += int(bad.sum())
                 if witness is None:

@@ -679,6 +679,19 @@ def test_cloud_of_another_dimension_is_named(capsys, cloud_file, argv):
     assert err == "sunlab: error: cloud dimension 3 does not match space dimension 2\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "sun"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_is_named(capsys, cloud_file, command, trials):
+    """verify --trials 0 ran no equivalence trial and passed; a negative
+    count failed with numpy's message, which does not name the flag."""
+    argv = [command, "--trials", trials]
+    if command == "sun":
+        argv += ["--space", "linf2", "--cloud", cloud_file(TWO_POINTS)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"sunlab: error: --trials must be at least 1, got {trials}\n"
+
+
 def test_empty_json_cloud_reports_empty_cloud(capsys, cloud_file):
     code, _, err = _run(
         capsys,

@@ -208,6 +208,12 @@ def test_mei_check_dim1_exact():
     assert rep.max_gap == 0.0
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_mei_check_needs_a_trial(trials):
+    """Zero trials passed with no worst pair."""
+    with pytest.raises(ValueError, match=f"at least 1 trial, got {trials}$"):
+        mei_check(LINF2, trials=trials, seed=0, n_balls=10)
+
 def test_mei_check_reports_are_pinned():
     """The slab tests on the gap grid must leave these aggregates exact:
     five-ball hulls, which leave a sliver in l1(2) and linf(3) and none in

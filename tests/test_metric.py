@@ -113,6 +113,12 @@ def test_between_equiv_no_disagreements():
         assert rep.counts["disagreements"] == 0, rep.disagreements[:3]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_between_equiv_needs_a_trial(trials):
+    """Zero trials passed with no triple checked, and so did run_verify."""
+    with pytest.raises(ValueError, match=f"at least 1 trial, got {trials}$"):
+        between_equiv_check(LINF2, geometric_weights(LINF2), trials=trials, seed=0)
+
 def test_between_equiv_degenerate_pair():
     """With x = y all three betweenness readings collapse to z = x."""
     from sunlab import interval, interval_contains

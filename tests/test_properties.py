@@ -12,7 +12,8 @@ Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
 the brute force needs no tolerance. Some properties use random floats
 instead: `norms` and the nearest-point kernel must equal the plain
-max-over-an-axis formulas bit for bit, and the hop graph and the
+max-over-an-axis formulas bit for bit, the slab kernel the row-wise
+formula on faces and one ulp outside them, and the hop graph and the
 nearest-neighbour scale the dense matrix's. The pair-scan properties also
 run in random spaces, whose values are inexact; there the pair-by-pair
 scan applies the kernel's own inequality to the same floats.
@@ -24,6 +25,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 from scipy.sparse import csr_matrix
 
 from sunlab import (
@@ -46,7 +48,7 @@ from sunlab import (
 )
 from sunlab import approx, hull, metric
 from sunlab.approx import _nearest
-from sunlab.hull import _slab_witnesses
+from sunlab.hull import _in_slabs, _slab_witnesses
 from sunlab.metric import _assoc_dist_matrix, _hop_csr
 from sunlab.space import _first_rows
 from sunlab.verify import max_nn_distance
@@ -164,6 +166,51 @@ def test_norms_equals_the_max_abs_formula(s, data):
     want = np.max(np.abs(pts @ s.representatives.T), axis=1)
     got = norms(s, pts)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def slab_cases(draw):
+    """Values and bounds for the slab kernel in one of its three layouts: a
+    vector, an (m, p) block, or (k, 24, p) values against (k, 1, p) bounds.
+    Bounds are dyadic. Each value is a face lo - tol or hi + tol exactly,
+    the midpoint, a dyadic draw, or one ulp outside a face."""
+    p = draw(st.integers(1, 8))
+    tol = draw(st.sampled_from([0.0, hull.SLAB_TOL]))
+    layout = draw(st.sampled_from(["vector", "block", "batched"]))
+    if layout == "vector":
+        shape, bounds = (p,), (p,)
+    elif layout == "block":
+        shape, bounds = (draw(st.integers(1, 40)), p), (p,)
+    else:
+        k = draw(st.integers(1, 3))
+        shape, bounds = (k, 24, p), (k, 1, p)
+    a, b = (draw(npst.arrays(float, bounds, elements=st.integers(-16, 16))) / 8.0 for _ in "ab")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    below, above = lo - tol, hi + tol
+    dyadic = draw(npst.arrays(float, shape, elements=st.integers(-24, 24))) / 8.0
+    picks = [below, above, 0.5 * (lo + hi), dyadic]
+    picks += [np.nextafter(below, -np.inf), np.nextafter(above, np.inf)]
+    choice = draw(npst.arrays(np.int64, shape, elements=st.integers(0, len(picks) - 1)))
+    vals = np.choose(choice, [np.broadcast_to(v, shape) for v in picks])
+    return layout, vals, lo, hi, tol
+
+
+@PROPERTY
+@given(slab_cases())
+def test_in_slabs_equals_the_trailing_axis_formula(case):
+    """The functional-major kernel against the row-wise formula it
+    replaced, bit for bit, on faces and one ulp outside them."""
+    layout, vals, lo, hi, tol = case
+    want = ((vals >= lo - tol) & (vals <= hi + tol)).all(axis=-1)
+    if layout == "vector":
+        got = _in_slabs(vals, lo, hi, tol)
+    elif layout == "block":
+        got = _in_slabs(np.ascontiguousarray(vals.T), lo, hi, tol)
+    else:
+        got = _in_slabs(*(np.moveaxis(v, -1, 0) for v in (vals, lo, hi)), tol)
+    got = np.asarray(got)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY
