@@ -288,6 +288,77 @@ def test_sun_and_project_reports_are_pinned(tmp_path, monkeypatch):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+def test_sun_reports_are_pinned(tmp_path, monkeypatch):
+    """The ray test must leave these reports byte-identical: strict trials
+    on the slanted segment, default and strict trials on a 24-point circle
+    in linf2 and strict trials on it in l1(2) (all with falsifications), a
+    query that holds, one with no candidate, a strict query with five tied
+    nearest points on a flat segment, a strict query whose second tied
+    candidate fails, and the figures of one query run and one trials run."""
+    monkeypatch.chdir(tmp_path)
+    t = np.linspace(0.0, 1.0, 11)
+    a = np.arange(24) * (np.pi / 12)
+    flat = [[i / 8, 0.0] for i in range(9)]
+    clouds = {
+        "segment": np.column_stack([t, 0.3 * t]).tolist(),
+        "circle": (np.round(np.column_stack([np.cos(a), np.sin(a)]) * 64) / 64).tolist(),
+        "flat": flat,
+        "bump": flat + [[0.5, 0.75]],
+    }
+    for name, pts in clouds.items():
+        Path(f"{name}.json").write_text(json.dumps({"points": pts}))
+    runs = [
+        (
+            ["--space", "linf2", "--cloud", "segment.json", "--trials", "50", "--seed", "3",
+             "--strict"],
+            2, 11632, "da09b6b9c8d020614c62260b1e65bdcb0c584089592417dee50191b38f98c284",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "circle.json", "--trials", "30", "--seed", "4",
+             "--svg", "trials.svg"],
+            2, 13308, "f9f9d766727b61add99544a58d2d08ca7be4dccbdefec814b17adb3d8b1eb0b2",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "circle.json", "--trials", "30", "--seed", "4",
+             "--strict"],
+            2, 9596, "53f9d1687ddcf958be3774999a3843e41b55b82b37b2a5a36bfb4793ea3dd428",
+        ),
+        (
+            ["--space", "l1(2)", "--cloud", "circle.json", "--trials", "20", "--seed", "2",
+             "--strict"],
+            2, 5687, "20cec2e95bfeab516019126ed6764525dd0bdb01ac96420674a90f4eb369eb0f",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "segment.json", "--query", "0.5,5", "--svg",
+             "query.svg"],
+            0, 438, "b2590c8920496c0b44c8f1f7fe180809abf7862139a5bcae17a5e8c5abe23dbd",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "segment.json", "--query", "0.45,0.1"],
+            2, 1025, "e569e3992c0319d9e8c3828784c464f5cb8136a4b7f4ad3136e27c2ef690ceb4",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "flat.json", "--query", "0.5625,0.25", "--strict"],
+            0, 404, "df21362d4665db5473754e9c63987e6e59f4d82a70fbbf6652f0fc4f004f93e4",
+        ),
+        (
+            ["--space", "linf2", "--cloud", "bump.json", "--query", "0.625,0.125", "--strict"],
+            2, 853, "7dbab0556b3bc651acbfacfa23ab3acd83864ec15964ac01404f906a79c85ac4",
+        ),
+    ]
+    for argv, code, size, digest in runs:
+        assert main(["sun", *argv, "--out", "report.json"]) == code
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    figures = {
+        "trials.svg": (3486, "369ba494d08d1f250f073f81c6d0011e09b0fe2b6bdb1f0498bc886cfe956413"),
+        "query.svg": (1166, "04beb2a1b972bae892c8303a200eb5325ffcab6c50835e0dc869afbc1a595a8d"),
+    }
+    for name, pin in figures.items():
+        data = Path(name).read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == pin
+
+
 def test_mconnect_reports_are_pinned(tmp_path, monkeypatch):
     """The pair scan must leave these reports byte-identical: a connected
     9 x 9 grid in linf(2), the same grid in l1(2) with a gap in row 0, two
