@@ -4,6 +4,9 @@ A cloud point y nearest to x is a luminosity point when it stays nearest to
 every point of the outward ray (1 - lambda) y + lambda x. The checks here
 are falsification-only: a pass verdict certifies the grid that was sampled,
 never the full ray.
+One kernel, _ray_report, gives every grid verdict. One loop over a query's
+nearest points, _candidate_reports, runs it for find_luminosity and both
+modes of is_sun_sampled; sun_check runs it on one checked pair.
 """
 
 from __future__ import annotations
@@ -114,6 +117,29 @@ class SunReport:
         }
 
 
+def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> SunReport:
+    """The ray kernel: the grid verdict for candidate vy of query vx, given
+    the cloud's functional values vals = cloud.points @ reps.T. Callers
+    check the grid and that vy is a nearest point."""
+    lams = np.linspace(0.0, float(lambda_max), int(grid))
+    ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
+    best, arg = _nearest(ray @ s.representatives.T, vals)
+    ok = norms(s, ray - vy) <= _tie_threshold(best, TIE_TOL)
+    falsifier = None
+    if not ok.all():
+        g = int(np.argmin(ok))
+        falsifier = {"lambda": float(lams[g]), "competitor": cloud.points[int(arg[g])].tolist()}
+    return SunReport(
+        x=vx.tolist(),
+        y=vy.tolist(),
+        lambda_max=float(lambda_max),
+        grid=int(grid),
+        verdict="holds-on-grid" if falsifier is None else "falsified",
+        falsifier=falsifier,
+        per_lambda=ok,
+    )
+
+
 def sun_check(
     s: Space,
     cloud: PointCloud,
@@ -138,36 +164,23 @@ def sun_check(
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"
         )
+    return _ray_report(s, cloud, cloud.points @ s.representatives.T, vx, vy, lambda_max, grid)
 
-    lams = np.linspace(0.0, float(lambda_max), int(grid))
-    ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
-    dist_to_y = norms(s, ray - vy)
-    best, arg = _nearest(ray @ s.representatives.T, cloud.points @ s.representatives.T)
 
-    ok = dist_to_y <= _tie_threshold(best, TIE_TOL)
-    if bool(ok.all()):
-        return SunReport(
-            x=vx.tolist(),
-            y=vy.tolist(),
-            lambda_max=float(lambda_max),
-            grid=int(grid),
-            verdict="holds-on-grid",
-            falsifier=None,
-            per_lambda=ok,
-        )
-    g = int(np.argmin(ok))
-    return SunReport(
-        x=vx.tolist(),
-        y=vy.tolist(),
-        lambda_max=float(lambda_max),
-        grid=int(grid),
-        verdict="falsified",
-        falsifier={
-            "lambda": float(lams[g]),
-            "competitor": cloud.points[int(arg[g])].tolist(),
-        },
-        per_lambda=ok,
-    )
+def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: bool) -> list:
+    """Project vx and compute the cloud's functional values once, then run
+    the ray kernel on each nearest point in index order, up to and including
+    the first report whose holds equals stop (True: a luminosity point was
+    found; False: a candidate was falsified)."""
+    pr = project(s, cloud, vx)
+    _check_ray_grid(lambda_max, grid)
+    vals = cloud.points @ s.representatives.T
+    reports = []
+    for idx in pr.indices:
+        reports.append(_ray_report(s, cloud, vals, vx, cloud.points[idx], lambda_max, grid))
+        if reports[-1].holds == stop:
+            break
+    return reports
 
 
 @dataclass(frozen=True)
@@ -199,14 +212,8 @@ def find_luminosity(
     vx = _check_vector(s, x)
     if cloud.index_of(vx) is not None:
         raise QueryInCloud("query already belongs to the cloud")
-    pr = project(s, cloud, vx)
-    reports = []
-    for idx in pr.indices:
-        rep = sun_check(s, cloud, vx, cloud.points[idx], lambda_max=lambda_max, grid=grid)
-        if rep.holds:
-            return rep
-        reports.append(rep)
-    return NoCandidate(falsifications=reports)
+    reports = _candidate_reports(s, cloud, vx, lambda_max, grid, stop=True)
+    return reports[-1] if reports[-1].holds else NoCandidate(falsifications=reports)
 
 
 @dataclass(frozen=True)
@@ -238,8 +245,8 @@ def is_sun_sampled(
     Default mode accepts a query when some nearest point passes; strict
     mode demands that every nearest point passes (the sampled analogue of
     requiring each best approximation to be a luminosity point). Queries
-    already in the cloud are vacuous and recorded as skipped; the grid
-    and lambda_max are checked even when every query is skipped.
+    already in the cloud are vacuous and recorded as skipped. When every
+    query is skipped, QueryInCloud is raised after the ray grid is checked.
     """
     _check_ray_grid(lambda_max, grid)
     cloud.require_dim(s.dim)
@@ -256,17 +263,12 @@ def is_sun_sampled(
         if cloud.index_of(q) is not None:
             skipped.append(qi)
             continue
-        if strict:
-            pr = project(s, cloud, q)
-            for idx in pr.indices:
-                rep = sun_check(s, cloud, q, cloud.points[idx], lambda_max=lambda_max, grid=grid)
-                if not rep.holds:
-                    failures.append({"query": qi, "report": rep.to_json()})
-                    break
-        else:
-            res = find_luminosity(s, cloud, q, lambda_max=lambda_max, grid=grid)
-            if not res.holds:
-                failures.append({"query": qi, "report": res.to_json()})
+        reports = _candidate_reports(s, cloud, q, lambda_max, grid, stop=not strict)
+        if not reports[-1].holds:
+            failed = reports[-1] if strict else NoCandidate(falsifications=reports)
+            failures.append({"query": qi, "report": failed.to_json()})
+    if len(skipped) == len(qs):
+        raise QueryInCloud("every query already belongs to the cloud; none is left to test")
     return SunSampleReport(
         queries=qs.shape[0],
         skipped=skipped,

@@ -21,7 +21,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, svg
-from .approx import NoCandidate, find_luminosity, is_sun_sampled, project
+from .approx import SunReport, find_luminosity, is_sun_sampled, project
 from .cloud import PointCloud, load_cloud
 from .embed import embed_cloud, make_embedding
 from .errors import DimensionMismatch, ParseError, SunlabError
@@ -51,6 +51,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
+
+
+class _Seed(argparse.Action):
+    """numpy's generators take no negative seed; name the flag instead."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values < 0:
+            raise ValueError(f"--seed must be nonnegative, got {values}")
+        setattr(namespace, self.dest, values)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -286,33 +295,7 @@ def cmd_sun(args) -> tuple[dict, int]:
         raise _UsageError("sunlab sun: error: give either --query or --trials, not both")
 
     if args.query is not None:
-        q = _point(args.query, s)
-        if args.strict:
-            rep = is_sun_sampled(
-                s, cloud, q.reshape(1, -1),
-                lambda_max=args.lambda_max, grid=args.grid, strict=True,
-            )
-            passed = rep.passed
-            ray_end = None
-        else:
-            rep = find_luminosity(s, cloud, q, lambda_max=args.lambda_max, grid=args.grid)
-            passed = rep.holds
-            ray_end = None
-            if not isinstance(rep, NoCandidate):
-                yv = np.asarray(rep.y)
-                ray_end = yv + args.lambda_max * (q - yv)
-
-        def scene():
-            sc = svg.Scene()
-            sc.add_points(cloud.points)
-            if ray_end is not None:
-                sc.add_path(np.array([rep.y, ray_end]), [svg.INTERVAL])
-                sc.add_points(np.asarray(rep.y).reshape(1, 2), color=svg.HULL, radius=4.0)
-            sc.add_points(q.reshape(1, 2), color=svg.ENDPOINT, radius=4.0)
-            sc.add_legend(["ray test " + ("holds" if passed else "falsified"), f"space {s.name}"])
-            return sc
-
-        _maybe_svg(args, s, scene)
+        queries = _point(args.query, s).reshape(1, -1)
     else:
         trials = args.trials if args.trials is not None else 100
         _check_trials(trials)
@@ -320,21 +303,31 @@ def cmd_sun(args) -> tuple[dict, int]:
         lo = cloud.points.min(axis=0) - 1.0
         hi = cloud.points.max(axis=0) + 1.0
         queries = rng.uniform(lo, hi, size=(trials, cloud.dim))
-        rep = is_sun_sampled(
-            s, cloud, queries,
-            lambda_max=args.lambda_max, grid=args.grid, strict=args.strict,
-        )
+    ray = {"lambda_max": args.lambda_max, "grid": args.grid}
+    if args.query is not None and not args.strict:
+        rep = find_luminosity(s, cloud, queries[0], **ray)
+        passed = rep.holds
+    else:
+        rep = is_sun_sampled(s, cloud, queries, strict=args.strict, **ray)
         passed = rep.passed
 
-        def scene():
-            sc = svg.Scene()
-            sc.add_points(cloud.points)
+    def scene():
+        sc = svg.Scene()
+        sc.add_points(cloud.points)
+        if isinstance(rep, SunReport):
+            # A luminosity point was found: draw its ray out to lambda_max.
+            y = np.asarray(rep.y)
+            sc.add_path(np.array([y, y + args.lambda_max * (queries[0] - y)]), [svg.INTERVAL])
+            sc.add_points(y.reshape(1, 2), color=svg.HULL, radius=4.0)
+        if args.query is not None:
+            sc.add_points(queries, color=svg.ENDPOINT, radius=4.0)
+            sc.add_legend(["ray test " + ("holds" if passed else "falsified"), f"space {s.name}"])
+        else:
             sc.add_points(queries, color=svg.ENDPOINT, radius=2.0)
-            sc.add_legend([f"{trials} queries, passed: {passed}", f"space {s.name}"])
-            return sc
+            sc.add_legend([f"{len(queries)} queries, passed: {passed}", f"space {s.name}"])
+        return sc
 
-        _maybe_svg(args, s, scene)
-
+    _maybe_svg(args, s, scene)
     return rep.to_json(), EXIT_OK if passed else EXIT_FALSIFIED
 
 
@@ -361,6 +354,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sunlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed_and_out(p):
+        p.add_argument("--seed", type=int, default=0, action=_Seed)
+        p.add_argument("--out", help="write the JSON report here instead of stdout")
+
     def common(p, cloud_required=True):
         p.add_argument("--space", required=True, help="builtin name (linf2, l1(3)) or JSON path")
         p.add_argument(
@@ -368,8 +365,7 @@ def _build_parser() -> _Parser:
             required=cloud_required,
             help="point cloud path (.json or .csv)",
         )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
+        seed_and_out(p)
         p.add_argument("--svg", help="write an SVG figure here (two-dimensional spaces only)")
 
     p = sub.add_parser("interval", help="slab representation of the interval of a pair")
@@ -427,8 +423,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the seeded invariant suites")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    seed_and_out(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -166,6 +166,18 @@ def test_sun_sampled_skips_member_queries():
     assert rep.passed
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_sun_sampled_rejects_queries_that_are_all_in_the_cloud(strict):
+    """A strict run whose only query was a cloud point passed with nothing
+    tested (default mode raised through find_luminosity); both modes raise
+    QueryInCloud when no query is left, and still test the rest otherwise."""
+    cloud = PointCloud([[0, 0], [0.5, 0], [1, 0]])
+    with pytest.raises(QueryInCloud, match="^every query already belongs to the cloud"):
+        is_sun_sampled(LINF2, cloud, [[0.5, 0.0], [1.0, 0.0]], strict=strict)
+    rep = is_sun_sampled(LINF2, cloud, [[0.5, 0.0], [0.5, 2.0]], strict=strict)
+    assert (rep.skipped, rep.passed) == ([0], True)
+
+
 @pytest.mark.parametrize("bad", [{"grid": 0}, {"lambda_max": -5}])
 def test_sun_sampled_checks_the_ray_when_every_query_is_skipped(bad):
     cloud = PointCloud([[0, 0], [0, 2]])

@@ -14,6 +14,7 @@ from sunlab.space import space_to_json
 
 COLLINEAR3 = {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
 TWO_POINTS = {"points": [[0.0, 0.0], [2.0, 0.0]]}
+FOUR_POINTS = {"points": [[0, 0], [1, 0], [0, 1], [5, 5]]}
 
 
 @pytest.fixture
@@ -714,6 +715,9 @@ PATH_0_2 = ["path", "--from", "0", "--to", "2"]
         pytest.param(CLOUD_3D, SUN_QUERY, id="sun-query-cloud-dim"),
         pytest.param(CLOUD_3D, [*SUN_QUERY, "--strict"], id="sun-strict-cloud-dim"),
         pytest.param(CLOUD_3D, ["sun", "--trials", "3"], id="sun-trials-cloud-dim"),
+        pytest.param(
+            COLLINEAR3, ["sun", "--query", "1,0", "--strict"], id="sun-strict-query-in-cloud"
+        ),
     ],
 )
 def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
@@ -761,6 +765,31 @@ def test_trials_below_one_is_named(capsys, cloud_file, command, trials):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == f"sunlab: error: --trials must be at least 1, got {trials}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mconnect", "--hull", "oracle", "--balls", "50", "--seed", "-5"],
+        ["mconnect", "--hull", "oracle", "--balls", "50", "--seed", "-2"],
+        ["verify", "--seed", "-1"],
+        ["hull", "--from", "0,0", "--to", "1,0.5", "--seed", "-1"],
+        ["sun", "--trials", "3", "--seed=-1"],
+        ["project", "--query", "2,2", "--seed", "-1"],
+    ],
+    ids=lambda argv: "-".join([argv[0], argv[-1].rpartition("=")[2]]),
+)
+def test_negative_seed_is_named(capsys, cloud_file, argv):
+    """--seed -5 failed with numpy's "expected non-negative integer", which
+    does not name the flag, and mconnect --seed -2 gave a verdict; every
+    subcommand now rejects a negative seed when it parses it."""
+    command, *rest = argv
+    if command != "verify":
+        rest += ["--space", "linf2", "--cloud", cloud_file(FOUR_POINTS)]
+    code, out, err = _run(capsys, [command, *rest])
+    assert (code, out) == (1, "")
+    seed = argv[-1].rpartition("=")[2]
+    assert err == f"sunlab: error: --seed must be nonnegative, got {seed}\n"
 
 
 def test_empty_json_cloud_reports_empty_cloud(capsys, cloud_file):

@@ -3,8 +3,9 @@ refinement against a brute-force triple loop, m_connected's blocked pair
 scan against a pair-by-pair scan, the nearest-point kernel behind the sun
 ray scan and the hull gap against a brute-force scan, the invariants of
 monotone paths on epsilon-nets, the sparse hop graph and the
-nearest-neighbour scale against the dense distance matrix, the symmetries
-of project, contraction under a partial embedding, the three-way
+nearest-neighbour scale against the dense distance matrix, the sun test's
+candidate loop against sun_check on one nearest point at a time, the
+symmetries of project, contraction under a partial embedding, the three-way
 betweenness equivalence, and the duplicate-row kernel against a byte-keyed
 dict.
 
@@ -23,12 +24,13 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 from scipy.sparse import csr_matrix
 
 from sunlab import (
+    NoCandidate,
     PathNotFound,
     PointCloud,
     ball_hull_outer,
@@ -36,7 +38,9 @@ from sunlab import (
     betweenness_graph,
     builtin,
     embed_cloud,
+    find_luminosity,
     geometric_weights,
+    is_sun_sampled,
     m_connected,
     make_embedding,
     monotone_path,
@@ -44,6 +48,7 @@ from sunlab import (
     norms,
     project,
     random_space,
+    sun_check,
     uniform_weights,
 )
 from sunlab import approx, hull, metric
@@ -452,6 +457,85 @@ def test_max_nn_distance_is_the_dense_formula(case, patches):
     with _window_patch(patches):
         got = max_nn_distance(s, w, cloud)
     assert np.float64(got).tobytes() == dist.min(axis=1).max().tobytes()
+
+
+@st.composite
+def sun_cases(draw):
+    """A builtin or random 2-d or 3-d space, a dyadic cloud (with tied
+    nearest points) or a random one, and one to four queries, dyadic at
+    half the cloud's step or random, at least one of them off the cloud."""
+    s = draw(st.sampled_from(SPACES + RANDOM_SPACES[:2]))
+    count = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        coords = st.tuples(*[st.integers(-2, 2)] * s.dim)
+        rows = draw(st.lists(coords, min_size=count, max_size=count, unique=True))
+        pts = np.asarray(rows, dtype=float) / 4.0
+        coords = st.tuples(*[st.integers(-5, 5)] * s.dim)
+        queries = np.asarray(draw(st.lists(coords, min_size=1, max_size=4)), dtype=float) / 8
+    else:
+        pts = _random_rows(draw, count, s.dim)
+        assume(len(np.unique(pts, axis=0)) == count)
+        queries = _random_rows(draw, draw(st.integers(1, 4)), s.dim)
+    cloud = PointCloud(pts)
+    assume(any(cloud.index_of(q) is None for q in queries))
+    ray = {
+        "lambda_max": draw(st.sampled_from([1.0, 4.0, 16.0])),
+        "grid": draw(st.sampled_from([2, 9, 64])),
+    }
+    return s, cloud, queries, ray
+
+
+def _reference_reports(s, cloud, x, ray, stop):
+    """sun_check on each nearest point of x in index order, up to and
+    including the first report whose holds equals stop."""
+    reports = []
+    for idx in project(s, cloud, x).indices:
+        reports.append(sun_check(s, cloud, x, cloud.points[idx], **ray))
+        if reports[-1].holds == stop:
+            break
+    return reports
+
+
+def _assert_same_reports(got, want):
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [r.per_lambda.tobytes() for r in got] == [r.per_lambda.tobytes() for r in want]
+
+
+# Two tied nearest points whose verdicts differ, so that the last candidate
+# decides: [False, True] for the first query, [True, False] for the second.
+BUMP = PointCloud([[i / 8, 0.0] for i in range(9)] + [[0.5, 0.75]])
+BUMP_QUERIES = np.array([[0.1875, 0.125], [0.8125, 0.125]])
+
+
+@PROPERTY
+@given(sun_cases())
+@example((LINF2, BUMP, BUMP_QUERIES, {"lambda_max": 4.0, "grid": 64}))
+def test_candidate_loop_is_sun_check_one_candidate_at_a_time(case):
+    """find_luminosity and both modes of is_sun_sampled against a loop of
+    sun_check calls: whole reports, falsifiers and per-lambda verdicts.
+    Random draws rarely make the last of several candidates decide; the
+    explicit example does, in both modes."""
+    s, cloud, queries, ray = case
+    skipped, failures = [], {False: [], True: []}
+    for qi, q in enumerate(queries):
+        if cloud.index_of(q) is not None:
+            skipped.append(qi)
+            continue
+        want = _reference_reports(s, cloud, q, ray, stop=True)
+        got = find_luminosity(s, cloud, q, **ray)
+        if want[-1].holds:
+            _assert_same_reports([got], want[-1:])
+        else:
+            assert isinstance(got, NoCandidate)
+            _assert_same_reports(got.falsifications, want)
+            failures[False].append({"query": qi, "report": NoCandidate(want).to_json()})
+        strict = _reference_reports(s, cloud, q, ray, stop=False)
+        if not strict[-1].holds:
+            failures[True].append({"query": qi, "report": strict[-1].to_json()})
+    for mode in (False, True):
+        rep = is_sun_sampled(s, cloud, queries, strict=mode, **ray)
+        want = (skipped, failures[mode], not failures[mode])
+        assert (rep.skipped, rep.failures, rep.passed) == want
 
 
 def _dyadic_vector(dim):
