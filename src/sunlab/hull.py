@@ -12,6 +12,7 @@ keeps membership queries cheap no matter how many balls were drawn.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +150,11 @@ def ball_hull_outer(
     uniformly from the coordinate box of half-width `4 * ||x - y||` around
     the midpoint. Each ball gets the smallest admissible radius
     max(||c - x||, ||c - y||).
+
+    Every ball is a slab polytope over the representatives that contains x
+    and y, so it contains their interval, and so does the intersection: lo
+    and hi never lie inside the interval bounds by more than rounding.
+    m_connected's oracle relies on this (see _hull_slack).
     """
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
@@ -371,6 +377,55 @@ def _rep_values(s: Space, cloud: PointCloud) -> np.ndarray:
     return cloud.points @ s.representatives.T
 
 
+def _hull_slack(top: float, l1: float, dim: int) -> float:
+    """How far the float bounds of ball_hull_outer(s, x, y), for any two
+    rows x, y of a cloud and any seed and ball count, can lie inside the
+    interval bounds min(vals[i], vals[j]) and max(vals[i], vals[j]) that
+    m_connected's scan uses (vals = cloud.points @ reps.T). top is the
+    cloud's largest |coordinate| X, l1 the largest l1-norm L of a
+    representative, dim the dimension n; u = 2**-53.
+
+    Take lo for a functional f (hi is symmetric). Let c be a centre, c' =
+    fl(f(c)) its value from the product centers @ reps.T, x' = fl(f(x))
+    from reps @ x, and r >= fl(|c' - x'|) its radius. Exactly, f(c) - r
+    <= f(x) for each ball; in floats fl(|c' - x'|) >= |c' - x'| (1 - u), so
+    c' - r <= x' + u |c' - x'| and lo = max fl(c' - r) <= x' + u (|c' - x'|
+    + |c' - r|), and the same for y. Additions and subtractions are exact
+    in the subnormal range, so this holds there too.
+
+    x' and vals[i] are two dot products of f and x whose summation order
+    BLAS picks (a matrix-vector and a matrix-matrix product); each lies
+    within gamma_n L X of f(x), gamma_n = n u / (1 - n u), so they differ
+    by at most 2 gamma_n L X, plus n 2**-1074 for products that underflow.
+
+    The centres are x, y, the midpoint, all within X per coordinate, and
+    points of the box of half-width 4 ||x - y|| <= 8 (1 + gamma_n) L X
+    around the midpoint, so |c_k| <= C = (1 + 8L) X up to factors 1 + O(u).
+    Then |c' - x'| <= L (C + X) and |c' - r| <= L (2C + X), whose sum is
+    L X (5 + 24L). Together lo - min(vals[i], vals[j]) <= u L X (5 + 24L +
+    2n), up to factors 1 + O(n u); the slack is twice that.
+
+    Every magnitude ball_hull_outer forms is at most L X (3 + 16L) up to
+    the same factors, below scale = L X (5 + 24L + 2n). When 2 scale
+    overflows, so may the hull's own arithmetic, and the slack is inf: the
+    oracle then certifies nothing and samples every pair."""
+    scale = top * l1 * (5.0 + 24.0 * l1 + 2.0 * dim)
+    if not math.isfinite(2.0 * scale):
+        return math.inf
+    return 2.0**-52 * scale + dim * 2.0**-1073
+
+
+def _certified_tol(s: Space, cloud: PointCloud, tol: float) -> float:
+    """The tolerance t of the oracle's interval scan: tol - _hull_slack for
+    the cloud, rounded down so that tol - t >= slack exactly. Then lo - tol
+    <= min - t for every sampled hull, and rounding is monotone, so a point
+    the scan accepts, fl(min - t) <= v <= fl(max + t), also passes the
+    hull's test fl(lo - tol) <= v <= fl(hi + tol)."""
+    l1 = float(np.abs(s.representatives).sum(axis=1).max())
+    slack = _hull_slack(float(np.abs(cloud.points).max()), l1, s.dim)
+    return math.nextafter(tol - slack, -math.inf)
+
+
 def _slab_witnesses(vals, lo, hi, ends, tol) -> np.ndarray:
     """For each box k, the lowest-index row of vals (the cloud's m x p
     representative values), other than the two rows ends[k], with
@@ -444,16 +499,22 @@ def m_connected(
     of 1, 2, 4, ... rows up to _SCAN_BUDGET row x point x neighbour
     entries, so a gap in row 0 costs one row. A block computes its rows'
     sup distances once and keeps the pairs farther apart than the
-    exemption limit. For the interval, each row's nearest other points are
-    tried as witnesses first, and only the pairs they miss go to the
-    kernel, in one call per block. The oracle samples the hull of (i, j)
-    with seed + i*m + j, one pair at a time, and none after the first gap.
-    The report is the one a pair-by-pair scan gives.
+    exemption limit. Each row's nearest other points are tried as
+    witnesses first, and only the pairs they miss go to the kernel, in one
+    call per block. The oracle runs the same interval scan at
+    _certified_tol, tol minus _hull_slack: every sampled ball contains the
+    interval, so a witness there is a witness of the sampled hull at tol.
+    It samples the hull of (i, j) with seed + i*m + j only for pairs
+    without a certified interval witness, one pair at a time in row-major
+    order, and none after the first gap. The report is the one a
+    pair-by-pair scan gives.
     """
     cloud.require_nonempty()
     cloud.require_unique()
     if hull not in ("interval", "oracle"):
         raise ValueError("hull must be 'interval' or 'oracle'")
+    if hull == "oracle" and n_balls < 3:
+        raise ValueError("n_balls must be at least 3 (the deterministic seeds)")
     if adjacency_eps is not None:
         _check_slack("adjacency_eps", adjacency_eps)
     m = len(cloud)
@@ -471,21 +532,22 @@ def m_connected(
     if m == 2:
         return MConnectReport(False, (0, 1), eps, 1, 0, hull)
 
+    scan_tol = tol if hull == "interval" else _certified_tol(s, cloud, tol)
+
     def first_gap(ends, dist, far, start, stop):
         """Index in ends of the block's first pair without a witness, or -1."""
-        if hull == "oracle":
-            for g, (i, j) in enumerate(ends.tolist()):
-                x, y = cloud.points[i], cloud.points[j]
-                box = ball_hull_outer(s, x, y, n_balls, seed + i * m + j)
-                if _slab_witnesses(vals, box.lo[None], box.hi[None], ends[g : g + 1], tol)[0] < 0:
-                    return g
-            return -1
         near = np.argpartition(dist, k - 1, axis=1)[:, :k].T
-        miss = np.flatnonzero(~_near_hits(cols, near, start, stop, tol)[far])
+        miss = np.flatnonzero(~_near_hits(cols, near, start, stop, scan_tol)[far])
         pairs = ends[miss]
-        found = _slab_witnesses(vals, vals[pairs].min(1), vals[pairs].max(1), pairs, tol)
-        gaps = miss[found < 0]
-        return int(gaps[0]) if gaps.size else -1
+        found = _slab_witnesses(vals, vals[pairs].min(1), vals[pairs].max(1), pairs, scan_tol)
+        for g in miss[found < 0].tolist():
+            if hull == "interval":
+                return g
+            i, j = ends[g].tolist()
+            box = ball_hull_outer(s, cloud.points[i], cloud.points[j], n_balls, seed + i * m + j)
+            if _slab_witnesses(vals, box.lo[None], box.hi[None], ends[g : g + 1], tol)[0] < 0:
+                return g
+        return -1
 
     checked = 0
     limit = _tie_threshold(eps, tol)

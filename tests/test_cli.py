@@ -671,6 +671,7 @@ RAGGED_CLOUD = {"points": [[1, 0], [1]]}
 INF_WEIGHTS = {"alphas": [float("inf"), 1]}
 GAPPED_CLOUD = {"points": [[0, 0], [5, 0], [9, 3]]}
 CLOUD_3D = {"points": [[0, 0, 0], [1, 1, 1]]}
+TRIANGLE = {"points": [[0, 0], [1, 0], [0, 1]]}
 PATH_0_2 = ["path", "--from", "0", "--to", "2"]
 
 
@@ -689,6 +690,9 @@ PATH_0_2 = ["path", "--from", "0", "--to", "2"]
         pytest.param(NAN_CLOUD, ["project", "--query", "0.5,0.5"], id="project-nan-cloud"),
         pytest.param(COLLINEAR3, ["project", "--query", "nan,0"], id="project-nan-query"),
         pytest.param(HUGE_CLOUD, ["mconnect"], id="mconnect-overflow"),
+        pytest.param(
+            TRIANGLE, ["mconnect", "--hull", "oracle", "--balls", "2"], id="mconnect-oracle-balls-2"
+        ),
         pytest.param(HUGE_CLOUD, ["path", "--from", "0", "--to", "1"], id="path-overflow"),
         pytest.param(TWO_POINTS, ["mconnect", "--space", NAN_SPACE], id="space-nan"),
         pytest.param(

@@ -12,6 +12,7 @@ from sunlab import (
     interval,
     interval_contains,
     m_connected,
+    make_space,
     mei_check,
     random_space,
     slab_vertices_2d,
@@ -360,6 +361,68 @@ def test_mconnected_oracle_hull_agrees_on_hand_cases():
     assert m_connected(LINF2, cloud, hull="oracle", n_balls=200).connected
     two = PointCloud([[0, 0], [1, 1]])
     assert not m_connected(LINF2, two, hull="oracle", n_balls=200).connected
+
+
+# The norm is that of linf(2), but (1/2, 1/2) is not an extreme functional:
+# the ball hull of (0, 1) and (1, 0) is the unit square, while their
+# interval is the segment on which (1/2, 1/2) equals 1/2.
+NON_EXTREME = make_space(np.array([[1, 0], [0, 1], [0.5, 0.5], [-1, 0], [0, -1], [-0.5, -0.5]]))
+
+
+def _sampled_pairs(s, cloud, **kwargs):
+    """The oracle report and the pairs whose ball hull it sampled."""
+    pairs = []
+    sample = hull.ball_hull_outer
+
+    def counted(s, x, y, *args):
+        pairs.append((x.tolist(), y.tolist()))
+        return sample(s, x, y, *args)
+
+    with mock.patch.object(hull, "ball_hull_outer", counted):
+        return m_connected(s, cloud, hull="oracle", **kwargs).to_json(), pairs
+
+
+def _oracle_report(witness, eps, checked, exempt):
+    return {
+        "m_connected": witness is None,
+        "witness": witness,
+        "adjacency_eps": eps,
+        "pairs_checked": checked,
+        "pairs_exempt": exempt,
+        "hull": "oracle",
+    }
+
+
+def test_mconnected_oracle_samples_only_pairs_without_an_interval_witness():
+    """Every sampled ball contains the interval, so an interval witness
+    settles a pair; the reports are those of sampling every far pair."""
+    ticks = np.arange(5) / 8.0
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    rep, pairs = _sampled_pairs(LINF2, PointCloud(grid))
+    assert rep == _oracle_report(None, 0.125, 228, 72)
+    assert pairs == []
+
+    y = np.arange(6) / 32.0
+    sheets = np.vstack([np.column_stack([np.full(6, x), y]) for x in (0.0, 0.25)])
+    rep, pairs = _sampled_pairs(LINF2, PointCloud(sheets))
+    assert rep == _oracle_report([0, 6], 0.03125, 5, 1)
+    assert pairs == [([0.0, 0.0], [0.25, 0.0])]
+
+    cloud = PointCloud([[0, 1], [1, 0], [1, 1]])
+    rep, pairs = _sampled_pairs(NON_EXTREME, cloud, adjacency_eps=0)
+    assert rep == _oracle_report([0, 2], 0.0, 2, 0)
+    assert pairs == [([0.0, 1.0], [1.0, 0.0]), ([0.0, 1.0], [1.0, 1.0])]
+    assert m_connected(NON_EXTREME, cloud, adjacency_eps=0).witness == (0, 1)
+
+
+@pytest.mark.parametrize("points", [[[0, 0], [1, 0], [0, 1]], [[0, 0], [1, 0], [2, 0]]])
+def test_mconnected_oracle_checks_n_balls_before_the_scan(points):
+    """Every pair of the triangle is exempt and every pair of the line has
+    an interval witness, so the oracle would sample no hull."""
+    cloud = PointCloud(points)
+    with pytest.raises(ValueError, match="n_balls must be at least 3"):
+        m_connected(LINF2, cloud, hull="oracle", n_balls=2)
+    assert m_connected(LINF2, cloud, n_balls=2).connected
 
 
 def test_mconnected_interval_implies_oracle():

@@ -1,6 +1,7 @@
 """Property tests: the betweenness kernel behind m_connected and path
 refinement against a brute-force triple loop, m_connected's blocked pair
-scan against a pair-by-pair scan, the nearest-point kernel behind the sun
+scan against a pair-by-pair scan, the oracle's interval certificate against
+the sampled hulls it stands in for, the nearest-point kernel behind the sun
 ray scan and the hull gap against a brute-force scan, the invariants of
 monotone paths on epsilon-nets, the sparse hop graph and the
 nearest-neighbour scale against the dense distance matrix, the sun test's
@@ -14,8 +15,9 @@ functional value and every distance is exact in binary floating point and
 the brute force needs no tolerance. Some properties use random floats
 instead: `norms` and the nearest-point kernel must equal the plain
 max-over-an-axis formulas bit for bit, the slab kernel the row-wise
-formula on faces and one ulp outside them, and the hop graph and the
-nearest-neighbour scale the dense matrix's. The pair-scan properties also
+formula on faces and one ulp outside them, the hop graph and the
+nearest-neighbour scale the dense matrix's, and the certificate must hold
+on clouds scaled from 2**-30 to 2**40. The pair-scan properties also
 run in random spaces, whose values are inexact; there the pair-by-pair
 scan applies the kernel's own inequality to the same floats.
 """
@@ -43,6 +45,7 @@ from sunlab import (
     is_sun_sampled,
     m_connected,
     make_embedding,
+    make_space,
     monotone_path,
     norm,
     norms,
@@ -317,10 +320,13 @@ def test_mconnected_scan_is_the_pair_by_pair_scan(case, adjacency_eps, patches):
 
 
 @settings(max_examples=25, deadline=None)
-@given(scan_clouds(), st.integers(0, 2**16), SCAN_PATCHES)
-def test_mconnected_oracle_scan_is_the_pair_by_pair_scan(case, seed, patches):
-    """The hull of pair (i, j) is sampled with seed + i*m + j."""
+@given(scan_clouds(), st.integers(0, 2**16), SCAN_PATCHES, st.one_of(st.just(0), st.integers(1, 40)))
+def test_mconnected_oracle_scan_is_the_pair_by_pair_scan(case, seed, patches, k):
+    """The hull of pair (i, j) is sampled with seed + i*m + j. Clouds scaled
+    by 2**k keep their values exact; from k of about 12 the certificate's
+    rounding slack exceeds the tolerance, so it certifies at a negative one."""
     s, cloud = case
+    cloud = PointCloud(cloud.points * 2.0**k)
     m = len(cloud)
 
     def sampled(vals, i, j):
@@ -332,6 +338,57 @@ def test_mconnected_oracle_scan_is_the_pair_by_pair_scan(case, seed, patches):
         rep = m_connected(s, cloud, hull="oracle", n_balls=12, seed=seed)
     assert rep.witness == witness
     assert (rep.pairs_checked, rep.pairs_exempt) == (checked, exempt)
+
+
+# The norm of linf(2) with a functional, (1/2, 1/2), that is not extreme:
+# its intervals are smaller than its ball hulls.
+NON_EXTREME = make_space(np.array([[1, 0], [0, 1], [0.5, 0.5], [-1, 0], [0, -1], [-0.5, -0.5]]))
+
+
+@st.composite
+def certificate_clouds(draw):
+    """Random floats, or rows that share a few random values per axis so
+    that points lie on faces of intervals, scaled by 2**-30 to 2**40."""
+    s = draw(st.sampled_from(SPACES + RANDOM_SPACES + [NON_EXTREME]))
+    m = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        rows = _random_rows(draw, m, s.dim)
+    else:
+        ticks = _random_rows(draw, 3, s.dim)
+        pick = draw(st.lists(st.tuples(*[st.integers(0, 2)] * s.dim), min_size=m, max_size=m))
+        rows = ticks[np.asarray(pick), np.arange(s.dim)]
+    rows = np.unique(rows, axis=0)
+    assume(len(rows) >= 3)
+    return s, PointCloud(rows * 2.0 ** draw(st.integers(-30, 40)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificate_clouds(), st.sampled_from([0.0, hull.SLAB_TOL]), st.integers(0, 2**16))
+def test_certified_interval_witnesses_lie_in_the_sampled_hulls(case, tol, seed):
+    """Every point that the oracle's scan takes as an interval witness at
+    tol minus the slack passes the sampled hull's own test at tol, for few
+    and many balls. The bounds of each hull lie inside the interval bounds
+    by at most half the slack, and the two dot products of a point, reps @ x
+    and its row of cloud.points @ reps.T, differ by at most half the part
+    of the slack that grows with the dimension."""
+    s, cloud = case
+    reps, m = s.representatives, len(cloud)
+    vals = cloud.points @ reps.T
+    cols = np.ascontiguousarray(vals.T)
+    top, l1 = float(np.abs(cloud.points).max()), float(np.abs(reps).sum(axis=1).max())
+    slack = hull._hull_slack(top, l1, s.dim)
+    dots = slack - hull._hull_slack(top, l1, 0)
+    cert_tol = hull._certified_tol(s, cloud, tol)
+    for i, j in _pairs(m):
+        lo, hi = np.minimum(vals[i], vals[j]), np.maximum(vals[i], vals[j])
+        certified = _in_slabs(cols, lo, hi, cert_tol)
+        certified[[i, j]] = False
+        for row in (i, j):
+            assert 2.0 * np.abs(reps @ cloud.points[row] - vals[row]).max() <= dots
+        for n_balls in (3, 12, 2000):
+            box = ball_hull_outer(s, cloud.points[i], cloud.points[j], n_balls, seed + i * m + j)
+            assert 2.0 * max((box.lo - lo).max(), (hi - box.hi).max()) <= slack
+            assert _in_slabs(cols, box.lo, box.hi, tol)[certified].all()
 
 
 @st.composite
