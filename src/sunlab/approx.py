@@ -6,11 +6,19 @@ are falsification-only: a pass verdict certifies the grid that was sampled,
 never the full ray.
 One kernel, _ray_report, gives every grid verdict. One loop over a query's
 nearest points, _candidate_reports, runs it for find_luminosity and both
-modes of is_sun_sampled; sun_check runs it on one checked pair.
+modes of is_sun_sampled; sun_check runs it on one checked pair. The loop
+first tries a certificate, _ray_certificate, which costs O(m p) per
+candidate: a candidate it passes stays nearest on the whole ray, up to a
+rounding slack (_ray_slack) under which the grid cannot falsify it, so it
+skips the grid and gets the report the grid gives ("holds-on-grid", every
+grid point passing). The grid runs on every other candidate, so each
+falsification, its lambda and its competitor are the grid's.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -117,6 +125,18 @@ class SunReport:
         }
 
 
+def _sun_report(vx, vy, lambda_max, grid, ok, falsifier=None) -> SunReport:
+    return SunReport(
+        x=vx.tolist(),
+        y=vy.tolist(),
+        lambda_max=float(lambda_max),
+        grid=int(grid),
+        verdict="holds-on-grid" if falsifier is None else "falsified",
+        falsifier=falsifier,
+        per_lambda=ok,
+    )
+
+
 def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> SunReport:
     """The ray kernel: the grid verdict for candidate vy of query vx, given
     the cloud's functional values vals = cloud.points @ reps.T. Callers
@@ -129,15 +149,80 @@ def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> 
     if not ok.all():
         g = int(np.argmin(ok))
         falsifier = {"lambda": float(lams[g]), "competitor": cloud.points[int(arg[g])].tolist()}
-    return SunReport(
-        x=vx.tolist(),
-        y=vy.tolist(),
-        lambda_max=float(lambda_max),
-        grid=int(grid),
-        verdict="holds-on-grid" if falsifier is None else "falsified",
-        falsifier=falsifier,
-        per_lambda=ok,
-    )
+    return _sun_report(vx, vy, lambda_max, grid, ok, falsifier)
+
+
+def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[float, float]:
+    """The active-set margin and the slack of _ray_certificate. top is the
+    largest |coordinate| X of the cloud and the query, l1 the largest
+    l1-norm L of a representative, dim the dimension n, lambda_max the
+    grid's end; u = 2**-53 and eta = 2**-1074, the least subnormal.
+
+    Exactly, with b = F(x - y), d = max |b_i| and z = y + lam (x - y), every
+    i and every |s| <= 1 give ||z - u|| >= s f_i(z - u) = s (f_i(y) -
+    f_i(u)) + lam s b_i, and ||z - y|| = lam d, so
+
+        ||z - u|| - ||z - y|| >= s (f_i(y) - f_i(u)) - lam (d - s b_i).
+
+    The certificate takes s = sgn(b_i') for the computed b' and the i whose
+    |b_i'| lies within the margin of d' = max |b_i'|. Each b_i' is a dot
+    product of a representative with fl(x - y), |x_k - y_k| <= 2X, so it
+    lies within 2 (n + 1) u L X of b_i (gamma_n = n u / (1 - n u) for the
+    sum, u for the difference), plus n eta for products that underflow; E =
+    2**-51 (n + 1) L X + n eta is twice that, and s b_i >= |b_i'| - E. Likewise each value
+    vals[u, i] = fl(f_i(u)) of the product cloud.points @ reps.T lies within
+    gamma_n L X of f_i(u), so the certificate's fl(vals[y, i] - vals[u, i])
+    lies within E of f_i(y) - f_i(u). The margin is 2E, so every i with
+    |b_i| = d exactly is active, and for an active i, d - s b_i <= (d' -
+    |b_i'|) + 2E <= 5E, counting E for the rounding of d' - margin. Then
+    for lam <= lambda_max and every u, with G' the computed minimum over u
+    of the maximum over the active i,
+
+        ||z - u|| - ||z - y|| >= G' - E - 5 lambda_max E.
+
+    The grid does not see z but z' = fl(y + fl(lam fl(x - y))), whose
+    coordinates lie within u X (1 + 6 lambda_max) of z's, so ||z' - z|| <=
+    u L X (1 + 6 lambda_max), counted once for y and once for u. Its
+    distance to u, the maximum over i of |fl(fl(f_i(z')) - vals[u, i])|,
+    lies within (n + 1) u L (Z + X) of ||z' - u||, |z'_k| <= Z = X (1 +
+    2 lambda_max); its distance to y, from norms(ray - vy), lies within
+    (n + 1) u L W of ||z' - y||, W = 2 lambda_max X. Doubling these
+    first-order terms covers the factors 1 + O(n u), and the sum,
+
+        E (1 + 5 lambda_max) + 2**-51 L X (1 + 6 lambda_max)
+            + 2**-51 (n + 1) L X (1 + 2 lambda_max),
+
+    is at most the slack 2**-51 L X (n + 2) (2 + 7 lambda_max), plus (n +
+    L) (1 + lambda_max) 2**-1071 for underflow. So when G' >= slack -
+    TIE_TOL, every computed distance from a grid point to y exceeds the
+    computed distance to any cloud point by at most TIE_TOL, which the
+    grid's tie threshold forgives, and every grid point passes.
+
+    Every magnitude the grid and the certificate form is at most L X (2 +
+    2 lambda_max) up to the same factors, below scale = L X (n + 2) (2 +
+    7 lambda_max). When 2 scale overflows, so may the grid's arithmetic,
+    and the slack is inf: the loop then certifies nothing and runs the grid
+    on every candidate."""
+    scale = top * l1 * (dim + 2.0) * (2.0 + 7.0 * lambda_max)
+    if not math.isfinite(2.0 * scale):
+        return math.inf, math.inf
+    margin = 2.0 * (2.0**-51 * (dim + 1.0) * l1 * top + dim * 2.0**-1074)
+    return margin, 2.0**-51 * scale + (dim + l1) * (1.0 + lambda_max) * 2.0**-1071
+
+
+def _ray_certificate(reps: np.ndarray, cols: np.ndarray, idx: int, vx, vy, margin: float) -> float:
+    """min over the cloud points u of g(u) = max over the active i of
+    sgn(b_i) (f_i(y) - f_i(u)), for the candidate vy = cloud row idx of
+    query vx, with b = reps @ (vx - vy) and cols the cloud's (p, m)
+    functional values. i is active when |b_i| is within margin of max |b|.
+    Exactly, g(u) is the limit of ||z - u|| - ||z - y|| along the ray
+    z = y + lam (x - y), which never increases, so a minimum >= 0 means y
+    stays nearest on the whole ray (_ray_slack bounds the rounding)."""
+    b = reps @ (vx - vy)
+    a = np.abs(b)
+    active = np.flatnonzero(a >= a.max() - margin).tolist()
+    g = functools.reduce(np.maximum, (np.sign(b[i]) * (cols[i, idx] - cols[i]) for i in active))
+    return float(g.min())
 
 
 def sun_check(
@@ -167,17 +252,36 @@ def sun_check(
     return _ray_report(s, cloud, cloud.points @ s.representatives.T, vx, vy, lambda_max, grid)
 
 
+def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[float, float]:
+    """The active-set margin of _ray_certificate for query vx, and the
+    least certificate that passes a candidate: slack - TIE_TOL, rounded up."""
+    top = max(float(np.abs(cloud.points).max()), float(np.abs(vx).max()))
+    l1 = float(np.abs(s.representatives).sum(axis=1).max())
+    margin, slack = _ray_slack(top, l1, s.dim, float(lambda_max))
+    return margin, math.nextafter(slack - TIE_TOL, math.inf)
+
+
 def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: bool) -> list:
-    """Project vx and compute the cloud's functional values once, then run
-    the ray kernel on each nearest point in index order, up to and including
-    the first report whose holds equals stop (True: a luminosity point was
-    found; False: a candidate was falsified)."""
+    """Project vx and compute the cloud's functional values once, then test
+    each nearest point in index order, up to and including the first report
+    whose holds equals stop (True: a luminosity point was found; False: a
+    candidate was falsified). A candidate whose certificate clears
+    slack - TIE_TOL cannot be falsified by the grid and gets the grid's
+    passing report without it; the ray kernel tests the others."""
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
-    vals = cloud.points @ s.representatives.T
+    reps = s.representatives
+    vals = cloud.points @ reps.T
+    margin, floor = _certificate_floor(s, cloud, vx, lambda_max)
+    # g(y) = 0 for the candidate itself, so a floor above 0 certifies nothing.
+    cols = np.ascontiguousarray(vals.T) if floor <= 0.0 else None
     reports = []
     for idx in pr.indices:
-        reports.append(_ray_report(s, cloud, vals, vx, cloud.points[idx], lambda_max, grid))
+        vy = cloud.points[idx]
+        if cols is not None and _ray_certificate(reps, cols, idx, vx, vy, margin) >= floor:
+            reports.append(_sun_report(vx, vy, lambda_max, grid, np.ones(int(grid), dtype=bool)))
+        else:
+            reports.append(_ray_report(s, cloud, vals, vx, vy, lambda_max, grid))
         if reports[-1].holds == stop:
             break
     return reports
@@ -247,6 +351,8 @@ def is_sun_sampled(
     requiring each best approximation to be a luminosity point). Queries
     already in the cloud are vacuous and recorded as skipped. When every
     query is skipped, QueryInCloud is raised after the ray grid is checked.
+    A nearest point whose certificate shows that it stays nearest on the
+    whole ray skips the grid; its report is the one the grid gives.
     """
     _check_ray_grid(lambda_max, grid)
     cloud.require_dim(s.dim)

@@ -520,15 +520,23 @@ def m_connected(
     m = len(cloud)
     if m == 1:
         return MConnectReport(True, None, 0.0, 0, 0, hull)
-    vals = _rep_values(s, cloud)
-    cols = np.ascontiguousarray(vals.T)
     k = min(_neighbour_count(s.dim), m - 1)
     width = max(1, _SCAN_BUDGET // (m * k))
-    if adjacency_eps is None:
-        blocks = range(0, m - 1, width)
-        eps = min(float(_sup_rows(cols, a, min(a + width, m - 1)).min()) for a in blocks)
-    else:
-        eps = float(adjacency_eps)
+    # Overflow raises here instead of warning: inf values give NaN distances,
+    # and an inf or NaN eps exempts every pair, so the cloud would pass
+    # unchecked.
+    with np.errstate(over="ignore"):
+        vals = _rep_values(s, cloud)
+        if not np.isfinite(vals).all():
+            raise ValueError("the cloud's functional values overflow")
+        cols = np.ascontiguousarray(vals.T)
+        if adjacency_eps is None:
+            blocks = range(0, m - 1, width)
+            eps = min(float(_sup_rows(cols, a, min(a + width, m - 1)).min()) for a in blocks)
+        else:
+            eps = float(adjacency_eps)
+    if not math.isfinite(eps):
+        raise ValueError("the cloud's least sup distance overflows")
     if m == 2:
         return MConnectReport(False, (0, 1), eps, 1, 0, hull)
 

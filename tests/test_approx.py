@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from sunlab import (
     project,
     sun_check,
 )
+from sunlab import approx
 
 LINF2 = builtin("linf", 2)
 
@@ -221,6 +224,94 @@ def test_sun_sampled_two_point_diagonal_report():
     assert isinstance(rep.failures, list)
     for f in rep.failures:
         assert "query" in f
+
+
+# --- the certificate in front of the ray grid ----------------------------------
+
+
+def _grid_reference(cloud, q, ray, stop):
+    """sun_check, the grid on one candidate, on each nearest point of q in
+    index order, up to and including the first report whose holds is stop."""
+    reports = []
+    for idx in project(LINF2, cloud, q).indices:
+        reports.append(sun_check(LINF2, cloud, q, cloud.points[idx], **ray))
+        if reports[-1].holds == stop:
+            break
+    return reports
+
+
+SEGMENT_16 = PointCloud([[t / 16, 0.0] for t in range(33)])
+BUMP = PointCloud([[i / 8, 0.0] for i in range(9)] + [[0.5, 0.75]])
+CIRCLE_64 = PointCloud(
+    np.stack([np.cos(np.arange(64) * np.pi / 32), np.sin(np.arange(64) * np.pi / 32)], axis=1)
+)
+DEFAULT_RAY = {"lambda_max": 16.0, "grid": 256}
+BUMP_RAY = {"lambda_max": 4.0, "grid": 64}
+
+
+@pytest.mark.parametrize(
+    "cloud, q, ray, stop, reports, calls",
+    [
+        # 13 points of the axis segment tie at distance 3/8 below and above.
+        (SEGMENT_16, [1.0, 0.375], DEFAULT_RAY, True, 1, 0),
+        (SEGMENT_16, [1.0, 0.375], DEFAULT_RAY, False, 13, 0),
+        (SEGMENT_16, [0.5, -0.375], DEFAULT_RAY, False, 13, 0),
+        # (0.125, 0) is falsified by the bump at lambda 3.05; (0.25, 0)
+        # holds on the grid, but the bump overtakes it past lambda_max.
+        (BUMP, [0.1875, 0.125], BUMP_RAY, False, 1, 1),
+        (BUMP, [0.1875, 0.125], BUMP_RAY, True, 2, 2),
+        (BUMP, [0.8125, 0.125], BUMP_RAY, False, 2, 2),
+        (CIRCLE_64, [0.1, 0.2], DEFAULT_RAY, True, 1, 1),
+    ],
+    ids=["segment-first", "segment-all", "segment-below", "bump-falsified",
+         "bump-first-pass", "bump-last-falsified", "circle"],
+)
+def test_only_uncertified_candidates_run_the_grid(cloud, q, ray, stop, reports, calls):
+    """The candidate loop runs the ray kernel only on candidates whose
+    certificate fails, and its reports, per-lambda verdicts included, are
+    the grid's."""
+    with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
+        got = approx._candidate_reports(LINF2, cloud, np.asarray(q), stop=stop, **ray)
+    want = _grid_reference(cloud, q, ray, stop)
+    assert (len(got), spy.call_count) == (reports, calls)
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [r.per_lambda.tobytes() for r in got] == [r.per_lambda.tobytes() for r in want]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_tied_segment_query_runs_no_grid_in_either_mode(strict):
+    q = [[1.0, 0.375]]
+    with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
+        rep = is_sun_sampled(LINF2, SEGMENT_16, q, strict=strict)
+    assert (spy.call_count, rep.passed, rep.failures) == (0, True, [])
+
+
+def test_float_limit_query_runs_the_grid():
+    """At 1.7e308 the slack is inf, so the grid runs, and its overflowing
+    scan falsifies the query where it always has."""
+    cloud = PointCloud(np.array([[0, 0], [0.5, 0], [1, 0]]) * 1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
+            out = find_luminosity(builtin("l1", 2), cloud, [0.5e308, 1.2e308])
+    assert spy.call_count == 1
+    assert out.to_json()["falsifications"] == [
+        {
+            "x": [5e307, 1.2e308],
+            "y": [8.5e307, 0.0],
+            "lambda_max": 16.0,
+            "grid": 256,
+            "verdict": "falsified",
+            "falsifier": {"lambda": 5.145098039215686, "competitor": [0.0, 0.0]},
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "top, lambda_max", [(1e308, 1.0), (1e300, 1e10), (1.0, 1e308)], ids=["top", "product", "lambda"]
+)
+def test_ray_slack_is_inf_where_the_ray_can_overflow(top, lambda_max):
+    assert approx._ray_slack(top, 2.0, 2, lambda_max) == (np.inf, np.inf)
+    assert all(np.isfinite(approx._ray_slack(1.0, 2.0, 2, 16.0)))
 
 
 CLOUD_3D = PointCloud([[0, 0, 0], [1, 1, 1]])

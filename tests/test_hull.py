@@ -290,6 +290,26 @@ def test_mconnected_rejects_duplicates():
         m_connected(LINF2, PointCloud([[0, 0], [0, 0], [1, 0]]))
 
 
+_HUGE_AXIS = np.arange(4) / 3 * 1.7e308
+
+
+@pytest.mark.parametrize("mode", ["interval", "oracle"])
+@pytest.mark.parametrize(
+    "space, points, match",
+    [
+        (L12, [[a, b] for a in _HUGE_AXIS for b in _HUGE_AXIS], "functional values overflow$"),
+        (LINF2, [[-1e308, 0.0], [1e308, 0.0]], "least sup distance overflows$"),
+    ],
+    ids=["values", "eps"],
+)
+def test_mconnected_rejects_overflow(mode, space, points, match):
+    """The l1(2) grid's values overflow to inf, which made every distance
+    NaN and eps NaN, so no pair was far and the grid passed with 0 pairs
+    checked; a finite cloud whose sup distances overflow had eps inf."""
+    with pytest.raises(ValueError, match=f"^the cloud's {match}"):
+        m_connected(space, PointCloud(points), hull=mode)
+
+
 def _two_sheets(q, values=(0.0, 0.5, 1.0)):
     rest = np.stack(np.meshgrid(*([np.array(values)] * (q - 1)), indexing="ij"), axis=-1)
     rest = rest.reshape(-1, q - 1)

@@ -16,10 +16,12 @@ the brute force needs no tolerance. Some properties use random floats
 instead: `norms` and the nearest-point kernel must equal the plain
 max-over-an-axis formulas bit for bit, the slab kernel the row-wise
 formula on faces and one ulp outside them, the hop graph and the
-nearest-neighbour scale the dense matrix's, and the certificate must hold
-on clouds scaled from 2**-30 to 2**40. The pair-scan properties also
-run in random spaces, whose values are inexact; there the pair-by-pair
-scan applies the kernel's own inequality to the same floats.
+nearest-neighbour scale the dense matrix's, the oracle's certificate must
+hold on clouds scaled from 2**-30 to 2**40, and a candidate the sun
+certificate passes must pass the grid at every scale and offset. The
+pair-scan properties also run in random spaces, whose values are inexact;
+there the pair-by-pair scan applies the kernel's own inequality to the
+same floats.
 """
 
 from contextlib import contextmanager
@@ -520,7 +522,11 @@ def test_max_nn_distance_is_the_dense_formula(case, patches):
 def sun_cases(draw):
     """A builtin or random 2-d or 3-d space, a dyadic cloud (with tied
     nearest points) or a random one, and one to four queries, dyadic at
-    half the cloud's step or random, at least one of them off the cloud."""
+    half the cloud's step or random, at least one of them off the cloud.
+    A dyadic query may move by one ulp along an axis, which flips ties
+    |b_i| = max |b| in the certificate's active set. Cloud and queries are
+    scaled by 1, 1e9 or 2**-30 to 2**40; from about 2**12 up, the
+    certificate's slack passes the tie tolerance and the grid must run."""
     s = draw(st.sampled_from(SPACES + RANDOM_SPACES[:2]))
     count = draw(st.integers(1, 10))
     if draw(st.booleans()):
@@ -529,10 +535,17 @@ def sun_cases(draw):
         pts = np.asarray(rows, dtype=float) / 4.0
         coords = st.tuples(*[st.integers(-5, 5)] * s.dim)
         queries = np.asarray(draw(st.lists(coords, min_size=1, max_size=4)), dtype=float) / 8
+        if draw(st.booleans()):
+            axis = draw(st.integers(0, s.dim - 1))
+            toward = draw(st.sampled_from([-np.inf, np.inf]))
+            queries[:, axis] = np.nextafter(queries[:, axis], toward)
     else:
         pts = _random_rows(draw, count, s.dim)
         assume(len(np.unique(pts, axis=0)) == count)
         queries = _random_rows(draw, draw(st.integers(1, 4)), s.dim)
+    scale = draw(st.one_of(st.just(1.0), st.just(1e9), st.integers(-30, 40).map(lambda k: 2.0**k)))
+    pts, queries = pts * scale, queries * scale
+    assume(len(np.unique(pts, axis=0)) == count)
     cloud = PointCloud(pts)
     assume(any(cloud.index_of(q) is None for q in queries))
     ray = {
@@ -564,15 +577,30 @@ BUMP = PointCloud([[i / 8, 0.0] for i in range(9)] + [[0.5, 0.75]])
 BUMP_QUERIES = np.array([[0.1875, 0.125], [0.8125, 0.125]])
 
 
+# Near the float limit project and the ray scan overflow; the grid still
+# falsifies this query, at lambda 5.145..., with competitor (0, 0).
+FLOAT_LIMIT = PointCloud(np.array([[0, 0], [0.5, 0], [1, 0]]) * 1.7e308)
+FLOAT_LIMIT_QUERIES = np.array([[0.5e308, 1.2e308]])
+DEFAULT_RAY = {"lambda_max": 16.0, "grid": 256}
+
+
 @PROPERTY
 @given(sun_cases())
 @example((LINF2, BUMP, BUMP_QUERIES, {"lambda_max": 4.0, "grid": 64}))
+@example((L12, FLOAT_LIMIT, FLOAT_LIMIT_QUERIES, DEFAULT_RAY))
 def test_candidate_loop_is_sun_check_one_candidate_at_a_time(case):
     """find_luminosity and both modes of is_sun_sampled against a loop of
     sun_check calls: whole reports, falsifiers and per-lambda verdicts.
     Random draws rarely make the last of several candidates decide; the
-    explicit example does, in both modes."""
+    BUMP example does, in both modes. The float-limit example overflows,
+    in the reference as in the loop, so its warnings are silenced there."""
     s, cloud, queries, ray = case
+    overflow = {"over": "ignore", "invalid": "ignore"} if cloud is FLOAT_LIMIT else {}
+    with np.errstate(**overflow):
+        _check_candidate_loop(s, cloud, queries, ray)
+
+
+def _check_candidate_loop(s, cloud, queries, ray):
     skipped, failures = [], {False: [], True: []}
     for qi, q in enumerate(queries):
         if cloud.index_of(q) is not None:
@@ -593,6 +621,41 @@ def test_candidate_loop_is_sun_check_one_candidate_at_a_time(case):
         rep = is_sun_sampled(s, cloud, queries, strict=mode, **ray)
         want = (skipped, failures[mode], not failures[mode])
         assert (rep.skipped, rep.failures, rep.passed) == want
+
+
+@st.composite
+def certificate_cases(draw):
+    """A sun case with a random lambda_max and grid, in place or moved by
+    up to 4 * 2**35 along each axis, so that near a small cloud the grid's
+    rounding reaches the tie tolerance."""
+    s, cloud, queries, _ = draw(sun_cases())
+    shift = np.asarray(draw(st.tuples(*[st.integers(-4, 4)] * s.dim)), dtype=float)
+    shift *= draw(st.one_of(st.just(0.0), st.integers(0, 35).map(lambda k: 2.0**k)))
+    ray = {"lambda_max": draw(st.floats(0.25, 64.0)), "grid": draw(st.integers(2, 300))}
+    return s, PointCloud(cloud.points + shift), queries + shift, ray
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+@example((LINF2, PointCloud([[0, 0], [0, -1]]), np.array([[0, -0.4]]), {"lambda_max": 4.0, "grid": 64}))
+@example((L12, PointCloud([[24 * 2.0**30, 0]]), np.array([[24 * 2.0**30, 0.125]]), DEFAULT_RAY))
+def test_certified_candidates_hold_on_the_grid(case):
+    """Every nearest point the certificate passes also passes sun_check's
+    grid, at every scale and offset. In the first example the ray from
+    (0, 0) runs down into (0, -1), which only the sign of b sees. In the
+    second the grid's rounding falsifies even a one-point cloud, so only
+    the slack keeps the certificate from passing it."""
+    s, cloud, queries, ray = case
+    reps = s.representatives
+    cols = np.ascontiguousarray((cloud.points @ reps.T).T)
+    for x in queries:
+        if cloud.index_of(x) is not None:
+            continue
+        margin, floor = approx._certificate_floor(s, cloud, x, ray["lambda_max"])
+        for idx in project(s, cloud, x).indices:
+            y = cloud.points[idx]
+            if approx._ray_certificate(reps, cols, idx, x, y, margin) >= floor:
+                assert sun_check(s, cloud, x, y, **ray).holds
 
 
 def _dyadic_vector(dim):
