@@ -73,7 +73,6 @@ class ProjectionResult:
     distance: float
     indices: np.ndarray
     points: np.ndarray
-    tie_tol: float
 
     def to_json(self) -> dict:
         return {
@@ -93,9 +92,7 @@ def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> Project
     dists = norms(s, cloud.points - vx)
     dmin = float(dists.min())
     idx = np.nonzero(dists <= _tie_threshold(dmin, tie_tol))[0]
-    return ProjectionResult(
-        distance=dmin, indices=idx, points=cloud.points[idx], tie_tol=tie_tol
-    )
+    return ProjectionResult(distance=dmin, indices=idx, points=cloud.points[idx])
 
 
 @dataclass(frozen=True, eq=False)

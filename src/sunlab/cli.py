@@ -21,18 +21,12 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, svg
-from .approx import SunReport, find_luminosity, is_sun_sampled, project
+from .approx import TIE_TOL, SunReport, find_luminosity, is_sun_sampled, project
 from .cloud import PointCloud, load_cloud
 from .embed import embed_cloud, make_embedding
 from .errors import DimensionMismatch, ParseError, SunlabError
 from .hull import ball_hull_outer, hull_interval_gap, interval, m_connected, slab_vertices_2d
-from .metric import (
-    PathNotFound,
-    geometric_weights,
-    monotone_path,
-    uniform_weights,
-    weights_from_json,
-)
+from .metric import BETWEEN_TOL, PathNotFound, monotone_path, weights_from_json
 from .space import Space, space_from_json, space_from_name
 from .verify import run_verify
 
@@ -94,10 +88,8 @@ def _load_space(text: str) -> Space:
 
 
 def _load_weights(s: Space, text: str):
-    if text == "geometric":
-        return geometric_weights(s)
-    if text == "uniform":
-        return uniform_weights(s)
+    if text in ("geometric", "uniform"):
+        return weights_from_json(s, {"scheme": text})
     with open(text) as fh:
         return weights_from_json(s, json.load(fh))
 
@@ -398,13 +390,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", required=True)
     p.add_argument("--eps", type=float, default=None, help="length slack (default relative)")
     p.add_argument("--hop", type=float, default=0.0, help="maximum edge length, 0 = unbounded")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=BETWEEN_TOL)
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("project", help="nearest points of a cloud to a query")
     common(p)
     p.add_argument("--query", required=True, help="query coordinates")
-    p.add_argument("--tol", type=float, default=1e-9, help="tie tolerance")
+    p.add_argument("--tol", type=float, default=TIE_TOL, help="tie tolerance")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("sun", help="outward-ray nearest-point test")

@@ -578,11 +578,12 @@ def m_connected(
     return MConnectReport(True, None, eps, checked, m * (m - 1) // 2 - checked, hull)
 
 
-def slab_vertices_2d(p: SlabPolytope, tol: float = 1e-9) -> np.ndarray:
+def slab_vertices_2d(p: SlabPolytope) -> np.ndarray:
     """Vertices of a 2d slab polytope, ordered counterclockwise.
 
-    Intersects all pairs of face lines and keeps feasible points; degenerate
-    polytopes come back as a segment (2 points), a point (1) or empty (0).
+    Intersects all pairs of face lines and keeps the points feasible up to
+    1e-9; degenerate polytopes come back as a segment (2 points), a point
+    (1) or empty (0).
     """
     if p.space.dim != 2:
         raise DimensionMismatch("vertex enumeration is implemented for dim 2 only")
@@ -601,7 +602,7 @@ def slab_vertices_2d(p: SlabPolytope, tol: float = 1e-9) -> np.ndarray:
                 (a1[0] * b2 - a2[0] * b1) / det,
             ]
         )
-        if p.contains(z, tol=tol):
+        if p.contains(z, tol=1e-9):
             pts.append(z)
     if not pts:
         return np.empty((0, 2))

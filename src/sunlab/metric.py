@@ -88,12 +88,6 @@ def associated_norm(s: Space, w: Weights, x) -> float:
     return float(np.abs(s.representatives @ _check_vector(s, x)) @ w.alphas)
 
 
-def associated_norms(s: Space, w: Weights, points: np.ndarray) -> np.ndarray:
-    check_weights(s, w)
-    pts = np.asarray(points, dtype=float)
-    return np.abs(pts @ s.representatives.T) @ w.alphas
-
-
 def betweenness_defect(s: Space, w: Weights, x, z, y) -> float:
     """|x-z| + |z-y| - |x-y|, always >= 0 up to rounding."""
     x = _check_vector(s, x)
@@ -106,9 +100,9 @@ def betweenness_defect(s: Space, w: Weights, x, z, y) -> float:
     )
 
 
-def is_between(s: Space, w: Weights, x, z, y, tol: float = BETWEEN_TOL) -> bool:
-    """Metric betweenness in the associated norm."""
-    return betweenness_defect(s, w, x, z, y) <= tol
+def is_between(s: Space, w: Weights, x, z, y) -> bool:
+    """Metric betweenness in the associated norm, up to BETWEEN_TOL."""
+    return betweenness_defect(s, w, x, z, y) <= BETWEEN_TOL
 
 
 @dataclass(frozen=True)
@@ -207,46 +201,10 @@ def between_equiv_check(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BetweennessGraph:
-    """Weighted graph on a cloud under the associated norm.
-
-    eps = 0 keeps the complete graph. eps > 0 drops every edge longer than
-    eps, which is the hop bound used for epsilon-net geodesics.
-    """
-
-    cloud: PointCloud
-    dist: np.ndarray
-    adjacency: np.ndarray
-    eps: float
-
-    @property
-    def n(self) -> int:
-        return len(self.cloud)
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        i, j = np.nonzero(np.triu(self.adjacency))
-        return [(int(a), int(b), float(self.dist[a, b])) for a, b in zip(i, j)]
-
-
 def _assoc_dist_matrix(s: Space, w: Weights, cloud: PointCloud) -> np.ndarray:
+    """Dense associated distances, the reference for _hop_csr and max_nn_distance."""
     vals = _rep_values(s, cloud)
     return np.array([np.abs(vals - v) @ w.alphas for v in vals])
-
-
-def betweenness_graph(s: Space, w: Weights, cloud: PointCloud, eps: float = 0.0) -> BetweennessGraph:
-    _check_slack("eps", eps)
-    check_weights(s, w)
-    cloud.require_nonempty()
-    cloud.require_unique()
-    dist = _assoc_dist_matrix(s, w, cloud)
-    if np.any((dist + np.eye(len(cloud))) <= 0.0):
-        raise DuplicatePoints("cloud has points at associated-norm distance 0")
-    adjacency = np.ones_like(dist, dtype=bool)
-    np.fill_diagonal(adjacency, False)
-    if eps > 0.0:
-        adjacency &= dist <= eps
-    return BetweennessGraph(cloud=cloud, dist=dist, adjacency=adjacency, eps=eps)
 
 
 # Point pairs per block of _sorted_windows (each holds p floats), and the
@@ -340,7 +298,6 @@ class MonotoneVerdict:
     functional: int
     nondecreasing: bool
     nonincreasing: bool
-    max_backstep: float
 
     @property
     def monotone(self) -> bool:
@@ -361,17 +318,14 @@ def _verdicts(s: Space, pts: np.ndarray, tol: float) -> list[MonotoneVerdict]:
     span = np.abs(vals[-1] - vals[0])
     scale = tol * (1.0 + span)
     diffs = np.diff(vals, axis=0) if vals.shape[0] > 1 else np.zeros((1, vals.shape[1]))
-    out = []
-    for j in range(s.n_pairs):
-        d = diffs[:, j]
-        nd = bool(np.all(d >= -scale[j]))
-        ni = bool(np.all(d <= scale[j]))
-        # Violation against the better-fitting direction.
-        worst = float(min(np.max(-d, initial=0.0), np.max(d, initial=0.0)))
-        out.append(
-            MonotoneVerdict(functional=j, nondecreasing=nd, nonincreasing=ni, max_backstep=worst)
+    return [
+        MonotoneVerdict(
+            functional=j,
+            nondecreasing=bool(np.all(diffs[:, j] >= -scale[j])),
+            nonincreasing=bool(np.all(diffs[:, j] <= scale[j])),
         )
-    return out
+        for j in range(s.n_pairs)
+    ]
 
 
 def check_monotone(s: Space, path, tol: float = BETWEEN_TOL) -> list[MonotoneVerdict]:
@@ -454,8 +408,9 @@ def monotone_path(
     _check_slack("tol", tol)
     check_weights(s, w)
     cloud.require_nonempty()
-    ix = cloud.index_of(x)
-    iy = cloud.index_of(y)
+    cloud.require_dim(s.dim)
+    ix = cloud.index_of(_check_vector(s, x))
+    iy = cloud.index_of(_check_vector(s, y))
     if ix is None or iy is None:
         raise EndpointNotInCloud("both path endpoints must belong to the cloud")
     if ix == iy:

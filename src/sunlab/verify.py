@@ -31,7 +31,7 @@ from .metric import (
     seq_convergence_check,
     uniform_weights,
 )
-from .space import Space, builtin, random_space
+from .space import Space, builtin, norm, random_space
 from .errors import DimensionMismatch
 
 
@@ -119,9 +119,7 @@ def _random_sequences(s: Space, count: int, length: int, rng: np.random.Generato
         convergent = k % 2 == 0
         if not convergent:
             v = rng.normal(size=s.dim)
-            from .space import norm as _norm
-
-            seq = seq + 3.0 * v / _norm(s, v)
+            seq = seq + 3.0 * v / norm(s, v)
         yield seq, limit, convergent
 
 
@@ -154,10 +152,10 @@ def convergence_suite(
     }
 
 
-def _box_net(step: float, lo=(0.0, 0.0), hi=(1.0, 1.0)) -> PointCloud:
-    xs = np.arange(lo[0], hi[0] + step / 2, step)
-    ys = np.arange(lo[1], hi[1] + step / 2, step)
-    g = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+def _box_net(step: float) -> PointCloud:
+    """The grid of spacing step on the unit square."""
+    axis = np.arange(0.0, 1.0 + step / 2, step)
+    g = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     return PointCloud(g)
 
 

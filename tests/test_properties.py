@@ -39,7 +39,6 @@ from sunlab import (
     PointCloud,
     ball_hull_outer,
     between_equiv_check,
-    betweenness_graph,
     builtin,
     embed_cloud,
     find_luminosity,
@@ -453,8 +452,8 @@ def hop_cases(draw):
         rows = np.asarray(draw(st.lists(coords, min_size=m, max_size=m)), dtype=float) / 8.0
     cloud = PointCloud(rows[np.sort(np.unique(rows, axis=0, return_index=True)[1])])
     w = draw(st.sampled_from([uniform_weights, geometric_weights]))(s)
-    # Rows a subnormal apart can still be at distance 0, which the dense
-    # graph refuses.
+    # Rows a subnormal apart can still be at distance 0, which monotone_path
+    # refuses and the dense reference cannot tell from a missing edge.
     assume(np.all(_assoc_dist_matrix(s, w, cloud) + np.eye(len(cloud)) > 0.0))
     return s, w, cloud
 
@@ -471,8 +470,9 @@ def _window_patch(patches):
 
 
 def _assert_hop_csr_is_dense(s, w, cloud, hop, patches):
-    dense = betweenness_graph(s, w, cloud, eps=hop)
-    want = csr_matrix(np.where(dense.adjacency, dense.dist, 0.0))
+    dist = _assoc_dist_matrix(s, w, cloud)
+    keep = ~np.eye(len(cloud), dtype=bool) & (dist <= hop if hop > 0 else True)
+    want = csr_matrix(np.where(keep, dist, 0.0))
     with _window_patch(patches):
         got = _hop_csr(cloud.points @ s.representatives.T, w.alphas, hop)
     for name in ("indptr", "indices", "data"):
@@ -486,7 +486,7 @@ def test_hop_csr_is_the_dense_graph_bit_for_bit(case, scale, patches, data):
     """hop is 0 (the complete graph) or a distance of the cloud, so edges of
     exactly length hop occur, or 1.5 times one."""
     s, w, cloud = case
-    dist = betweenness_graph(s, w, cloud).dist
+    dist = _assoc_dist_matrix(s, w, cloud)
     hop = scale * data.draw(st.sampled_from(sorted(set(dist.ravel()))))
     _assert_hop_csr_is_dense(s, w, cloud, hop, patches)
 
@@ -511,7 +511,7 @@ def test_hop_csr_is_exact_when_the_sort_key_is_constant(ys, hop, weights, patche
 @given(hop_cases(), WINDOW_PATCHES)
 def test_max_nn_distance_is_the_dense_formula(case, patches):
     s, w, cloud = case
-    dist = betweenness_graph(s, w, cloud).dist
+    dist = _assoc_dist_matrix(s, w, cloud)
     np.fill_diagonal(dist, np.inf)
     with _window_patch(patches):
         got = max_nn_distance(s, w, cloud)
