@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DimensionMismatch, NotANearestPoint, QueryInCloud
-from .space import Space, _check_slack, _check_vector, _max_abs, norms
+from .errors import NotANearestPoint, QueryInCloud
+from .space import Space, _check_points, _check_slack, _check_vector, _max_abs, norms
 
 TIE_TOL = 1e-9
 
@@ -353,13 +353,7 @@ def is_sun_sampled(
     """
     _check_ray_grid(lambda_max, grid)
     cloud.require_dim(s.dim)
-    qs = np.asarray(queries, dtype=float)
-    if qs.ndim != 2 or qs.shape[0] == 0:
-        raise ValueError("queries must be a nonempty (q, dim) array")
-    if qs.shape[1] != s.dim:
-        raise DimensionMismatch(
-            f"query dimension {qs.shape[1]} does not match space dimension {s.dim}"
-        )
+    qs = _check_points(s, queries, "query")
     skipped: list[int] = []
     failures: list[dict] = []
     for qi, q in enumerate(qs):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, svg
 from .approx import TIE_TOL, SunReport, find_luminosity, is_sun_sampled, project
-from .cloud import PointCloud, load_cloud
+from .cloud import PointCloud, _read_json, load_cloud
 from .embed import embed_cloud, make_embedding
 from .errors import DimensionMismatch, ParseError, SunlabError
 from .hull import ball_hull_outer, hull_interval_gap, interval, m_connected, slab_vertices_2d
@@ -73,12 +73,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _load_space(text: str) -> Space:
     if os.path.exists(text) or text.endswith(".json"):
-        with open(text) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{text}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        return space_from_json(data)
+        return space_from_json(_read_json(text))
     try:
         return space_from_name(text)
     except ValueError:
@@ -90,8 +85,7 @@ def _load_space(text: str) -> Space:
 def _load_weights(s: Space, text: str):
     if text in ("geometric", "uniform"):
         return weights_from_json(s, {"scheme": text})
-    with open(text) as fh:
-        return weights_from_json(s, json.load(fh))
+    return weights_from_json(s, _read_json(text))
 
 
 def _point(text: str, s: Space, cloud: PointCloud | None = None) -> np.ndarray:
@@ -328,7 +322,10 @@ def cmd_embed(args) -> tuple[dict, int]:
     cloud = load_cloud(args.cloud)
     indices = None
     if args.indices:
-        indices = [int(p) for p in re.split(r"[,\s]+", args.indices.strip()) if p]
+        try:
+            indices = [int(p) for p in re.split(r"[,\s]+", args.indices.strip()) if p]
+        except ValueError:
+            raise ParseError(f"--indices takes integers, got {args.indices!r}") from None
     e = make_embedding(s, indices)
     res = embed_cloud(e, cloud)
     result = {"embedding": e.to_json(), "target_dim": int(e.indices.size), **res.to_json()}
@@ -431,9 +428,6 @@ def main(argv=None) -> int:
             return _emit(args, *args.func(args))
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"sunlab: error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SunlabError, OSError, ValueError, FloatingPointError) as exc:
         print(f"sunlab: error: {exc}", file=sys.stderr)

@@ -81,18 +81,23 @@ def cloud_from_json(data) -> PointCloud:
     return PointCloud(pts)
 
 
+def _read_json(path: str):
+    """The parsed contents of a UTF-8 JSON input file (a cloud, space or
+    weights file). A syntax error names the file, line and column."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
+            ) from exc
+
+
 def load_cloud(path: str) -> PointCloud:
     """Read a cloud from a .json file ({"points": [[...], ...]}) or a CSV
     file with one point per row."""
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-                ) from exc
-        return cloud_from_json(data)
+        return cloud_from_json(_read_json(path))
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):

@@ -8,7 +8,7 @@ then an isometry onto its image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,12 @@ from .space import Space, _check_vector, _first_rows, builtin, space_to_json
 
 @dataclass(frozen=True, eq=False)
 class Embedding:
+    """The map x -> (f_i(x) for i in indices) into `target`, the max-norm
+    space linf(len(indices)), built once the indices are validated."""
+
     source: Space
     indices: np.ndarray
-    target: Space
+    target: Space = field(init=False)
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=int)
@@ -35,6 +38,7 @@ class Embedding:
             raise DimensionMismatch("functional indices must be distinct")
         object.__setattr__(self, "indices", idx)
         idx.setflags(write=False)
+        object.__setattr__(self, "target", builtin("linf", int(idx.size)))
 
     @property
     def selected(self) -> np.ndarray:
@@ -48,7 +52,7 @@ def make_embedding(source: Space, indices=None) -> Embedding:
     """Embedding for an ordered subset of representatives (default: all, in
     canonical order)."""
     idx = np.arange(source.n_pairs) if indices is None else np.asarray(indices, dtype=int)
-    return Embedding(source=source, indices=idx, target=builtin("linf", int(idx.size)))
+    return Embedding(source=source, indices=idx)
 
 
 def embed_point(e: Embedding, x) -> np.ndarray:

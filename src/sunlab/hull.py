@@ -298,10 +298,6 @@ def hull_interval_gap(
 class MeiReport:
     """Aggregate of hull-vs-interval gaps over random pairs."""
 
-    trials: int
-    seed: int
-    n_balls: int
-    resolution: int
     max_gap: float
     mean_gap: float
     worst: GapReport
@@ -340,10 +336,6 @@ def mei_check(
             violations.append({"trial": t, "kind": "gap", "gap": rep.gap, "witness": rep.witness})
     gaps = [r.gap for r in reports]
     return MeiReport(
-        trials=trials,
-        seed=seed,
-        n_balls=n_balls,
-        resolution=res,
         max_gap=float(max(gaps)),
         mean_gap=float(np.mean(gaps)),
         worst=reports[int(np.argmax(gaps))],

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import DimensionMismatch, DuplicatePoints, EndpointNotInCloud, WeightMismatch
+from .errors import DuplicatePoints, EndpointNotInCloud, WeightMismatch
 from .hull import _in_slabs, _rep_values, _slab_witnesses
-from .space import Space, _check_slack, _check_vector, unit_ball_extents
+from .space import Space, _check_points, _check_slack, _check_vector, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
 
@@ -64,9 +64,15 @@ def uniform_weights(s: Space) -> Weights:
     return Weights(alphas=np.full(s.n_pairs, 1.0 / s.n_pairs))
 
 
-def weights_from_json(s: Space, data: dict) -> Weights:
+def weights_from_json(s: Space, data) -> Weights:
+    if not isinstance(data, dict):
+        raise WeightMismatch("weights JSON needs an 'alphas' array or a 'scheme'")
     if "alphas" in data:
-        return check_weights(s, Weights(alphas=np.asarray(data["alphas"], dtype=float)))
+        try:
+            alphas = np.asarray(data["alphas"], dtype=float)
+        except (TypeError, ValueError):
+            raise WeightMismatch("weights JSON 'alphas' must be an array of numbers") from None
+        return check_weights(s, Weights(alphas=alphas))
     scheme = data.get("scheme", "geometric")
     if scheme == "geometric":
         return geometric_weights(s)
@@ -110,8 +116,6 @@ class EquivReport:
     """Outcome of the three-way betweenness equivalence suite."""
 
     trials: int
-    seed: int
-    tol: float
     disagreements: list
     counts: dict
     passed: bool
@@ -189,8 +193,6 @@ def between_equiv_check(
     ]
     return EquivReport(
         trials=trials,
-        seed=seed,
-        tol=tol,
         disagreements=disagreements,
         counts={
             "between": int(in_b.sum()),
@@ -332,10 +334,7 @@ def check_monotone(s: Space, path, tol: float = BETWEEN_TOL) -> list[MonotoneVer
     """Per-functional monotonicity of a path, with backward slack scaled by
     1 + |f(endpoint difference)|. Verdicts are direction-symmetric, so
     reversing the path swaps nothing."""
-    pts = np.asarray(getattr(path, "points", path), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != s.dim:
-        raise DimensionMismatch("path points must be an (m, dim) array")
-    return _verdicts(s, pts, tol)
+    return _verdicts(s, _check_points(s, getattr(path, "points", path), "path"), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,7 +477,6 @@ def _split_steps(vals: np.ndarray, order: list[int], tol: float) -> list[int]:
 class SeqReport:
     """Tail behaviour of a sequence against a limit, in two measures."""
 
-    tol: float
     assoc_converged: bool
     funcs_converged: bool
     assoc_index: int | None
@@ -512,17 +510,14 @@ def seq_convergence_check(s: Space, w: Weights, sequence, limit, tol: float) -> 
     settled indices are reported for inspection.
     """
     check_weights(s, w)
-    seq = np.asarray(sequence, dtype=float)
+    seq = _check_points(s, sequence, "sequence")
     lim = _check_vector(s, limit)
-    if seq.ndim != 2 or seq.shape[1] != s.dim or seq.shape[0] == 0:
-        raise DimensionMismatch("sequence must be a nonempty (N, dim) array")
     vals = np.abs((seq - lim) @ s.representatives.T)
     assoc_tail = vals @ w.alphas
     funcs_tail = vals.max(axis=1)
     ai = _first_settled(assoc_tail, tol)
     fi = _first_settled(funcs_tail, tol)
     return SeqReport(
-        tol=tol,
         assoc_converged=ai is not None,
         funcs_converged=fi is not None,
         assoc_index=ai,

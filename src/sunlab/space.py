@@ -196,6 +196,21 @@ def _check_vector(s: Space, x) -> np.ndarray:
     return arr
 
 
+def _check_points(s: Space, rows, what: str) -> np.ndarray:
+    """`rows` as a nonempty (m, dim) float array of finite values; `what`
+    names the input in the dimension errors."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise DimensionMismatch(f"{what} points must form a nonempty (m, {s.dim}) array")
+    if arr.shape[1] != s.dim:
+        raise DimensionMismatch(
+            f"{what} dimension {arr.shape[1]} does not match space dimension {s.dim}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("vector coordinates must be finite")
+    return arr
+
+
 def _max_abs(columns) -> np.ndarray:
     """max_j |c_j| over an iterable of equal-shape arrays, accumulated in
     place one array at a time. Reducing a short innermost or middle axis

@@ -640,6 +640,42 @@ def test_path_figure_zero_net_change_marks_every_move():
     assert colors == [svg._EDGE_BAD, svg._EDGE_OK, svg._EDGE_BAD]
 
 
+def test_cloud_figures_are_pinned(tmp_path, monkeypatch):
+    """The figures of mconnect (a 3 x 3 grid without its centre, with the
+    witness pair's interval), path (a 5 x 5 grid corner to corner) and
+    project (a query with four tied nearest points) are pinned; writing one
+    leaves the report's bytes alone, and a second run writes the same
+    figure."""
+    monkeypatch.chdir(tmp_path)
+    ticks = [i / 4 for i in range(5)]
+    grid = [[x, y] for x in ticks for y in ticks]
+    Path("grid.json").write_text(json.dumps({"points": grid}))
+    holed = [[x, y] for x in (0, 1, 2) for y in (0, 1, 2) if (x, y) != (1, 1)]
+    Path("holed.json").write_text(json.dumps({"points": holed}))
+    runs = [
+        (
+            ["mconnect", "--space", "linf2", "--cloud", "holed.json"],
+            2, 905, "a55fcbf7a1b5dbd4f43680ee0f515b4e53689130db69680fba315ce5e13be451",
+        ),
+        (
+            ["path", "--space", "l1(2)", "--cloud", "grid.json", "--from", "0", "--to", "24"],
+            0, 1968, "4a69e9aa52236d6a32f299163ecfc8c1d968f13baae915ed3499e17ac2d6dcc5",
+        ),
+        (
+            ["project", "--space", "linf2", "--cloud", "grid.json", "--query", "1.5,0.6"],
+            0, 1974, "1f10dfd52bc514b6192983c94db5afc9ee4e64117571660fb5cd58003aad53d4",
+        ),
+    ]
+    for argv, code, size, digest in runs:
+        assert main([*argv, "--out", "plain.json"]) == code
+        for name in ("a", "b"):
+            assert main([*argv, "--out", f"{name}.json", "--svg", f"{name}.svg"]) == code
+            assert Path(f"{name}.json").read_bytes() == Path("plain.json").read_bytes()
+        data = Path("a.svg").read_bytes()
+        assert data == Path("b.svg").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_svg_skipped_in_higher_dimension(capsys, tmp_path):
     fig = tmp_path / "fig.svg"
     code, out, err = _run(
@@ -794,6 +830,57 @@ def test_negative_seed_is_named(capsys, cloud_file, argv):
     assert (code, out) == (1, "")
     seed = argv[-1].rpartition("=")[2]
     assert err == f"sunlab: error: --seed must be nonnegative, got {seed}\n"
+
+
+MALFORMED_JSON = {
+    "invalid": '{"points": [[0, 0],\n oops]}',
+    "list": "[0.5, 0.5]",
+    "string": '"uniform"',
+}
+
+
+NOT_AN_OBJECT = {
+    "space": "space JSON needs a 'functionals' array",
+    "cloud": "point cloud JSON needs a 'points' array",
+    "weights": "weights JSON needs an 'alphas' array or a 'scheme'",
+}
+
+
+@pytest.mark.parametrize("content", sorted(MALFORMED_JSON))
+@pytest.mark.parametrize("kind", sorted(NOT_AN_OBJECT))
+def test_malformed_input_file_is_named(capsys, cloud_file, tmp_path, kind, content):
+    """Every input file goes through one reader: invalid JSON names the file,
+    line and column, and JSON that is not an object names the input kind.
+    A weights file holding a list or string ended in a traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(MALFORMED_JSON[content])
+    files = {"space": "linf2", "cloud": cloud_file(COLLINEAR3), "weights": "uniform"}
+    files[kind] = str(bad)
+    argv = [*PATH_0_2, *(a for k, v in files.items() for a in (f"--{k}", v))]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    message = NOT_AN_OBJECT[kind]
+    if content == "invalid":
+        message = f"{bad}: invalid JSON at line 2, column 2"
+    assert err == f"sunlab: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ("1,x", "--indices takes integers, got '1,x'"),
+        (",", "an embedding needs at least one functional index"),
+    ],
+)
+def test_embed_indices_are_named(capsys, cloud_file, indices, message):
+    """'1,x' failed with int()'s message, which does not name the flag, and
+    ',' with "dimension must be positive" from the target space."""
+    code, out, err = _run(
+        capsys,
+        ["embed", "--space", "l1(2)", "--cloud", cloud_file(COLLINEAR3), "--indices", indices],
+    )
+    assert (code, out) == (1, "")
+    assert err == f"sunlab: error: {message}\n"
 
 
 def test_empty_json_cloud_reports_empty_cloud(capsys, cloud_file):

@@ -69,6 +69,24 @@ def test_weights_from_json_forms():
         weights_from_json(LINF2, {"scheme": "harmonic"})
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([0.5, 0.5], "^weights JSON needs an 'alphas' array or a 'scheme'$"),
+        ("uniform", "^weights JSON needs an 'alphas' array or a 'scheme'$"),
+        ({"alphas": ["x", 1]}, "^weights JSON 'alphas' must be an array of numbers$"),
+        ({"alphas": [[1], [1, 2]]}, "^weights JSON 'alphas' must be an array of numbers$"),
+        ({"alphas": {"a": 1}}, "^weights JSON 'alphas' must be an array of numbers$"),
+    ],
+    ids=["list", "string", "alphas-text", "alphas-ragged", "alphas-object"],
+)
+def test_weights_from_json_rejects_other_shapes(data, message):
+    """A list or string made the parser fail with AttributeError, and a
+    non-numeric alphas entry with numpy's message, which names no field."""
+    with pytest.raises(WeightMismatch, match=message):
+        weights_from_json(LINF2, data)
+
+
 def test_associated_norm_hand_values():
     assert associated_norm(LINF2, ONES, [3, -4]) == 7.0
     assert associated_norm(LINF2, ONES, [0, 0]) == 0.0
@@ -309,6 +327,16 @@ def test_check_monotone_reversal_same_verdict():
             assert fwd == rev
 
 
+def test_check_monotone_rejects_empty_and_nonfinite_paths():
+    """An empty path failed with numpy's IndexError."""
+    with pytest.raises(DimensionMismatch, match=r"^path points must form a nonempty \(m, 2\)"):
+        check_monotone(LINF2, np.empty((0, 2)))
+    with pytest.raises(DimensionMismatch, match="^path dimension 3 does not match space dim"):
+        check_monotone(LINF2, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="^vector coordinates must be finite$"):
+        check_monotone(LINF2, [[0, 0], [np.nan, 1]])
+
+
 def test_path_passes_check_monotone_within_scaled_slack():
     """A found path with slack eps stays monotone at tolerance eps/min(alpha)."""
     s = LINF2
@@ -364,3 +392,19 @@ def test_seq_stuck_coordinate_fails_both():
     rep = seq_convergence_check(LINF2, ONES, seq, [0, 0], tol=1e-3)
     assert not rep.assoc_converged and not rep.funcs_converged and rep.agree
     assert rep.funcs_final >= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_seq_nonfinite_terms_are_rejected(bad):
+    """A NaN offset compares false against tol, and an inf coordinate times
+    a zero functional entry is NaN, so such a sequence was reported as
+    converged in both measures."""
+    seq = np.full((5, 2), bad)
+    with pytest.raises(ValueError, match="^vector coordinates must be finite$"):
+        seq_convergence_check(LINF2, ONES, seq, [0, 0], tol=1e-3)
+
+
+@pytest.mark.parametrize("seq", [np.empty((0, 2)), [1.0, 2.0]], ids=["empty", "1d"])
+def test_seq_needs_a_nonempty_2d_sequence(seq):
+    with pytest.raises(DimensionMismatch, match=r"^sequence points must form a nonempty \(m, 2\)"):
+        seq_convergence_check(LINF2, ONES, seq, [0, 0], tol=1e-3)
