@@ -7,17 +7,30 @@ never the full ray.
 One kernel, _ray_report, gives every grid verdict. One loop over a query's
 nearest points, _candidate_reports, runs it for find_luminosity and both
 modes of is_sun_sampled; sun_check runs it on one checked pair. The loop
-first tries a certificate, _ray_certificate, which costs O(m p) per
-candidate: a candidate it passes stays nearest on the whole ray, up to a
-rounding slack (_ray_slack) under which the grid cannot falsify it, so it
-skips the grid and gets the report the grid gives ("holds-on-grid", every
-grid point passing). The grid runs on every other candidate, so each
-falsification, its lambda and its competitor are the grid's.
+first tries a certificate: with b = F(x - y) and c_u,i = f_i(u), it is the
+minimum over the cloud points u of the maximum, over the functionals i
+whose |b_i| is within a margin of max |b| (the active ones), of
+sgn(b_i) (c_y,i - c_u,i). A candidate whose certificate clears a rounding
+slack (_ray_slack) stays nearest on the whole ray, and the grid cannot
+falsify it, so it skips the grid and gets the report the grid gives
+("holds-on-grid", every grid point passing). The grid runs on every other
+candidate, so each falsification, its lambda and its competitor are the
+grid's, and no report depends on how the certificate was computed.
+_ray_certificates computes it for all of a query's tied candidates at
+once: b for every candidate, and the cloud's extremes max_u c_u,i and
+min_u c_u,i, once per query. Rounding is monotone, so
+
+    min_u fl(a - c_u) = fl(a - max_u c_u),
+
+and a candidate with exactly one active functional costs O(p), with the
+very value of the O(m p) pass over the cloud, _ray_certificate. That pass
+runs only for a candidate with several active functionals, or with b_i = 0.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -207,19 +220,62 @@ def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[floa
     return margin, 2.0**-51 * scale + (dim + l1) * (1.0 + lambda_max) * 2.0**-1071
 
 
+def _ray_directions(reps: np.ndarray, vx, ys: np.ndarray) -> np.ndarray:
+    """b = F(x - y) for each row y of ys, one row of p values per candidate.
+    The products are summed one coordinate at a time by elementwise numpy,
+    not by a BLAS kernel, whose order of operations may follow the shape of
+    the call; so a row's bits do not depend on how many rows share it."""
+    d = vx - ys
+    return functools.reduce(np.add, (d[:, k, None] * reps[:, k] for k in range(reps.shape[1])))
+
+
 def _ray_certificate(reps: np.ndarray, cols: np.ndarray, idx: int, vx, vy, margin: float) -> float:
     """min over the cloud points u of g(u) = max over the active i of
     sgn(b_i) (f_i(y) - f_i(u)), for the candidate vy = cloud row idx of
-    query vx, with b = reps @ (vx - vy) and cols the cloud's (p, m)
-    functional values. i is active when |b_i| is within margin of max |b|.
+    query vx, with b = F(x - y) and cols the cloud's (p, m) functional
+    values. i is active when |b_i| is within margin of max |b|.
     Exactly, g(u) is the limit of ||z - u|| - ||z - y|| along the ray
     z = y + lam (x - y), which never increases, so a minimum >= 0 means y
     stays nearest on the whole ray (_ray_slack bounds the rounding)."""
-    b = reps @ (vx - vy)
+    b = _ray_directions(reps, vx, vy[None, :])[0]
     a = np.abs(b)
     active = np.flatnonzero(a >= a.max() - margin).tolist()
     g = functools.reduce(np.maximum, (np.sign(b[i]) * (cols[i, idx] - cols[i]) for i in active))
-    return float(g.min())
+    # A zero minimum carries the sign of whichever zero the reduction kept;
+    # adding 0.0 makes it +0.0 and leaves every other value as it is.
+    return float(g.min()) + 0.0
+
+
+def _ray_certificates(reps: np.ndarray, cols: np.ndarray, points: np.ndarray, indices, vx, margin):
+    """_ray_certificate for each candidate points[idx], idx in indices, of
+    query vx, bit for bit, in order and lazily. b = F(x - y) is computed for
+    every candidate at once, and the extremes max_u c_u,i and min_u c_u,i
+    of the cloud's functional values c = cols once. A candidate with one
+    active functional i and b_i != 0 then costs O(p): its g(u) is
+    sgn(b_i) (c_y,i - c_u,i), and rounding is monotone, so
+
+        min_u fl(c_y,i - c_u,i) = fl(c_y,i - max_u c_u,i)    (b_i > 0),
+        min_u fl(c_u,i - c_y,i) = fl(min_u c_u,i - c_y,i)    (b_i < 0),
+
+    the value _ray_certificate's O(m p) pass returns (a zero as +0.0,
+    there as here). A candidate with
+    several active functionals, whose maximum over i does not commute with
+    the minimum over u, or with b_i = 0, runs _ray_certificate. So the loop
+    certifies the very candidates that _ray_certificate alone would, and
+    every report is unchanged."""
+    b = _ray_directions(reps, vx, points[indices])
+    hi, lo = cols.max(axis=1).tolist(), cols.min(axis=1).tolist()
+    for j, idx in enumerate(indices):
+        row = b[j].tolist()
+        a = list(map(abs, row))
+        top = max(a) - margin
+        active = [i for i, ai in enumerate(a) if ai >= top]
+        i = active[0]
+        if len(active) == 1 and row[i] != 0.0:
+            cy = float(cols[i, idx])
+            yield (cy - hi[i] if row[i] > 0.0 else lo[i] - cy) + 0.0
+        else:
+            yield _ray_certificate(reps, cols, idx, vx, points[idx], margin)
 
 
 def sun_check(
@@ -264,19 +320,26 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
     whose holds equals stop (True: a luminosity point was found; False: a
     candidate was falsified). A candidate whose certificate clears
     slack - TIE_TOL cannot be falsified by the grid and gets the grid's
-    passing report without it; the ray kernel tests the others."""
+    passing report without it; the certified reports of one query share one
+    read-only per_lambda. The ray kernel tests the others."""
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
     vals = cloud.points @ reps.T
     margin, floor = _certificate_floor(s, cloud, vx, lambda_max)
     # g(y) = 0 for the candidate itself, so a floor above 0 certifies nothing.
-    cols = np.ascontiguousarray(vals.T) if floor <= 0.0 else None
+    if floor <= 0.0:
+        cols = np.ascontiguousarray(vals.T)
+        certs = _ray_certificates(reps, cols, cloud.points, pr.indices, vx, margin)
+    else:
+        certs = itertools.repeat(-math.inf)
+    passing = np.ones(int(grid), dtype=bool)
+    passing.setflags(write=False)
     reports = []
-    for idx in pr.indices:
+    for idx, cert in zip(pr.indices, certs):
         vy = cloud.points[idx]
-        if cols is not None and _ray_certificate(reps, cols, idx, vx, vy, margin) >= floor:
-            reports.append(_sun_report(vx, vy, lambda_max, grid, np.ones(int(grid), dtype=bool)))
+        if cert >= floor:
+            reports.append(_sun_report(vx, vy, lambda_max, grid, passing))
         else:
             reports.append(_ray_report(s, cloud, vals, vx, vy, lambda_max, grid))
         if reports[-1].holds == stop:

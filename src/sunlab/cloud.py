@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicatePoints, EmptyCloud, ParseError
-from .space import _first_rows, _float_rows
+from .space import _first_rows, _float_rows, _max_abs
 
 _INDEX_TOL = 1e-12
 
@@ -60,10 +60,17 @@ class PointCloud:
     def index_of(self, x) -> int | None:
         """Index of the first point within _INDEX_TOL of x in every coordinate.
         An exact match has gap 0, and argmin returns the first minimum, so
-        the first exact match wins over near ones."""
+        the first exact match wins over near ones. The gaps are taken one
+        coordinate column at a time (see space._max_abs); x must have one
+        entry per coordinate."""
+        vx = np.asarray(x, dtype=float)
+        if vx.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"expected a point of length {self.dim}, got shape {vx.shape}"
+            )
         if not len(self):
             return None
-        gaps = np.max(np.abs(self.points - np.asarray(x, dtype=float)), axis=1, initial=0.0)
+        gaps = _max_abs(col - xk for col, xk in zip(self.points.T, vx.tolist()))
         j = int(np.argmin(gaps))
         return j if gaps[j] <= _INDEX_TOL else None
 
@@ -81,9 +88,14 @@ def cloud_from_json(data) -> PointCloud:
     return PointCloud(pts)
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})")
+
+
 def _read_json(path: str):
     """The parsed contents of a UTF-8 JSON input file (a cloud, space or
-    weights file). A syntax error names the file, line and column."""
+    weights file). A syntax error names the file, line and column, and a
+    file that is not UTF-8 names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -91,23 +103,28 @@ def _read_json(path: str):
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
             ) from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def load_cloud(path: str) -> PointCloud:
-    """Read a cloud from a .json file ({"points": [[...], ...]}) or a CSV
-    file with one point per row."""
+    """Read a cloud from a .json file ({"points": [[...], ...]}) or a UTF-8
+    CSV file with one point per row."""
     if path.endswith(".json"):
         return cloud_from_json(_read_json(path))
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row if c.strip()]
-            if not cells:
-                continue
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad number at line {lineno}: {exc}") from exc
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                cells = [c.strip() for c in row if c.strip()]
+                if not cells:
+                    continue
+                try:
+                    rows.append([float(c) for c in cells])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: bad number at line {lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
     if not rows:
         raise ParseError(f"{path}: no points found")
     width = len(rows[0])

@@ -89,17 +89,30 @@ def _rep_mask(rows: np.ndarray) -> np.ndarray:
 
 def _float_rows(rows, error: type[Exception], what: str) -> np.ndarray:
     """`rows` as a float array. Rows of unequal length raise `error`, naming
-    the first row whose length differs from row 0's; numpy's own message
-    names neither."""
+    the first row whose length differs from row 0's; failing that, an entry
+    that is not a number raises `error` naming the first row holding one.
+    numpy's own messages name neither."""
     try:
         return np.asarray(rows, dtype=float)
-    except ValueError:
-        lengths = [np.size(row) for row in rows]
+    except (TypeError, ValueError):
+        lengths = []
+        for row in rows:
+            try:
+                lengths.append(np.size(row))
+            except ValueError:  # a row holding a ragged list, named below
+                break
         for i, length in enumerate(lengths):
             if length != lengths[0]:
                 raise error(
                     f"{what} rows have inconsistent lengths: row 0 has {lengths[0]} entries, "
                     f"row {i} has {length}"
+                ) from None
+        for i, row in enumerate(rows):
+            try:
+                np.asarray(row, dtype=float)
+            except (TypeError, ValueError):
+                raise error(
+                    f"{what} row {i} holds an entry that is not a number: {row!r}"
                 ) from None
         raise
 
@@ -252,7 +265,15 @@ def space_from_json(data: dict) -> Space:
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch("space JSON needs a 'functionals' array") from exc
     s = make_space(fam, name=str(data.get("name", "")))
-    if "dim" in data and int(data["dim"]) != s.dim:
+    if "dim" not in data:
+        return s
+    try:
+        dim = int(data["dim"])
+    except (TypeError, ValueError):
+        raise DimensionMismatch(
+            f"space JSON 'dim' must be an integer, got {data['dim']!r}"
+        ) from None
+    if dim != s.dim:
         raise DimensionMismatch(
             f"declared dim {data['dim']} does not match functionals of length {s.dim}"
         )

@@ -286,6 +286,37 @@ def test_tied_segment_query_runs_no_grid_in_either_mode(strict):
     assert (spy.call_count, rep.passed, rep.failures) == (0, True, [])
 
 
+# The benchmark's strict operation: queries 3/64 off a 513-point segment,
+# with about 25 tied nearest points each.
+SEGMENT_513 = PointCloud([[t / 256, 0.0] for t in range(513)])
+
+
+def test_strict_segment_queries_run_no_pass_over_the_cloud_per_candidate():
+    """Every tied candidate of a strict query beside the segment is
+    certified, so none runs the grid. Only the two candidates 3/64 along
+    the segment from the dyadic query, where both functionals are active,
+    run _ray_certificate's pass over the cloud; the others cost O(p) each.
+    The report is the one a loop of sun_check calls gives."""
+    queries = np.array([[0.5, 3 / 64], [0.7, -3 / 64]])
+    with (
+        mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as grid,
+        mock.patch.object(approx, "_ray_certificate", wraps=approx._ray_certificate) as single,
+    ):
+        rep = is_sun_sampled(LINF2, SEGMENT_513, queries, strict=True)
+    assert grid.call_count == 0
+    assert [int(c.args[2]) for c in single.call_args_list] == [116, 140]
+    failures = []
+    for qi, q in enumerate(queries):
+        reports = _grid_reference(SEGMENT_513, q, DEFAULT_RAY, stop=False)
+        assert len(reports) == len(project(LINF2, SEGMENT_513, q).indices) > 20
+        if not reports[-1].holds:
+            failures.append({"query": qi, "report": reports[-1].to_json()})
+    assert rep.to_json() == {
+        "queries": 2, "skipped": [], "failures": failures, "strict": True,
+        "lambda_max": 16.0, "grid": 256, "passed": not failures,
+    }
+
+
 def test_float_limit_query_runs_the_grid():
     """At 1.7e308 the slack is inf, so the grid runs, and its overflowing
     scan falsifies the query where it always has."""

@@ -836,6 +836,7 @@ MALFORMED_JSON = {
     "invalid": '{"points": [[0, 0],\n oops]}',
     "list": "[0.5, 0.5]",
     "string": '"uniform"',
+    "not-utf8": b"\xff\xfe",
 }
 
 
@@ -850,10 +851,12 @@ NOT_AN_OBJECT = {
 @pytest.mark.parametrize("kind", sorted(NOT_AN_OBJECT))
 def test_malformed_input_file_is_named(capsys, cloud_file, tmp_path, kind, content):
     """Every input file goes through one reader: invalid JSON names the file,
-    line and column, and JSON that is not an object names the input kind.
-    A weights file holding a list or string ended in a traceback."""
+    line and column, a file that is not UTF-8 names the file, and JSON that
+    is not an object names the input kind. A weights file holding a list or
+    string ended in a traceback."""
     bad = tmp_path / "bad.json"
-    bad.write_text(MALFORMED_JSON[content])
+    data = MALFORMED_JSON[content]
+    bad.write_bytes(data) if isinstance(data, bytes) else bad.write_text(data)
     files = {"space": "linf2", "cloud": cloud_file(COLLINEAR3), "weights": "uniform"}
     files[kind] = str(bad)
     argv = [*PATH_0_2, *(a for k, v in files.items() for a in (f"--{k}", v))]
@@ -862,6 +865,8 @@ def test_malformed_input_file_is_named(capsys, cloud_file, tmp_path, kind, conte
     message = NOT_AN_OBJECT[kind]
     if content == "invalid":
         message = f"{bad}: invalid JSON at line 2, column 2"
+    if content == "not-utf8":
+        message = f"{bad}: not UTF-8 (byte 0xff: invalid start byte)"
     assert err == f"sunlab: error: {message}\n"
 
 

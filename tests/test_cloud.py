@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sunlab import DuplicatePoints, EmptyCloud, ParseError, PointCloud, load_cloud
+from sunlab import (
+    DimensionMismatch,
+    DuplicatePoints,
+    EmptyCloud,
+    ParseError,
+    PointCloud,
+    load_cloud,
+)
 from sunlab.cloud import cloud_from_json, cloud_to_json
 
 
@@ -36,6 +43,38 @@ def test_json_ragged_rows_rejected():
     assert str(err.value) == (
         "point cloud JSON rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"
     )
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([["x", 1], [0, 0]], "row 0 holds an entry that is not a number: ['x', 1]"),
+        ([[0, 0], [{"a": 1}, 1]], "row 1 holds an entry that is not a number: [{'a': 1}, 1]"),
+        ([[0, 0], [1, [2, 3]]], "row 1 holds an entry that is not a number: [1, [2, 3]]"),
+        ([["x", 1], [0]], "rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"),
+    ],
+    ids=["string", "object", "list", "ragged-first"],
+)
+def test_json_non_numeric_entry_is_named(points, message):
+    """numpy's "could not convert string to float: 'x'" named neither the
+    input nor the row, an object entry raised a TypeError, and a list entry
+    gave numpy's "setting an array element with a sequence". A ragged array
+    keeps its message, which comes first."""
+    with pytest.raises(ParseError) as err:
+        cloud_from_json({"points": points})
+    assert str(err.value) == f"point cloud JSON {message}"
+
+
+@pytest.mark.parametrize(
+    "name, content", [("c.json", b"\xff\xfe"), ("c.csv", b"0,0\n\xff\xfe\n")], ids=["json", "csv"]
+)
+def test_non_utf8_file_is_named(tmp_path, name, content):
+    """The decoder's message named neither the file nor its encoding."""
+    p = tmp_path / name
+    p.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load_cloud(str(p))
+    assert str(err.value) == f"{p}: not UTF-8 (byte 0xff: invalid start byte)"
 
 
 def test_csv_bad_number_rejected(tmp_path):
@@ -74,6 +113,15 @@ def test_index_of_exact_and_tolerant():
     assert cloud.index_of([1.0, 1.0]) == 1
     assert cloud.index_of([1.0, 1.0 - 1e-13]) == 2
     assert PointCloud(np.empty((0, 2))).index_of([0.0, 0.0]) is None
+
+
+@pytest.mark.parametrize("x", [[1.0], 1.0, [1.0, 1.0, 1.0]], ids=["short", "scalar", "long"])
+def test_index_of_rejects_a_point_of_another_length(x):
+    """A short point or a scalar was broadcast over the rows and matched
+    (1, 1) silently; a long one raised numpy's broadcast error."""
+    for cloud in (PointCloud([[0, 0], [1, 1]]), PointCloud(np.empty((0, 2)))):
+        with pytest.raises(DimensionMismatch, match=r"^expected a point of length 2, got shape"):
+            cloud.index_of(x)
 
 
 def test_require_unique_names_the_first_repeat_and_its_original():

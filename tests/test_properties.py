@@ -6,7 +6,8 @@ ray scan and the hull gap against a brute-force scan, the invariants of
 monotone paths on epsilon-nets, the sparse hop graph and the
 nearest-neighbour scale against the dense distance matrix, the sun test's
 candidate loop against sun_check on one nearest point at a time, the
-symmetries of project, contraction under a partial embedding, the three-way
+batched sun certificate against the one-candidate pass, the symmetries of
+project, contraction under a partial embedding, the three-way
 betweenness equivalence, and the duplicate-row kernel against a byte-keyed
 dict.
 
@@ -656,6 +657,33 @@ def test_certified_candidates_hold_on_the_grid(case):
             y = cloud.points[idx]
             if approx._ray_certificate(reps, cols, idx, x, y, margin) >= floor:
                 assert sun_check(s, cloud, x, y, **ray).holds
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+@example((LINF2, PointCloud([[0, 0], [1, 0]]), np.array([[0.5, 0.5]]), DEFAULT_RAY))
+@example((LINF2, PointCloud([[i / 8, 0] for i in range(9)]), np.array([[0.5, 0.25]]), DEFAULT_RAY))
+def test_batched_certificates_are_the_single_candidate_pass(case):
+    """_ray_certificates gives each nearest point the value of
+    _ray_certificate's O(m p) pass bit for bit, at every scale and offset,
+    and runs that pass only for the candidates with several active
+    functionals. In the first example both candidates have two; in the
+    second the candidates 1/4 along the segment from the query do."""
+    s, cloud, queries, ray = case
+    reps = s.representatives
+    cols = np.ascontiguousarray((cloud.points @ reps.T).T)
+    for x in queries:
+        if cloud.index_of(x) is not None:
+            continue
+        margin, _ = approx._certificate_floor(s, cloud, x, ray["lambda_max"])
+        indices = project(s, cloud, x).indices
+        with mock.patch.object(approx, "_ray_certificate", wraps=approx._ray_certificate) as spy:
+            got = list(approx._ray_certificates(reps, cols, cloud.points, indices, x, margin))
+        want = [approx._ray_certificate(reps, cols, i, x, cloud.points[i], margin) for i in indices]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        a = np.abs(approx._ray_directions(reps, x, cloud.points[indices]))
+        several = (a >= a.max(axis=1, keepdims=True) - margin).sum(axis=1) > 1
+        assert [int(c.args[2]) for c in spy.call_args_list] == indices[several].tolist()
 
 
 def _dyadic_vector(dim):

@@ -259,6 +259,34 @@ def test_make_space_names_ragged_rows():
     )
 
 
+@pytest.mark.parametrize(
+    "functionals, message",
+    [
+        ([["x", 1]], "row 0 holds an entry that is not a number: ['x', 1]"),
+        ([[1, 0], [{"a": 1}, 0]], "row 1 holds an entry that is not a number: [{'a': 1}, 0]"),
+        ([["x", 1], [1]], "rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"),
+    ],
+    ids=["string", "object", "ragged-first"],
+)
+def test_make_space_names_non_numeric_rows(functionals, message):
+    """numpy's "could not convert string to float: 'x'" named neither the
+    family nor the row, and an object entry raised a TypeError. A ragged
+    family keeps its message, which comes first."""
+    with pytest.raises(DimensionMismatch) as err:
+        space_from_json({"functionals": functionals})
+    assert str(err.value) == f"functional {message}"
+
+
+@pytest.mark.parametrize("dim", ["two", None, [2]])
+def test_space_json_dim_must_be_an_integer(dim):
+    """int()'s "invalid literal for int() with base 10: 'two'" did not name
+    the field, and None or a list raised a TypeError."""
+    functionals = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    with pytest.raises(DimensionMismatch) as err:
+        space_from_json({"functionals": functionals, "dim": dim})
+    assert str(err.value) == f"space JSON 'dim' must be an integer, got {dim!r}"
+
+
 def test_make_space_zero_functional_is_degenerate():
     with pytest.raises(Degenerate, match="^zero functional in family$"):
         make_space([[1, 0], [-1, 0], [0, 0], [0, 1]])
