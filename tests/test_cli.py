@@ -360,6 +360,39 @@ def test_sun_reports_are_pinned(tmp_path, monkeypatch):
         assert (len(data), hashlib.sha256(data).hexdigest()) == pin
 
 
+def test_sun_reports_on_a_multi_block_circle_are_pinned(tmp_path, monkeypatch):
+    """On a 1024-point dyadic circle the ray kernel scans the grid in blocks
+    of 16 ray points, and interior queries are falsified just past lambda 1,
+    in the second block of 16 (the last run: block 18 of 64). These reports
+    must stay byte-identical however far the scan goes: default and strict
+    trials in linf2 and l1(2), a falsified query, and a strict query on a
+    longer grid."""
+    monkeypatch.chdir(tmp_path)
+    a = np.arange(1024) * (np.pi / 512)
+    circle = np.round(np.column_stack([np.cos(a), np.sin(a)]) * 1024) / 1024
+    Path("circle.json").write_text(json.dumps({"points": circle.tolist()}))
+    linf2 = ["--space", "linf2", "--cloud", "circle.json"]
+    l12 = ["--space", "l1(2)", "--cloud", "circle.json"]
+    runs = [
+        (linf2 + ["--trials", "60", "--seed", "5"],
+         23727, "b0ebe54f6e242931f2e855e8c41acf1c5349c35167f3b2111395473148ec997a"),
+        (linf2 + ["--trials", "60", "--seed", "5", "--strict"],
+         17472, "02ebbe187d10e6aa8db224efdae4660c01a273aae885d1b44a3840e2a67e083d"),
+        (l12 + ["--trials", "60", "--seed", "6"],
+         19189, "19a095061d2c98e70d589f89f0f4b65cb09a81e3ecbd6f38df7caca2bed442b9"),
+        (l12 + ["--trials", "60", "--seed", "6", "--strict"],
+         14483, "6ffff646ce62ef4e1d01520ee2aaf443b06e6897b86bf6e9e96c11ebf1da27d1"),
+        (linf2 + ["--query", "0.1,0.2"],
+         702, "9fb26217e25511138eeeb93f4e32d4fba133c9ed230a94a92a267ba9e6b82e06"),
+        (l12 + ["--query", "0.3,-0.25", "--strict", "--grid", "1024", "--lambda-max", "4"],
+         876, "cc1fd857d45e44ec93e19e84cb755084384b7952a7111804c2294ae33fcc1cc4"),
+    ]
+    for argv, size, digest in runs:
+        assert main(["sun", *argv, "--out", "report.json"]) == 2
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_mconnect_reports_are_pinned(tmp_path, monkeypatch):
     """The pair scan must leave these reports byte-identical: a connected
     9 x 9 grid in linf(2), the same grid in l1(2) with a gap in row 0, two
