@@ -16,6 +16,11 @@ falsify it, so it skips the grid and gets the report the grid gives
 ("holds-on-grid", every grid point passing). The grid runs on every other
 candidate, so each falsification, its lambda and its competitor are the
 grid's, and no report depends on how the certificate was computed.
+The grid is scanned in blocks of ray points, in ray order, by the one
+distance kernel, _nearest_blocks, and the scan stops at the first block
+that holds a failing point. A row's distances do not depend on its block,
+so the falsifier is the one a scan of the whole grid finds; a falsified
+report computes its remaining per-lambda verdicts when they are first read.
 _ray_certificates computes it for all of a query's tied candidates at
 once: b for every candidate, and the cloud's extremes max_u c_u,i and
 min_u c_u,i, once per query. Rounding is monotone, so
@@ -52,22 +57,34 @@ def _tie_threshold(dmin: float, tie_tol: float) -> float:
     return dmin + tie_tol * (1.0 + dmin)
 
 
-def _nearest(q_vals: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of q_vals, the max-norm distance to the nearest row of
-    vals and the lowest index attaining it. Queries go in chunks of at most
-    _NEAREST_BUDGET query x point distances; _max_abs builds each chunk's
-    block one functional at a time, and each distance is read at its
-    argmin rather than found by a second pass."""
-    dist = np.empty(len(q_vals))
-    arg = np.empty(len(q_vals), dtype=int)
+def _nearest_blocks(q_vals: np.ndarray, vals: np.ndarray):
+    """The distance kernel: for consecutive blocks of the rows of q_vals, in
+    order, yield (start, dist, arg), each row's max-norm distance to the
+    nearest row of vals and the lowest index attaining it, for the rows
+    start, start + 1, ... A block holds at most _NEAREST_BUDGET query x point
+    distances; _max_abs builds it one functional at a time from one
+    contiguous copy of vals per call, and each distance is read at its
+    argmin rather than found by a second pass. A row's distances are
+    elementwise over that row, so its results do not depend on the block
+    that holds it, and a caller may stop after any block."""
     cols = np.ascontiguousarray(vals.T)
     step = max(1, _NEAREST_BUDGET // max(len(vals), 1))
     for start in range(0, len(q_vals), step):
-        part = slice(start, start + step)
-        q = q_vals[part]
+        q = q_vals[start : start + step]
         d = _max_abs(qj[:, None] - col for qj, col in zip(q.T, cols))
-        arg[part] = d.argmin(axis=1)
-        dist[part] = d[np.arange(len(q)), arg[part]]
+        arg = d.argmin(axis=1)
+        yield start, d[np.arange(len(q)), arg], arg
+
+
+def _nearest(q_vals: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of q_vals, the max-norm distance to the nearest row of
+    vals and the lowest index attaining it: every block of
+    _nearest_blocks."""
+    dist = np.empty(len(q_vals))
+    arg = np.empty(len(q_vals), dtype=int)
+    for start, d, a in _nearest_blocks(q_vals, vals):
+        dist[start : start + len(d)] = d
+        arg[start : start + len(a)] = a
     return dist, arg
 
 
@@ -110,7 +127,10 @@ def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> Project
 
 @dataclass(frozen=True, eq=False)
 class SunReport:
-    """Grid verdict for one (query, nearest point) ray."""
+    """Grid verdict for one (query, nearest point) ray. per_lambda holds
+    one verdict per grid point. The ray kernel stops at the first block of
+    grid points that holds a failing one, so a falsified report scans the
+    rest of the grid when per_lambda is first read, and keeps the array."""
 
     x: list
     y: list
@@ -118,7 +138,14 @@ class SunReport:
     grid: int
     verdict: str
     falsifier: dict | None = None
-    per_lambda: np.ndarray | None = field(default=None, repr=False)
+    # The per-lambda verdicts, or a function that completes them.
+    _per_lambda: object = field(default=None, repr=False)
+
+    @property
+    def per_lambda(self) -> np.ndarray | None:
+        if callable(self._per_lambda):
+            object.__setattr__(self, "_per_lambda", self._per_lambda())
+        return self._per_lambda
 
     @property
     def holds(self) -> bool:
@@ -143,23 +170,38 @@ def _sun_report(vx, vy, lambda_max, grid, ok, falsifier=None) -> SunReport:
         grid=int(grid),
         verdict="holds-on-grid" if falsifier is None else "falsified",
         falsifier=falsifier,
-        per_lambda=ok,
+        _per_lambda=ok,
     )
 
 
 def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> SunReport:
     """The ray kernel: the grid verdict for candidate vy of query vx, given
     the cloud's functional values vals = cloud.points @ reps.T. Callers
-    check the grid and that vy is a nearest point."""
+    check the grid and that vy is a nearest point. It walks the blocks of
+    _nearest_blocks in ray order and stops at the first block that holds a
+    failing grid point; the falsifier's lambda and competitor are that
+    point's, as a scan of the whole grid gives them. A falsified report
+    scans the blocks after it only when its per_lambda is read."""
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
-    best, arg = _nearest(ray @ s.representatives.T, vals)
-    ok = norms(s, ray - vy) <= _tie_threshold(best, TIE_TOL)
-    falsifier = None
-    if not ok.all():
-        g = int(np.argmin(ok))
-        falsifier = {"lambda": float(lams[g]), "competitor": cloud.points[int(arg[g])].tolist()}
-    return _sun_report(vx, vy, lambda_max, grid, ok, falsifier)
+    q_vals = ray @ s.representatives.T
+    to_y = norms(s, ray - vy)
+    ok = np.empty(len(lams), dtype=bool)
+    for start, best, arg in _nearest_blocks(q_vals, vals):
+        end = start + len(best)
+        ok[start:end] = to_y[start:end] <= _tie_threshold(best, TIE_TOL)
+        if not ok[start:end].all():
+            g = int(np.argmin(ok[start:end]))
+            competitor = cloud.points[int(arg[g])].tolist()
+            falsifier = {"lambda": float(lams[start + g]), "competitor": competitor}
+
+            def rest():
+                best, _ = _nearest(q_vals[end:], vals)
+                ok[end:] = to_y[end:] <= _tie_threshold(best, TIE_TOL)
+                return ok
+
+            return _sun_report(vx, vy, lambda_max, grid, rest, falsifier)
+    return _sun_report(vx, vy, lambda_max, grid, ok)
 
 
 def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[float, float]:

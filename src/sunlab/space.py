@@ -267,12 +267,11 @@ def space_from_json(data: dict) -> Space:
     s = make_space(fam, name=str(data.get("name", "")))
     if "dim" not in data:
         return s
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise DimensionMismatch(
-            f"space JSON 'dim' must be an integer, got {data['dim']!r}"
-        ) from None
+    dim = data["dim"]
+    # int() would truncate 2.5 to 2 and read "2" and true as integers.
+    integral = isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())
+    if isinstance(dim, bool) or not integral:
+        raise DimensionMismatch(f"space JSON 'dim' must be an integer, got {dim!r}")
     if dim != s.dim:
         raise DimensionMismatch(
             f"declared dim {data['dim']} does not match functionals of length {s.dim}"

@@ -109,6 +109,35 @@ def test_sun_falsifier_reports_competitor():
     assert rep.falsifier["lambda"] > 1.0
 
 
+def test_ray_scan_stops_at_the_falsifying_block():
+    """On a 1024-point circle the default budget puts 16 ray points in a
+    block, and an interior query is falsified just past lambda 1, at grid
+    index 19: the scan forms the distances of blocks 0 and 1 and stops.
+    Reading per_lambda scans the other 14 blocks once."""
+    a = np.arange(1024) * (np.pi / 512)
+    circle = PointCloud(np.round(np.column_stack([np.cos(a), np.sin(a)]) * 1024) / 1024)
+    x = np.array([0.1, 0.2])
+    y = circle.points[project(LINF2, circle, x).indices[0]]
+    blocks = []
+
+    def spy(columns):
+        d = max_abs(columns)
+        blocks.append(d.shape)
+        return d
+
+    max_abs = approx._max_abs
+    with mock.patch.object(approx, "_max_abs", spy):
+        rep = sun_check(LINF2, circle, x, y)
+        scanned = list(blocks)
+        first = rep.per_lambda
+        completed = list(blocks)
+        assert rep.per_lambda is first
+    g = int(np.flatnonzero(np.linspace(0.0, 16.0, 256) == rep.falsifier["lambda"])[0])
+    assert (rep.verdict, g, first[:g].all(), first[g]) == ("falsified", 19, True, False)
+    assert scanned == [(16, 1024)] * 2
+    assert completed == blocks == [(16, 1024)] * 16
+
+
 def test_find_luminosity_prefers_first_passing_candidate():
     cloud = PointCloud([[0, 0], [0, 2]])
     rep = find_luminosity(LINF2, cloud, [1, 1])

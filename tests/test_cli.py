@@ -807,6 +807,17 @@ def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
     assert len(lines) == 1 and lines[0].startswith("sunlab: error:")
 
 
+def test_space_file_with_fractional_dim_exits_one(capsys, cloud_file):
+    space = {"functionals": [[1, 0], [-1, 0], [0, 1], [0, -1]], "dim": 2.5}
+    code, out, err = _run(
+        capsys,
+        ["project", "--space", cloud_file(space, name="bad.json"),
+         "--cloud", cloud_file(COLLINEAR3), "--query", "1,1"],
+    )
+    assert (code, out) == (1, "")
+    assert err == "sunlab: error: space JSON 'dim' must be an integer, got 2.5\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

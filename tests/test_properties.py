@@ -2,7 +2,8 @@
 refinement against a brute-force triple loop, m_connected's blocked pair
 scan against a pair-by-pair scan, the oracle's interval certificate against
 the sampled hulls it stands in for, the nearest-point kernel behind the sun
-ray scan and the hull gap against a brute-force scan, the invariants of
+ray scan and the hull gap against a brute-force scan, the ray kernel's
+early exit against a scan of the whole grid, the invariants of
 monotone paths on epsilon-nets, the sparse hop graph and the
 nearest-neighbour scale against the dense distance matrix, the sun test's
 candidate loop against sun_check on one nearest point at a time, the
@@ -71,6 +72,7 @@ LINF2, L12 = SPACES[0], SPACES[1]
 L1_FROM_LINF = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 PROPERTY = settings(max_examples=60, deadline=None)
+DEFAULT_RAY = {"lambda_max": 16.0, "grid": 256}
 
 
 @st.composite
@@ -157,6 +159,73 @@ def test_nearest_equals_the_three_axis_formula(s, data):
     d = np.abs(q_vals[:, :, None] - vals.T).max(axis=1)
     assert dist.tobytes() == d.min(axis=1).tobytes()
     assert arg.tolist() == d.argmin(axis=1).tolist()
+
+
+@st.composite
+def ray_cases(draw):
+    """A cloud of up to 300 points, a query, one of its nearest points and
+    a ray grid: Euclidean circles, whose interior queries are falsified
+    once the ray leaves the circle, or uniform clouds, whose outer queries
+    mostly hold. Up to 300 grid points against up to 300 cloud points span
+    several blocks even at the default budget."""
+    s = draw(st.sampled_from(SPACES + RANDOM_SPACES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 300))
+    if draw(st.booleans()):
+        t = rng.uniform(0.0, 2.0 * np.pi, m)
+        pts = rng.uniform(-0.1, 0.1, (m, s.dim))
+        pts[:, 0], pts[:, 1] = np.cos(t), np.sin(t)
+        x = rng.uniform(-0.5, 0.5, s.dim)
+    else:
+        pts = rng.uniform(-1.0, 1.0, (m, s.dim))
+        x = rng.uniform(-2.0, 2.0, s.dim)
+    assume(len(np.unique(pts, axis=0)) == m)
+    cloud = PointCloud(pts)
+    y = cloud.points[draw(st.sampled_from(project(s, cloud, x).indices.tolist()))]
+    ray = {
+        "lambda_max": draw(st.sampled_from([1.0, 4.0, 16.0])),
+        "grid": draw(st.integers(2, 300)),
+    }
+    return s, cloud, x, y, ray
+
+
+# A 200-point segment that every query above it holds on, and a 64-point
+# circle whose interior query is falsified at grid index 20 of 256.
+SEGMENT_200 = PointCloud([[i / 199, 0.0] for i in range(200)])
+CIRCLE_64 = PointCloud(
+    np.column_stack([np.cos(np.arange(64) * np.pi / 32), np.sin(np.arange(64) * np.pi / 32)])
+)
+
+
+@PROPERTY
+@given(ray_cases(), st.sampled_from([1, 7, 100, approx._NEAREST_BUDGET]))
+@example((LINF2, SEGMENT_200, np.array([0.5, 5.0]), SEGMENT_200.points[0], DEFAULT_RAY), 7)
+@example((LINF2, CIRCLE_64, np.array([0.1, 0.2]), CIRCLE_64.points[9], DEFAULT_RAY), 100)
+def test_ray_report_is_the_full_grid_scan(case, budget):
+    """The ray kernel stops at the first block with a failing grid point;
+    its verdict, its falsifier and per_lambda, read after the scan and
+    under the default budget, must equal a brute-force scan of the whole
+    grid: the max-norm distance from every ray point to every cloud point,
+    the lowest index at each row's minimum and the first failing point."""
+    s, cloud, x, y, ray = case
+    reps = s.representatives
+    vals = cloud.points @ reps.T
+    with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
+        rep = approx._ray_report(s, cloud, vals, x, y, **ray)
+    lams = np.linspace(0.0, ray["lambda_max"], ray["grid"])
+    pts = y[None, :] + lams[:, None] * (x - y)[None, :]
+    q_vals = pts @ reps.T
+    d = np.max(np.abs(q_vals[:, None] - vals[None]), axis=2)
+    best, arg = d.min(axis=1), d.argmin(axis=1)
+    ok = norms(s, pts - y) <= approx._tie_threshold(best, approx.TIE_TOL)
+    if ok.all():
+        assert (rep.verdict, rep.falsifier) == ("holds-on-grid", None)
+    else:
+        g = int(np.argmin(ok))
+        competitor = cloud.points[arg[g]].tolist()
+        assert rep.verdict == "falsified"
+        assert rep.falsifier == {"lambda": float(lams[g]), "competitor": competitor}
+    assert rep.per_lambda.tobytes() == ok.tobytes()
 
 
 NORM_SPACES = (
@@ -582,7 +651,6 @@ BUMP_QUERIES = np.array([[0.1875, 0.125], [0.8125, 0.125]])
 # falsifies this query, at lambda 5.145..., with competitor (0, 0).
 FLOAT_LIMIT = PointCloud(np.array([[0, 0], [0.5, 0], [1, 0]]) * 1.7e308)
 FLOAT_LIMIT_QUERIES = np.array([[0.5e308, 1.2e308]])
-DEFAULT_RAY = {"lambda_max": 16.0, "grid": 256}
 
 
 @PROPERTY

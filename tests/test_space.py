@@ -287,6 +287,24 @@ def test_space_json_dim_must_be_an_integer(dim):
     assert str(err.value) == f"space JSON 'dim' must be an integer, got {dim!r}"
 
 
+@pytest.mark.parametrize("dim", [2.5, "2", True, float("inf")], ids=["2.5", "str", "true", "inf"])
+def test_space_json_dim_is_not_truncated(dim):
+    """int() read 2.5 and "2" as 2 and true as 1, so such a file passed for
+    a family of that length."""
+    functionals = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    with pytest.raises(DimensionMismatch) as err:
+        space_from_json({"functionals": functionals, "dim": dim})
+    assert str(err.value) == f"space JSON 'dim' must be an integer, got {dim!r}"
+
+
+@pytest.mark.parametrize("dim", [2, 2.0])
+def test_space_json_integral_dim_is_accepted(dim):
+    functionals = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    assert space_from_json({"functionals": functionals, "dim": dim}).dim == 2
+    with pytest.raises(DimensionMismatch, match="^declared dim 3"):
+        space_from_json({"functionals": functionals, "dim": dim + 1})
+
+
 def test_make_space_zero_functional_is_degenerate():
     with pytest.raises(Degenerate, match="^zero functional in family$"):
         make_space([[1, 0], [-1, 0], [0, 0], [0, 1]])
