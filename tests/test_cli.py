@@ -261,16 +261,24 @@ def test_verify_seed_7_report_is_pinned(tmp_path):
 
 def test_sun_and_project_reports_are_pinned(tmp_path, monkeypatch):
     """The nearest-point kernels must leave these reports byte-identical:
-    23 of 50 sampled queries falsified on an 11-point segment, and a
-    four-way tie in an l1(3) grid cube. The clouds are written here, and
-    named by relative paths so the echoed config does not vary."""
+    23 of 50 sampled queries falsified on an 11-point segment, a four-way
+    tie in an l1(3) grid cube, and a projection and 30 of 40 strict
+    queries falsified on a 3000-point cloud in a random 3-d space. The
+    builtin functionals are +-1, so their products are exact in any order;
+    the random space's are not, so its reports change if a kernel sums its
+    products in another order or with other fused multiply-adds. The clouds
+    are written here, and named by relative paths so the echoed config does
+    not vary."""
     monkeypatch.chdir(tmp_path)
     t = np.linspace(0.0, 1.0, 11)
     segment = np.column_stack([t, 0.3 * t])
     steps = (0.0, 0.1, 0.2)
     cube = [[a, b, c] for a in steps for b in steps for c in steps]
+    blob = np.random.default_rng(9).uniform(-1.0, 1.0, (3000, 3))
     Path("segment.json").write_text(json.dumps({"points": segment.tolist()}))
     Path("cube.json").write_text(json.dumps({"points": cube}))
+    Path("blob.json").write_text(json.dumps({"points": blob.tolist()}))
+    Path("space.json").write_text(json.dumps(space_to_json(random_space(3, 7, seed=2))))
     runs = [
         (
             ["sun", "--space", "linf2", "--cloud", "segment.json", "--trials", "50",
@@ -281,6 +289,16 @@ def test_sun_and_project_reports_are_pinned(tmp_path, monkeypatch):
             ["project", "--space", "l1(3)", "--cloud", "cube.json", "--query",
              "0.15,0.05,0.3"],
             0, 551, "d2a72363a527d4f403665bdd7589126d0bf7a2c415ab247bc35c284bee4afe78",
+        ),
+        (
+            ["project", "--space", "space.json", "--cloud", "blob.json", "--query",
+             "0.3,-0.2,0.25"],
+            0, 410, "296780efd51d9adac1642d0dad3e1a75f29ccf028f05531e39369dccabc54a2f",
+        ),
+        (
+            ["sun", "--space", "space.json", "--cloud", "blob.json", "--trials", "40",
+             "--seed", "5", "--strict"],
+            2, 19337, "76186f03e2dfad0dfeaead5e77e65944a4beb263f5105a12a2e60d43819bbb0a",
         ),
     ]
     for argv, code, size, digest in runs:
