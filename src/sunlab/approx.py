@@ -4,6 +4,8 @@ A cloud point y nearest to x is a luminosity point when it stays nearest to
 every point of the outward ray (1 - lambda) y + lambda x. The checks here
 are falsification-only: a pass verdict certifies the grid that was sampled,
 never the full ray.
+Distances to the cloud come from column-form products, one (p, m) product
+per projection (space._distances) and one per sun query (cols, read as vals).
 One kernel, _ray_report, gives every grid verdict. One loop over a query's
 nearest points, _candidate_reports, runs it for find_luminosity and both
 modes of is_sun_sampled; sun_check runs it on one checked pair. The loop
@@ -43,7 +45,14 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import NotANearestPoint, QueryInCloud
-from .space import Space, _check_points, _check_slack, _check_vector, _max_abs, norms
+from .space import (
+    Space,
+    _check_points,
+    _check_slack,
+    _check_vector,
+    _distances,
+    _max_abs,
+)
 
 TIE_TOL = 1e-9
 
@@ -66,7 +75,9 @@ def _nearest_blocks(q_vals: np.ndarray, vals: np.ndarray):
     contiguous copy of vals per call, and each distance is read at its
     argmin rather than found by a second pass. A row's distances are
     elementwise over that row, so its results do not depend on the block
-    that holds it, and a caller may stop after any block."""
+    that holds it, and a caller may stop after any block. The sun test
+    passes vals as the transpose of a C-order (p, m) product, whose copy
+    here is free."""
     cols = np.ascontiguousarray(vals.T)
     step = max(1, _NEAREST_BUDGET // max(len(vals), 1))
     for start in range(0, len(q_vals), step):
@@ -119,7 +130,7 @@ def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> Project
     cloud.require_nonempty()
     cloud.require_dim(s.dim)
     vx = _check_vector(s, x)
-    dists = norms(s, cloud.points - vx)
+    dists = _distances(s, cloud.points, vx)
     dmin = float(dists.min())
     idx = np.nonzero(dists <= _tie_threshold(dmin, tie_tol))[0]
     return ProjectionResult(distance=dmin, indices=idx, points=cloud.points[idx])
@@ -176,7 +187,9 @@ def _sun_report(vx, vy, lambda_max, grid, ok, falsifier=None) -> SunReport:
 
 def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> SunReport:
     """The ray kernel: the grid verdict for candidate vy of query vx, given
-    the cloud's functional values vals = cloud.points @ reps.T. Callers
+    the cloud's (m, p) functional values vals, the transpose of the
+    C-order product reps @ cloud.points.T, so that _nearest_blocks reads
+    its columns without a copy. Callers
     check the grid and that vy is a nearest point. It walks the blocks of
     _nearest_blocks in ray order and stops at the first block that holds a
     failing grid point; the falsifier's lambda and competitor are that
@@ -185,7 +198,7 @@ def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> 
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
     q_vals = ray @ s.representatives.T
-    to_y = norms(s, ray - vy)
+    to_y = _distances(s, ray, vy)
     ok = np.empty(len(lams), dtype=bool)
     for start, best, arg in _nearest_blocks(q_vals, vals):
         end = start + len(best)
@@ -222,7 +235,7 @@ def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[floa
     lies within 2 (n + 1) u L X of b_i (gamma_n = n u / (1 - n u) for the
     sum, u for the difference), plus n eta for products that underflow; E =
     2**-51 (n + 1) L X + n eta is twice that, and s b_i >= |b_i'| - E. Likewise each value
-    vals[u, i] = fl(f_i(u)) of the product cloud.points @ reps.T lies within
+    vals[u, i] = fl(f_i(u)) of the product reps @ cloud.points.T lies within
     gamma_n L X of f_i(u), so the certificate's fl(vals[y, i] - vals[u, i])
     lies within E of f_i(y) - f_i(u). The margin is 2E, so every i with
     |b_i| = d exactly is active, and for an active i, d - s b_i <= (d' -
@@ -237,7 +250,7 @@ def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[floa
     u L X (1 + 6 lambda_max), counted once for y and once for u. Its
     distance to u, the maximum over i of |fl(fl(f_i(z')) - vals[u, i])|,
     lies within (n + 1) u L (Z + X) of ||z' - u||, |z'_k| <= Z = X (1 +
-    2 lambda_max); its distance to y, from norms(ray - vy), lies within
+    2 lambda_max); its distance to y, from _distances(ray, vy), lies within
     (n + 1) u L W of ||z' - y||, W = 2 lambda_max X. Doubling these
     first-order terms covers the factors 1 + O(n u), and the sum,
 
@@ -344,7 +357,8 @@ def sun_check(
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"
         )
-    return _ray_report(s, cloud, cloud.points @ s.representatives.T, vx, vy, lambda_max, grid)
+    cols = s.representatives @ cloud.points.T
+    return _ray_report(s, cloud, cols.T, vx, vy, lambda_max, grid)
 
 
 def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[float, float]:
@@ -367,11 +381,10 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
-    vals = cloud.points @ reps.T
+    cols = reps @ cloud.points.T
     margin, floor = _certificate_floor(s, cloud, vx, lambda_max)
     # g(y) = 0 for the candidate itself, so a floor above 0 certifies nothing.
     if floor <= 0.0:
-        cols = np.ascontiguousarray(vals.T)
         certs = _ray_certificates(reps, cols, cloud.points, pr.indices, vx, margin)
     else:
         certs = itertools.repeat(-math.inf)
@@ -383,7 +396,7 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
         if cert >= floor:
             reports.append(_sun_report(vx, vy, lambda_max, grid, passing))
         else:
-            reports.append(_ray_report(s, cloud, vals, vx, vy, lambda_max, grid))
+            reports.append(_ray_report(s, cloud, cols.T, vx, vy, lambda_max, grid))
         if reports[-1].holds == stop:
             break
     return reports

@@ -15,10 +15,10 @@ dict.
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
 the brute force needs no tolerance. Some properties use random floats
-instead: `norms` and the nearest-point kernel must equal the plain
-max-over-an-axis formulas bit for bit, the slab kernel the row-wise
-formula on faces and one ulp outside them, the hop graph and the
-nearest-neighbour scale the dense matrix's, the oracle's certificate must
+instead: `norms`, `space._distances` and the nearest-point kernel must
+equal the plain max-over-an-axis formulas bit for bit, the slab kernel
+the row-wise formula on faces and one ulp outside them, the hop graph and
+the nearest-neighbour scale the dense matrix's, the oracle's certificate must
 hold on clouds scaled from 2**-30 to 2**40, and a candidate the sun
 certificate passes must pass the grid at every scale and offset. The
 pair-scan properties also run in random spaces, whose values are inexact;
@@ -30,6 +30,7 @@ from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
@@ -57,7 +58,7 @@ from sunlab import (
     sun_check,
     uniform_weights,
 )
-from sunlab import approx, hull, metric
+from sunlab import approx, hull, metric, space
 from sunlab.approx import _nearest
 from sunlab.hull import _in_slabs, _slab_witnesses
 from sunlab.metric import _assoc_dist_matrix, _hop_csr
@@ -245,6 +246,38 @@ def test_norms_equals_the_max_abs_formula(s, data):
     want = np.max(np.abs(pts @ s.representatives.T), axis=1)
     got = norms(s, pts)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# Every dimension from 1 to 5 in builtin and inexact families.
+DISTANCE_SPACES = NORM_SPACES + [make_space([[0.7], [-0.7]]), random_space(5, 8, 4)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("frozen", [False, True], ids=["array", "cloud"])
+@pytest.mark.parametrize("s", DISTANCE_SPACES, ids=lambda s: s.name or "0.7")
+def test_distances_equal_the_row_form(s, frozen, data):
+    """space._distances(s, P, x) and norms(s, P) against the row forms
+    they replaced, bit for bit, and P is left as it was. Clouds are 1 to 20
+    drawn floats or up to 3000 seeded uniform ones, scaled by 1e-6 to
+    1e12, given as a plain array or as a PointCloud's read-only buffer; in
+    dimension 1, P.T of that buffer is already contiguous."""
+    reps = s.representatives
+    scale = 10.0 ** data.draw(st.integers(-6, 12))
+    if data.draw(st.booleans()):
+        pts = _random_rows(data.draw, data.draw(st.integers(1, 20)), s.dim)
+    else:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = rng.uniform(-4.0, 4.0, (data.draw(st.integers(1, 3000)), s.dim))
+    pts = pts * scale
+    if frozen:
+        pts = PointCloud(pts).points
+    x = _random_rows(data.draw, 1, s.dim)[0] * scale
+    before = pts.copy()
+    got = space._distances(s, pts, x)
+    assert got.tobytes() == np.max(np.abs((pts - x) @ reps.T), axis=1).tobytes()
+    assert norms(s, pts).tobytes() == np.max(np.abs(pts @ reps.T), axis=1).tobytes()
+    assert pts.tobytes() == before.tobytes()
 
 
 @st.composite
