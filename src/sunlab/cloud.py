@@ -109,14 +109,21 @@ def _read_json(path: str):
 
 def load_cloud(path: str) -> PointCloud:
     """Read a cloud from a .json file ({"points": [[...], ...]}) or a UTF-8
-    CSV file with one point per row."""
+    CSV file with one point per row. Blank lines and trailing empty cells
+    are skipped; an empty cell before a number is an error, so that 0,,0
+    is not read as the point (0, 0)."""
     if path.endswith(".json"):
         return cloud_from_json(_read_json(path))
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                cells = [c.strip() for c in row if c.strip()]
+                cells = [c.strip() for c in row]
+                if "" in cells:
+                    while cells and not cells[-1]:
+                        cells.pop()
+                    if "" in cells:
+                        raise ParseError(f"{path}: empty cell at line {lineno}")
                 if not cells:
                     continue
                 try:

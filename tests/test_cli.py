@@ -19,9 +19,13 @@ FOUR_POINTS = {"points": [[0, 0], [1, 0], [0, 1], [5, 5]]}
 
 @pytest.fixture
 def cloud_file(tmp_path):
-    def write(data, name="cloud.json"):
-        path = tmp_path / name
-        path.write_text(json.dumps(data))
+    """Write data to a file: a str verbatim, as cloud.csv by default, and
+    anything else as JSON, as cloud.json by default."""
+
+    def write(data, name=None):
+        text = data if isinstance(data, str) else json.dumps(data)
+        path = tmp_path / (name or ("cloud.csv" if isinstance(data, str) else "cloud.json"))
+        path.write_text(text)
         return str(path)
 
     return write
@@ -760,6 +764,7 @@ GAPPED_CLOUD = {"points": [[0, 0], [5, 0], [9, 3]]}
 CLOUD_3D = {"points": [[0, 0, 0], [1, 1, 1]]}
 TRIANGLE = {"points": [[0, 0], [1, 0], [0, 1]]}
 PATH_0_2 = ["path", "--from", "0", "--to", "2"]
+GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
 
 
 @pytest.mark.parametrize(
@@ -803,6 +808,7 @@ PATH_0_2 = ["path", "--from", "0", "--to", "2"]
             TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--grid", "0"], id="hull-grid-0"
         ),
         pytest.param(CLOUD_3D, ["project", "--query", "1,1"], id="project-cloud-dim"),
+        pytest.param(GAP_CSV, ["project", "--query", "0.4,0.1"], id="project-csv-empty-cell"),
         pytest.param(CLOUD_3D, SUN_QUERY, id="sun-query-cloud-dim"),
         pytest.param(CLOUD_3D, [*SUN_QUERY, "--strict"], id="sun-strict-cloud-dim"),
         pytest.param(CLOUD_3D, ["sun", "--trials", "3"], id="sun-trials-cloud-dim"),

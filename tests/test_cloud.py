@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,22 @@ def test_csv_load(tmp_path):
     cloud = load_cloud(str(p))
     assert cloud.points.shape == (3, 2)
     assert cloud.points[1, 1] == -2.0
+
+
+def test_csv_trailing_commas_and_blank_cells_are_skipped(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("0,0,\n1.5,-2, ,\n , \n\n3,4\n")
+    assert load_cloud(str(p)).points.tolist() == [[0, 0], [1.5, -2], [3, 4]]
+
+
+@pytest.mark.parametrize(
+    "content, line", [("0,,0\n1,,0\n2,,0\n", 1), ("0,0\n,1\n", 2), ("0,0\n1, ,2,\n", 2)]
+)
+def test_csv_empty_cell_before_a_number_is_named(tmp_path, content, line):
+    p = tmp_path / "gap.csv"
+    p.write_text(content)
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}: empty cell at line {line}$"):
+        load_cloud(str(p))
 
 
 def test_csv_ragged_rows_rejected(tmp_path):
