@@ -187,14 +187,14 @@ def _sun_report(vx, vy, lambda_max, grid, ok, falsifier=None) -> SunReport:
 
 def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> SunReport:
     """The ray kernel: the grid verdict for candidate vy of query vx, given
-    the cloud's (m, p) functional values vals, the transpose of the
-    C-order product reps @ cloud.points.T, so that _nearest_blocks reads
-    its columns without a copy. Callers
-    check the grid and that vy is a nearest point. It walks the blocks of
-    _nearest_blocks in ray order and stops at the first block that holds a
-    failing grid point; the falsifier's lambda and competitor are that
-    point's, as a scan of the whole grid gives them. A falsified report
-    scans the blocks after it only when its per_lambda is read."""
+    the cloud's (m, p) functional values vals, the transpose of the C-order
+    product reps @ cloud.points.T, so that _nearest_blocks reads its
+    columns without a copy. Callers check the grid and that vy is a
+    nearest point. It walks the blocks of _nearest_blocks in ray order and
+    stops at the first block that holds a failing grid point; the
+    falsifier's lambda and competitor are that point's, as a scan of the
+    whole grid gives them. A falsified report scans the blocks after it
+    only when its per_lambda is read."""
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
     q_vals = ray @ s.representatives.T

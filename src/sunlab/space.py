@@ -249,9 +249,11 @@ def norms(s: Space, points: np.ndarray) -> np.ndarray:
     The functional values are formed in column form, reps @ pts.T, a (p, m)
     product whose p rows _max_abs reduces as contiguous arrays; the row
     form pts @ reps.T gives BLAS a product with only p output columns and
-    leaves _max_abs strided columns. Each entry is sum_k reps[i, k] *
-    pts[u, k] in either form, summed over k in the same order with the same
-    fused multiply-adds, so the norms are the row form's bit for bit."""
+    leaves _max_abs strided columns. Each entry is the dot product of a
+    representative with a point, which BLAS accumulates over the n
+    coordinates in the same order, with the same fused multiply-adds, in
+    either orientation, so the norms are the row form's bit for bit
+    (tests/test_properties.py checks this in dimensions 1 to 5)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(f"expected (m, {s.dim}) array, got shape {pts.shape}")
@@ -266,13 +268,13 @@ def _distances(s: Space, points: np.ndarray, x: np.ndarray) -> np.ndarray:
     points.T, from which x is subtracted one coordinate row at a time, in
     place, then one (p, n) x (n, m) product and _max_abs over its p
     contiguous rows. The row form, points - x, broadcasts over a trailing
-    axis of n entries, which in numpy costs several times a subtraction
-    over long contiguous rows, and its product has only p output columns.
-    The differences are the same IEEE subtractions in either layout, and
-    each product entry is the same k-ordered sum as in norms, so the bits
-    are those of norms(s, points - x). np.array copies even when points.T
-    is already contiguous (n = 1), so neither the read-only cloud buffer
-    nor the caller's points are written."""
+    axis of n entries, which numpy does several times slower than a
+    subtraction along long contiguous rows, and its product has only p
+    output columns. The differences are the same IEEE subtractions in
+    either layout, and each product entry is the same sum as in norms, so
+    the bits are those of norms(s, points - x). np.array copies even when
+    points.T is already contiguous (n = 1), so neither a read-only cloud
+    buffer nor the caller's points are written."""
     d = np.array(points.T, order="C")
     for row, xk in zip(d, x.tolist()):
         row -= xk
