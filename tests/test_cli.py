@@ -522,6 +522,40 @@ def test_path_reports_are_pinned(tmp_path, monkeypatch):
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+def test_path_reports_at_hop_0_are_pinned(tmp_path, monkeypatch):
+    """At the default hop 0 every pair is an edge, and Dijkstra picks the
+    route among equal-length ones. These reports must stay byte-identical
+    unless a change means to alter them: the 9 x 9 dyadic linf2 grid
+    corner to corner (17 points), and two routes through 300 uniform points
+    in a random 3-d space, where rounding separates the routes (6 points
+    with geometric weights, 4 with uniform ones)."""
+    monkeypatch.chdir(tmp_path)
+    grid = [[i / 8, j / 8] for i in range(9) for j in range(9)]
+    blob = np.random.default_rng(13).uniform(-1.0, 1.0, (300, 3))
+    Path("grid.json").write_text(json.dumps({"points": grid}))
+    Path("blob.json").write_text(json.dumps({"points": blob.tolist()}))
+    Path("space.json").write_text(json.dumps(space_to_json(random_space(3, 7, seed=2))))
+    runs = [
+        (
+            ["--space", "linf2", "--cloud", "grid.json", "--from", "0", "--to", "80"],
+            1233, "d510d9887a80a383454cfd6c0e55bc2ebde1c7b961458fea22e1728468137337",
+        ),
+        (
+            ["--space", "space.json", "--cloud", "blob.json", "--from", "0", "--to", "239"],
+            1262, "3cf40de7b2cd5a06d5c6d8a3deb1a60d6968fd1330f3912b87f639c3689c6beb",
+        ),
+        (
+            ["--space", "space.json", "--cloud", "blob.json", "--weights", "uniform",
+             "--from", "17", "--to", "250"],
+            1033, "aae97a7e83b57bd21c41b7a2065d846b851207f812dc999e4350ed925c3e4d1b",
+        ),
+    ]
+    for argv, size, digest in runs:
+        assert main(["path", *argv, "--out", "report.json"]) == 0
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_hull_reports_are_pinned(tmp_path, monkeypatch):
     """The slab tests on the gap grid must leave these reports
     byte-identical: few-ball hulls with a sliver in linf2, l1(2), linf3 and
