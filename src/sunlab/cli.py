@@ -1,11 +1,13 @@
 """Command-line surface.
 
-Each subcommand is a thin driver: parse inputs, call one library
-operation, return its result and exit code (and write an SVG when asked
-and the space is two-dimensional). `main` wraps every result in the same
-JSON report, whose config echoes the parsed options. Exit codes: 0
-success or no falsification, 1 usage or input error, 2 falsification
-found.
+`main` does all of the I/O: it loads the space and the cloud, calls one
+command, writes the command's figure (when --svg asks for one and the
+space is two-dimensional) and writes the JSON report, whose config echoes
+the parsed options. Each `cmd_*` is a function of the parsed arguments and
+the loaded inputs: it calls one library operation and returns its result,
+its exit code and the builder of its figure (None for embed and verify).
+Exit codes: 0 success or no falsification, 1 usage or input error, 2
+falsification found.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import re
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import asdict
 
 import numpy as np
@@ -33,6 +36,9 @@ from .verify import run_verify
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FALSIFIED = 2
+
+# What a command returns: its result, its exit code and its figure builder.
+_Outcome = tuple[dict, int, Callable[[], svg.Scene] | None]
 
 
 class _UsageError(Exception):
@@ -134,9 +140,9 @@ def _emit(args, result: dict, code: int) -> int:
 
 
 def _maybe_svg(args, s: Space, build) -> None:
-    """Render the figure when requested and the space is planar; never let
-    figure output change the exit code."""
-    if not args.svg:
+    """Render the figure when the command has one, it is requested and the
+    space is planar; never let figure output change the exit code."""
+    if build is None or not args.svg:
         return
     if s.dim != 2:
         print(f"sunlab: note: --svg skipped, space has dimension {s.dim}", file=sys.stderr)
@@ -155,9 +161,7 @@ def _ends(args, s: Space, cloud: PointCloud | None) -> tuple[np.ndarray, np.ndar
     return _point(getattr(args, "from"), s, cloud), _point(args.to, s, cloud)
 
 
-def cmd_interval(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud) if args.cloud else None
+def cmd_interval(args, s: Space, cloud: PointCloud | None) -> _Outcome:
     x, y = _ends(args, s, cloud)
     box = interval(s, x, y)
     result = {"interval": box.to_json()}
@@ -173,13 +177,10 @@ def cmd_interval(args) -> tuple[dict, int]:
         sc.add_legend(["interval", f"space {s.name}"])
         return sc
 
-    _maybe_svg(args, s, scene)
-    return result, EXIT_OK
+    return result, EXIT_OK, scene
 
 
-def cmd_hull(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud) if args.cloud else None
+def cmd_hull(args, s: Space, cloud: PointCloud | None) -> _Outcome:
     x, y = _ends(args, s, cloud)
     # The figure draws the hull the gap is measured on, so sample it once.
     # Only planar spaces get a figure, and they pass the gap's dimension
@@ -199,13 +200,11 @@ def cmd_hull(args) -> tuple[dict, int]:
         sc.add_legend([f"gap {rep.gap:.6g}", f"balls {args.balls}", f"space {s.name}"])
         return sc
 
-    _maybe_svg(args, s, scene)
-    return {**asdict(rep), "n_balls": args.balls}, EXIT_OK if rep.contained else EXIT_FALSIFIED
+    code = EXIT_OK if rep.contained else EXIT_FALSIFIED
+    return {**asdict(rep), "n_balls": args.balls}, code, scene
 
 
-def cmd_mconnect(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud)
+def cmd_mconnect(args, s: Space, cloud: PointCloud) -> _Outcome:
     rep = m_connected(
         s,
         cloud,
@@ -226,13 +225,10 @@ def cmd_mconnect(args) -> tuple[dict, int]:
         sc.add_legend([verdict, f"space {s.name}"])
         return sc
 
-    _maybe_svg(args, s, scene)
-    return rep.to_json(), EXIT_OK if rep.connected else EXIT_FALSIFIED
+    return rep.to_json(), EXIT_OK if rep.connected else EXIT_FALSIFIED, scene
 
 
-def cmd_path(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud)
+def cmd_path(args, s: Space, cloud: PointCloud) -> _Outcome:
     w = _load_weights(s, args.weights)
     x, y = _ends(args, s, cloud)
     out = monotone_path(s, w, cloud, x, y, eps=args.eps, hop=args.hop, tol=args.tol)
@@ -250,15 +246,12 @@ def cmd_path(args) -> tuple[dict, int]:
         sc.add_legend([label, f"space {s.name}"])
         return sc
 
-    _maybe_svg(args, s, scene)
     if isinstance(out, PathNotFound):
-        return out.to_json(), EXIT_FALSIFIED
-    return {"found": True, "target": out.target, **out.to_json()}, EXIT_OK
+        return out.to_json(), EXIT_FALSIFIED, scene
+    return {"found": True, "target": out.target, **out.to_json()}, EXIT_OK, scene
 
 
-def cmd_project(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud)
+def cmd_project(args, s: Space, cloud: PointCloud) -> _Outcome:
     q = _point(args.query, s)
     pr = project(s, cloud, q, tie_tol=args.tol)
 
@@ -270,13 +263,10 @@ def cmd_project(args) -> tuple[dict, int]:
         sc.add_legend([f"distance {pr.distance:.6g}", f"space {s.name}"])
         return sc
 
-    _maybe_svg(args, s, scene)
-    return pr.to_json(), EXIT_OK
+    return pr.to_json(), EXIT_OK, scene
 
 
-def cmd_sun(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud)
+def cmd_sun(args, s: Space, cloud: PointCloud) -> _Outcome:
     if args.query is not None and args.trials is not None:
         raise _UsageError("sunlab sun: error: give either --query or --trials, not both")
 
@@ -313,13 +303,10 @@ def cmd_sun(args) -> tuple[dict, int]:
             sc.add_legend([f"{len(queries)} queries, passed: {passed}", f"space {s.name}"])
         return sc
 
-    _maybe_svg(args, s, scene)
-    return rep.to_json(), EXIT_OK if passed else EXIT_FALSIFIED
+    return rep.to_json(), EXIT_OK if passed else EXIT_FALSIFIED, scene
 
 
-def cmd_embed(args) -> tuple[dict, int]:
-    s = _load_space(args.space)
-    cloud = load_cloud(args.cloud)
+def cmd_embed(args, s: Space, cloud: PointCloud) -> _Outcome:
     indices = None
     if args.indices:
         try:
@@ -329,13 +316,13 @@ def cmd_embed(args) -> tuple[dict, int]:
     e = make_embedding(s, indices)
     res = embed_cloud(e, cloud)
     result = {"embedding": e.to_json(), "target_dim": int(e.indices.size), **res.to_json()}
-    return result, EXIT_OK
+    return result, EXIT_OK, None
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args, s: None, cloud: None) -> _Outcome:
     _check_trials(args.trials)
     result = run_verify(trials=args.trials, seed=args.seed)
-    return result, EXIT_OK if result["passed"] else EXIT_FALSIFIED
+    return result, EXIT_OK if result["passed"] else EXIT_FALSIFIED, None
 
 
 def _build_parser() -> _Parser:
@@ -347,7 +334,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0, action=_Seed)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    def common(p, cloud_required=True):
+    def common(p, cloud_required=True, figure=True):
         p.add_argument("--space", required=True, help="builtin name (linf2, l1(3)) or JSON path")
         p.add_argument(
             "--cloud",
@@ -355,7 +342,8 @@ def _build_parser() -> _Parser:
             help="point cloud path (.json or .csv)",
         )
         seed_and_out(p)
-        p.add_argument("--svg", help="write an SVG figure here (two-dimensional spaces only)")
+        if figure:
+            p.add_argument("--svg", help="write an SVG figure here (two-dimensional spaces only)")
 
     p = sub.add_parser("interval", help="slab representation of the interval of a pair")
     common(p, cloud_required=False)
@@ -406,7 +394,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_sun)
 
     p = sub.add_parser("embed", help="map a cloud into the max-coordinate space")
-    common(p)
+    common(p, figure=False)
     p.add_argument("--indices", help="comma-separated functional pair indices (default all)")
     p.set_defaults(func=cmd_embed)
 
@@ -425,7 +413,11 @@ def main(argv=None) -> int:
         # Coordinates near the float limit overflow to inf in differences;
         # such input is rejected rather than reported.
         with np.errstate(over="raise"):
-            return _emit(args, *args.func(args))
+            s = _load_space(args.space) if "space" in args else None
+            cloud = load_cloud(args.cloud) if getattr(args, "cloud", None) is not None else None
+            result, code, scene = args.func(args, s, cloud)
+            _maybe_svg(args, s, scene)
+            return _emit(args, result, code)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

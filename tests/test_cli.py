@@ -163,6 +163,19 @@ def test_embed_reports_target_dim(capsys, cloud_file):
     assert report["result"]["points"] == [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
 
 
+def test_embed_has_no_svg_flag(capsys, cloud_file, tmp_path):
+    """embed draws no figure, so --svg is a usage error; it used to exit 0
+    and write nothing."""
+    fig = tmp_path / "e.svg"
+    code, out, err = _run(
+        capsys,
+        ["embed", "--space", "linf2", "--cloud", cloud_file(COLLINEAR3), "--svg", str(fig)],
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --svg" in err
+    assert not fig.exists()
+
+
 # --- usage and input errors ----------------------------------------------------
 
 
@@ -199,6 +212,17 @@ def test_sun_query_and_trials_conflict(capsys, cloud_file):
     )
     assert code == 1
     assert "not both" in err
+
+
+@pytest.mark.parametrize("command", ["interval", "hull"])
+def test_empty_cloud_path_is_read(capsys, command):
+    """An optional --cloud given as '' is read like any other path, so it
+    exits 1 naming the file; it used to be ignored."""
+    code, out, err = _run(
+        capsys, [command, "--space", "linf2", "--cloud", "", "--from", "0,0", "--to", "1,1"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "sunlab: error: [Errno 2] No such file or directory: ''\n"
 
 
 def test_malformed_cloud_json_is_input_error(capsys, tmp_path):
