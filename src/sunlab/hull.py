@@ -473,19 +473,19 @@ def m_connected(
     cloud: PointCloud,
     hull: str = "interval",
     adjacency_eps: float | None = None,
-    tol: float = SLAB_TOL,
     n_balls: int = 2000,
     seed: int = 0,
 ) -> MConnectReport:
     """Scale-relative Menger connectedness of a finite cloud.
 
     Every pair must have a third cloud point inside its hull, except pairs
-    at distance at most eps + tol * (1 + eps), eps = adjacency_eps: a finite
-    sample cannot refine below its own resolution, the default eps is that
-    resolution (the minimal pairwise distance), and tol exempts spacings
-    that exceed eps only by rounding, as in an np.arange grid. A two-point
-    cloud never qualifies; adjacency_eps=0 gives the literal definition.
-    hull="interval" tests the slab interval, "oracle" the sampled ball hull.
+    at distance at most eps + SLAB_TOL * (1 + eps), eps = adjacency_eps: a
+    finite sample cannot refine below its own resolution, the default eps
+    is that resolution (the minimal pairwise distance), and SLAB_TOL
+    exempts spacings that exceed eps only by rounding, as in an np.arange
+    grid. A two-point cloud never qualifies; adjacency_eps=0 gives the
+    literal definition. hull="interval" tests the slab interval, "oracle"
+    the sampled ball hull.
 
     The scan visits the pairs (i, j), i < j, in row-major order, in blocks
     of 1, 2, 4, ... rows up to _SCAN_BUDGET row x point x neighbour
@@ -494,11 +494,11 @@ def m_connected(
     exemption limit. Each row's nearest other points are tried as
     witnesses first, and only the pairs they miss go to the kernel, in one
     call per block. The oracle runs the same interval scan at
-    _certified_tol, tol minus _hull_slack: every sampled ball contains the
-    interval, so a witness there is a witness of the sampled hull at tol.
-    It samples the hull of (i, j) with seed + i*m + j only for pairs
-    without a certified interval witness, one pair at a time in row-major
-    order, and none after the first gap. The report is the one a
+    _certified_tol, SLAB_TOL minus _hull_slack: every sampled ball contains
+    the interval, so a witness there is a witness of the sampled hull at
+    SLAB_TOL. It samples the hull of (i, j) with seed + i*m + j only for
+    pairs without a certified interval witness, one pair at a time in
+    row-major order, and none after the first gap. The report is the one a
     pair-by-pair scan gives.
     """
     cloud.require_nonempty()
@@ -532,7 +532,7 @@ def m_connected(
     if m == 2:
         return MConnectReport(False, (0, 1), eps, 1, 0, hull)
 
-    scan_tol = tol if hull == "interval" else _certified_tol(s, cloud, tol)
+    scan_tol = SLAB_TOL if hull == "interval" else _certified_tol(s, cloud, SLAB_TOL)
 
     def first_gap(ends, dist, far, start, stop):
         """Index in ends of the block's first pair without a witness, or -1."""
@@ -545,12 +545,12 @@ def m_connected(
                 return g
             i, j = ends[g].tolist()
             box = ball_hull_outer(s, cloud.points[i], cloud.points[j], n_balls, seed + i * m + j)
-            if _slab_witnesses(vals, box.lo[None], box.hi[None], ends[g : g + 1], tol)[0] < 0:
+            if _slab_witnesses(vals, box.lo[None], box.hi[None], ends[g : g + 1], SLAB_TOL)[0] < 0:
                 return g
         return -1
 
     checked = 0
-    limit = _tie_threshold(eps, tol)
+    limit = _tie_threshold(eps, SLAB_TOL)
     start, rows = 0, 1
     while start < m - 1:
         stop = min(start + rows, m - 1)

@@ -18,7 +18,7 @@ from sunlab import (
     slab_vertices_2d,
 )
 from sunlab import hull
-from sunlab.verify import hull_inclusion_suite
+from sunlab.verify import hull_inclusion_suite, two_sheet_cloud
 
 LINF2 = builtin("linf", 2)
 L12 = builtin("l1", 2)
@@ -308,6 +308,18 @@ def test_mconnected_rejects_overflow(mode, space, points, match):
     checked; a finite cloud whose sup distances overflow had eps inf."""
     with pytest.raises(ValueError, match=f"^the cloud's {match}"):
         m_connected(space, PointCloud(points), hull=mode)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_mconnected_takes_no_tolerance(tol):
+    """A tolerance argument went unchecked: nan and inf passed the two
+    sheets with 0 pairs checked, and -1 counted adjacent pairs as gaps. The
+    tolerance is SLAB_TOL, which the two sheets fail at (0, 3)."""
+    cloud = two_sheet_cloud(2)
+    with pytest.raises(TypeError):
+        m_connected(LINF2, cloud, tol=tol)
+    rep = m_connected(LINF2, cloud)
+    assert (rep.connected, rep.witness, rep.pairs_checked) == (False, (0, 3), 2)
 
 
 def _two_sheets(q, values=(0.0, 0.5, 1.0)):
