@@ -52,6 +52,7 @@ from .space import (
     _check_vector,
     _distances,
     _max_abs,
+    norm,
 )
 
 TIE_TOL = 1e-9
@@ -352,7 +353,7 @@ def sun_check(
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
     pr = project(s, cloud, vx)
-    dy = float(np.max(np.abs(s.representatives @ (vx - vy))))
+    dy = norm(s, vx - vy)
     if cloud.index_of(vy) is None or dy > _tie_threshold(pr.distance, TIE_TOL):
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"

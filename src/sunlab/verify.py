@@ -155,14 +155,13 @@ def convergence_suite(
 def _box_net(step: float) -> PointCloud:
     """The grid of spacing step on the unit square."""
     axis = np.arange(0.0, 1.0 + step / 2, step)
-    g = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    return PointCloud(g)
+    return PointCloud(_grid_points([axis, axis]))
 
 
 def two_sheet_cloud(q: int, step: float = 0.5) -> PointCloud:
     """Discretized union of the slices {x_1 = 1} and {x_1 = 2}."""
     axes = [np.arange(0.0, 1.0 + step / 2, step) for _ in range(q - 1)]
-    rest = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, q - 1)
+    rest = _grid_points(axes)
     sheet1 = np.hstack([np.full((rest.shape[0], 1), 1.0), rest])
     sheet2 = np.hstack([np.full((rest.shape[0], 1), 2.0), rest])
     return PointCloud(np.vstack([sheet1, sheet2]))
