@@ -21,8 +21,7 @@ grid's, and no report depends on how the certificate was computed.
 The grid is scanned in blocks of ray points, in ray order, by the one
 distance kernel, _nearest_blocks, and the scan stops at the first block
 that holds a failing point. A row's distances do not depend on its block,
-so the falsifier is the one a scan of the whole grid finds; a falsified
-report computes its remaining per-lambda verdicts when they are first read.
+so the falsifier is the one a scan of the whole grid finds.
 _ray_certificates computes it for all of a query's tied candidates at
 once: b for every candidate, and the cloud's extremes max_u c_u,i and
 min_u c_u,i, once per query. Rounding is monotone, so
@@ -39,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,10 +138,8 @@ def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> Project
 
 @dataclass(frozen=True, eq=False)
 class SunReport:
-    """Grid verdict for one (query, nearest point) ray. per_lambda holds
-    one verdict per grid point. The ray kernel stops at the first block of
-    grid points that holds a failing one, so a falsified report scans the
-    rest of the grid when per_lambda is first read, and keeps the array."""
+    """Grid verdict for one (query, nearest point) ray: "holds-on-grid", or
+    "falsified" with the first failing lambda and its competitor."""
 
     x: list
     y: list
@@ -150,14 +147,6 @@ class SunReport:
     grid: int
     verdict: str
     falsifier: dict | None = None
-    # The per-lambda verdicts, or a function that completes them.
-    _per_lambda: object = field(default=None, repr=False)
-
-    @property
-    def per_lambda(self) -> np.ndarray | None:
-        if callable(self._per_lambda):
-            object.__setattr__(self, "_per_lambda", self._per_lambda())
-        return self._per_lambda
 
     @property
     def holds(self) -> bool:
@@ -174,7 +163,7 @@ class SunReport:
         }
 
 
-def _sun_report(vx, vy, lambda_max, grid, ok, falsifier=None) -> SunReport:
+def _sun_report(vx, vy, lambda_max, grid, falsifier=None) -> SunReport:
     return SunReport(
         x=vx.tolist(),
         y=vy.tolist(),
@@ -182,7 +171,6 @@ def _sun_report(vx, vy, lambda_max, grid, ok, falsifier=None) -> SunReport:
         grid=int(grid),
         verdict="holds-on-grid" if falsifier is None else "falsified",
         falsifier=falsifier,
-        _per_lambda=ok,
     )
 
 
@@ -194,28 +182,19 @@ def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> 
     nearest point. It walks the blocks of _nearest_blocks in ray order and
     stops at the first block that holds a failing grid point; the
     falsifier's lambda and competitor are that point's, as a scan of the
-    whole grid gives them. A falsified report scans the blocks after it
-    only when its per_lambda is read."""
+    whole grid gives them."""
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
     q_vals = ray @ s.representatives.T
     to_y = _distances(s, ray, vy)
-    ok = np.empty(len(lams), dtype=bool)
     for start, best, arg in _nearest_blocks(q_vals, vals):
-        end = start + len(best)
-        ok[start:end] = to_y[start:end] <= _tie_threshold(best, TIE_TOL)
-        if not ok[start:end].all():
-            g = int(np.argmin(ok[start:end]))
+        ok = to_y[start : start + len(best)] <= _tie_threshold(best, TIE_TOL)
+        if not ok.all():
+            g = int(np.argmin(ok))
             competitor = cloud.points[int(arg[g])].tolist()
             falsifier = {"lambda": float(lams[start + g]), "competitor": competitor}
-
-            def rest():
-                best, _ = _nearest(q_vals[end:], vals)
-                ok[end:] = to_y[end:] <= _tie_threshold(best, TIE_TOL)
-                return ok
-
-            return _sun_report(vx, vy, lambda_max, grid, rest, falsifier)
-    return _sun_report(vx, vy, lambda_max, grid, ok)
+            return _sun_report(vx, vy, lambda_max, grid, falsifier)
+    return _sun_report(vx, vy, lambda_max, grid)
 
 
 def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[float, float]:
@@ -377,8 +356,7 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
     whose holds equals stop (True: a luminosity point was found; False: a
     candidate was falsified). A candidate whose certificate clears
     slack - TIE_TOL cannot be falsified by the grid and gets the grid's
-    passing report without it; the certified reports of one query share one
-    read-only per_lambda. The ray kernel tests the others."""
+    passing report without it. The ray kernel tests the others."""
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
@@ -389,13 +367,11 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
         certs = _ray_certificates(reps, cols, cloud.points, pr.indices, vx, margin)
     else:
         certs = itertools.repeat(-math.inf)
-    passing = np.ones(int(grid), dtype=bool)
-    passing.setflags(write=False)
     reports = []
     for idx, cert in zip(pr.indices, certs):
         vy = cloud.points[idx]
         if cert >= floor:
-            reports.append(_sun_report(vx, vy, lambda_max, grid, passing))
+            reports.append(_sun_report(vx, vy, lambda_max, grid))
         else:
             reports.append(_ray_report(s, cloud, cols.T, vx, vy, lambda_max, grid))
         if reports[-1].holds == stop:

@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from collections.abc import Callable
 from dataclasses import asdict
 
@@ -63,8 +62,10 @@ class _Seed(argparse.Action):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # Mode 0o666 lets the umask give the file the mode open(path, "w") would.
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sunlab-tmp-")
+    tmp = os.path.join(directory, f".sunlab-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -154,27 +154,36 @@ def ball_hull_outer(
     Every ball is a slab polytope over the representatives that contains x
     and y, so it contains their interval, and so does the intersection: lo
     and hi never lie inside the interval bounds by more than rounding.
-    m_connected's oracle relies on this (see _hull_slack).
+    m_connected's oracle relies on this (see _hull_slack). Near the float
+    limit the box, the functional values or the bounds overflow (the width
+    is a Python float, which overflows without a flag, and inf * 0 in the
+    product is NaN); that raises ValueError.
     """
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
     if n_balls < 3:
         raise ValueError("n_balls must be at least 3 (the deterministic seeds)")
-    mid = 0.5 * (vx + vy)
-    width = 4.0 * norm(s, vx - vy)
-    rng = np.random.default_rng(seed)
-    random_part = mid + rng.uniform(-1.0, 1.0, size=(n_balls - 3, s.dim)) * max(width, 0.0)
-    centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
-    reps = s.representatives
-    # One row per representative, so that every reduction runs along the balls.
-    vals = np.ascontiguousarray((centers @ reps.T).T)
-    to_x = np.abs(vals - (reps @ vx)[:, None]).max(axis=0)
-    to_y = np.abs(vals - (reps @ vy)[:, None]).max(axis=0)
-    radii = np.maximum(to_x, to_y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (vx + vy)
+        width = 4.0 * norm(s, vx - vy)
+        rng = np.random.default_rng(seed)
+        random_part = mid + rng.uniform(-1.0, 1.0, size=(n_balls - 3, s.dim)) * max(width, 0.0)
+        centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
+        reps = s.representatives
+        # One row per representative, so that every reduction runs along the balls.
+        vals = np.ascontiguousarray((centers @ reps.T).T)
+        to_x = np.abs(vals - (reps @ vx)[:, None]).max(axis=0)
+        to_y = np.abs(vals - (reps @ vy)[:, None]).max(axis=0)
+        radii = np.maximum(to_x, to_y)
+        lo = np.max(vals - radii, axis=1)
+        hi = np.min(vals + radii, axis=1)
+    # A non-finite centre makes its values, and so its radius, inf or NaN.
+    if not (math.isfinite(radii.max()) and all(map(math.isfinite, lo.tolist() + hi.tolist()))):
+        raise ValueError("the sampled balls overflow: the points are too far apart")
     return HullApprox(
         space=s,
-        lo=np.max(vals - radii, axis=1),
-        hi=np.min(vals + radii, axis=1),
+        lo=lo,
+        hi=hi,
         centers=centers,
         radii=radii,
         n_balls=n_balls,

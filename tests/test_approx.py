@@ -1,3 +1,4 @@
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_sun_lambda_zero_and_one_pass():
     cloud = PointCloud([[0, 0], [1, 0], [2, 0]])
     rep = sun_check(LINF2, cloud, [0.5, 0.2], [0, 0], lambda_max=4, grid=9)
     # grid includes lambda = 0, 0.5, 1.0, ...; the first three are safe
-    assert rep.per_lambda[0] and rep.per_lambda[2]
+    assert rep.holds or rep.falsifier["lambda"] > 1.0
 
 
 def test_sun_falsifier_reports_competitor():
@@ -112,8 +113,7 @@ def test_sun_falsifier_reports_competitor():
 def test_ray_scan_stops_at_the_falsifying_block():
     """On a 1024-point circle the default budget puts 16 ray points in a
     block, and an interior query is falsified just past lambda 1, at grid
-    index 19: the scan forms the distances of blocks 0 and 1 and stops.
-    Reading per_lambda scans the other 14 blocks once."""
+    index 19: the scan forms the distances of blocks 0 and 1 and stops."""
     a = np.arange(1024) * (np.pi / 512)
     circle = PointCloud(np.round(np.column_stack([np.cos(a), np.sin(a)]) * 1024) / 1024)
     x = np.array([0.1, 0.2])
@@ -128,14 +128,22 @@ def test_ray_scan_stops_at_the_falsifying_block():
     max_abs = approx._max_abs
     with mock.patch.object(approx, "_max_abs", spy):
         rep = sun_check(LINF2, circle, x, y)
-        scanned = list(blocks)
-        first = rep.per_lambda
-        completed = list(blocks)
-        assert rep.per_lambda is first
     g = int(np.flatnonzero(np.linspace(0.0, 16.0, 256) == rep.falsifier["lambda"])[0])
-    assert (rep.verdict, g, first[:g].all(), first[g]) == ("falsified", 19, True, False)
-    assert scanned == [(16, 1024)] * 2
-    assert completed == blocks == [(16, 1024)] * 16
+    assert (rep.verdict, g) == ("falsified", 19)
+    assert blocks == [(16, 1024)] * 2
+
+
+def test_falsified_reports_pickle():
+    """A report is a plain record: a falsified one, alone or in a
+    NoCandidate, survives pickle with the same JSON."""
+    a = np.arange(1024) * (np.pi / 512)
+    circle = PointCloud(np.round(np.column_stack([np.cos(a), np.sin(a)]) * 1024) / 1024)
+    x = [0.1, 0.2]
+    none = find_luminosity(LINF2, circle, x)
+    one = sun_check(LINF2, circle, x, none.falsifications[0].y)
+    assert isinstance(none, NoCandidate) and one.verdict == "falsified"
+    for rep in (none, one):
+        assert pickle.loads(pickle.dumps(rep)).to_json() == rep.to_json()
 
 
 def test_find_luminosity_prefers_first_passing_candidate():
@@ -297,14 +305,12 @@ BUMP_RAY = {"lambda_max": 4.0, "grid": 64}
 )
 def test_only_uncertified_candidates_run_the_grid(cloud, q, ray, stop, reports, calls):
     """The candidate loop runs the ray kernel only on candidates whose
-    certificate fails, and its reports, per-lambda verdicts included, are
-    the grid's."""
+    certificate fails, and its reports are the grid's."""
     with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
         got = approx._candidate_reports(LINF2, cloud, np.asarray(q), stop=stop, **ray)
     want = _grid_reference(cloud, q, ray, stop)
     assert (len(got), spy.call_count) == (reports, calls)
     assert [r.to_json() for r in got] == [r.to_json() for r in want]
-    assert [r.per_lambda.tobytes() for r in got] == [r.per_lambda.tobytes() for r in want]
 
 
 @pytest.mark.parametrize("strict", [False, True])

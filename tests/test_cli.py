@@ -267,6 +267,22 @@ def test_out_writes_report_file(capsys, cloud_file, tmp_path):
     assert leftovers == []
 
 
+def test_out_and_svg_files_get_the_umask_mode(cloud_file, tmp_path):
+    """Under umask 022 the report and the figure are 0644, as open(path,
+    "w") makes them, not the 0600 of a private temporary file."""
+    out_path, fig = tmp_path / "m.json", tmp_path / "m.svg"
+    old = os.umask(0o022)
+    try:
+        code = main(
+            ["project", "--space", "linf2", "--cloud", cloud_file(COLLINEAR3),
+             "--query", "0.5,0.5", "--out", str(out_path), "--svg", str(fig)]
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert [p.stat().st_mode & 0o777 for p in (out_path, fig)] == [0o644, 0o644]
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -844,6 +860,7 @@ GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
             TRIANGLE, ["mconnect", "--hull", "oracle", "--balls", "2"], id="mconnect-oracle-balls-2"
         ),
         pytest.param(HUGE_CLOUD, ["path", "--from", "0", "--to", "1"], id="path-overflow"),
+        pytest.param(HUGE_CLOUD, ["hull", "--from", "0", "--to", "1"], id="hull-overflow"),
         pytest.param(TWO_POINTS, ["mconnect", "--space", NAN_SPACE], id="space-nan"),
         pytest.param(
             TWO_POINTS, ["mconnect", "--space", ZERO_WIDTH_SPACE], id="space-zero-width"

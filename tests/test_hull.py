@@ -310,6 +310,27 @@ def test_mconnected_rejects_overflow(mode, space, points, match):
         m_connected(space, PointCloud(points), hull=mode)
 
 
+def test_oracle_rejects_overflowing_balls():
+    """The oracle sampled the hull of (0, 2), whose box width 4e308
+    overflowed to inf; inf * 0 in the product gave NaN bounds, and the
+    oracle reported a gap that the interval scan does not see."""
+    cloud = PointCloud([[0, 0], [0.25e308, 0], [0.5e308, 0]])
+    assert m_connected(LINF2, cloud).connected
+    with pytest.raises(ValueError, match="^the sampled balls overflow"):
+        m_connected(LINF2, cloud, hull="oracle")
+
+
+@pytest.mark.parametrize(
+    "space, y", [(LINF2, [1e308, 0.0]), (L12, [0.2e308, 0.2e308])], ids=["width", "product"]
+)
+def test_ball_hull_outer_rejects_overflow(space, y):
+    """linf(2)'s box width overflows; l1(2)'s width is finite, but the sum
+    in its product overflows. Either raises, under any errstate."""
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(ValueError, match="^the sampled balls overflow"):
+            ball_hull_outer(space, [0.0, 0.0], y)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
 def test_mconnected_takes_no_tolerance(tol):
     """A tolerance argument went unchecked: nan and inf passed the two
