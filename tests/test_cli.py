@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunlab import builtin, check_monotone, cli, hull, random_space, svg
+from sunlab import builtin, check_monotone, cli, hull, norms, random_space, svg
 from sunlab.cli import main
 from sunlab.space import space_to_json
 
@@ -594,6 +594,95 @@ def test_path_reports_at_hop_0_are_pinned(tmp_path, monkeypatch):
         assert main(["path", *argv, "--out", "report.json"]) == 0
         data = Path("report.json").read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def _generic_segments():
+    """200 points t d of a line through 0 in random_space(3, 7, seed=2),
+    t sorted uniform, the eps that exempts exactly the adjacent pairs, and
+    the same cloud with point 150 moved off the line by 0.05 normal."""
+    rng = np.random.default_rng(13)
+    d = rng.normal(size=3)
+    line = np.sort(rng.uniform(size=200))[:, None] * d
+    s = random_space(3, 7, seed=2)
+    eps = float(norms(s, np.diff(line, axis=0)).max())
+    bent = line.copy()
+    bent[150] += 0.05 * rng.normal(size=3)
+    return s, line, bent, eps
+
+
+def test_generic_space_reports_are_pinned(tmp_path, monkeypatch):
+    """The functional values of a random space are inexact, so these
+    reports change if a kernel sums its products in another order or with
+    other fused multiply-adds; the +-1 functionals of the builtin pins
+    cannot show that. The segment scan checks 18717 pairs and finds none
+    without a witness; the bent segment's first gap is (139, 150), and 5 of
+    its pairs reach _slab_witnesses. The oracle runs on points 120 to 179
+    of each, path --hop on the 300-point blob of the hop 0 pins, and hull
+    on the same space."""
+    monkeypatch.chdir(tmp_path)
+    s, line, bent, eps = _generic_segments()
+    blob = np.random.default_rng(13).uniform(-1.0, 1.0, (300, 3))
+    clouds = {
+        "line": line,
+        "bent": bent,
+        "line60": line[120:180],
+        "bent60": bent[120:180],
+        "blob": blob,
+    }
+    for name, pts in clouds.items():
+        Path(f"{name}.json").write_text(json.dumps({"points": pts.tolist()}))
+    Path("space.json").write_text(json.dumps(space_to_json(s)))
+    space, oracle = ["--space", "space.json"], ["--hull", "oracle", "--balls", "200"]
+    runs = [
+        (
+            ["mconnect", *space, "--cloud", "line.json", "--eps", repr(eps)],
+            0, 406, "888f842f35540c4d125961bda9cadec101742a5ffd026b0b82ccc9d122e9e2fc",
+        ),
+        (
+            ["mconnect", *space, "--cloud", "bent.json", "--eps", repr(eps)],
+            2, 430, "159cab4de463f584143a49dc6d60d4d70f8e2e958af1192a1a7b49295f6ca480",
+        ),
+        (
+            ["mconnect", *space, "--cloud", "line60.json", "--eps", repr(eps), *oracle],
+            0, 401, "0c918f257b452596cb0d41134139f136d094e5d9fc8ab94e3552a92252ab12af",
+        ),
+        (
+            ["mconnect", *space, "--cloud", "bent60.json", "--eps", repr(eps), *oracle],
+            2, 423, "626a83bd85b87227fc53d44ffe9af8b4906b819050eb81b3f913f1e2c336f505",
+        ),
+        (
+            ["path", *space, "--cloud", "blob.json", "--from", "0", "--to", "239", "--hop",
+             "0.6"],
+            0, 1262, "3e8719d64fbfa939ff70347efc89cb149508b88f72504e5c61446d71596b579e",
+        ),
+        (
+            ["hull", *space, "--from", "0.2,-0.1,0.3", "--to=-0.5,0.7,0.1", "--balls", "6",
+             "--seed", "2"],
+            0, 681, "1243cd3ba772c114d7c1ce8925f6bf52ff356df494ce4741922facc05d22034b",
+        ),
+        (
+            ["hull", *space, "--from", "0,0,0", "--to", "1,0.5,0.25"],
+            0, 575, "544c29e1e75eb111ae6d71d68cd7546647863ea6ef2006a6cf63269ab7df24fa",
+        ),
+    ]
+    boxes = []
+    kernel = hull._slab_witnesses
+
+    def counted(*args):
+        boxes.append(len(args[3]))
+        return kernel(*args)
+
+    monkeypatch.setattr(hull, "_slab_witnesses", counted)
+    for argv, code, size, digest in runs:
+        boxes.clear()
+        assert main([*argv, "--out", "report.json"]) == code
+        data = Path("report.json").read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+        result = json.loads(data)["result"]
+        if argv[4] == "line.json":
+            assert (result["m_connected"], result["pairs_checked"]) == (True, 18717)
+        if argv[4] == "bent.json":
+            assert (result["witness"], sum(boxes)) == ([139, 150], 5)
 
 
 def test_hull_reports_are_pinned(tmp_path, monkeypatch):
