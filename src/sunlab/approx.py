@@ -5,7 +5,8 @@ every point of the outward ray (1 - lambda) y + lambda x. The checks here
 are falsification-only: a pass verdict certifies the grid that was sampled,
 never the full ray.
 Distances to the cloud come from column-form products, one (p, m) product
-per projection (space._distances) and one per sun query (cols, read as vals).
+per projection (space._distances) and one per sun query (space._values),
+which every kernel here reads as that (p, m) block.
 One kernel, _ray_report, gives every grid verdict. One loop over a query's
 nearest points, _candidate_reports, runs it for find_luminosity and both
 modes of is_sun_sampled; sun_check runs it on one checked pair. The loop
@@ -49,8 +50,10 @@ from .space import (
     _check_points,
     _check_slack,
     _check_vector,
+    _differences,
     _distances,
     _max_abs,
+    _values,
     norm,
 )
 
@@ -66,34 +69,34 @@ def _tie_threshold(dmin: float, tie_tol: float) -> float:
     return dmin + tie_tol * (1.0 + dmin)
 
 
-def _nearest_blocks(q_vals: np.ndarray, vals: np.ndarray):
-    """The distance kernel: for consecutive blocks of the rows of q_vals, in
-    order, yield (start, dist, arg), each row's max-norm distance to the
-    nearest row of vals and the lowest index attaining it, for the rows
-    start, start + 1, ... A block holds at most _NEAREST_BUDGET query x point
-    distances; _max_abs builds it one functional at a time from one
-    contiguous copy of vals per call, and each distance is read at its
-    argmin rather than found by a second pass. A row's distances are
-    elementwise over that row, so its results do not depend on the block
-    that holds it, and a caller may stop after any block. The sun test
-    passes vals as the transpose of a C-order (p, m) product, whose copy
-    here is free."""
-    cols = np.ascontiguousarray(vals.T)
-    step = max(1, _NEAREST_BUDGET // max(len(vals), 1))
-    for start in range(0, len(q_vals), step):
-        q = q_vals[start : start + step]
-        d = _max_abs(qj[:, None] - col for qj, col in zip(q.T, cols))
+def _nearest_blocks(q_cols: np.ndarray, cols: np.ndarray):
+    """The distance kernel: for consecutive blocks of the columns of q_cols,
+    the (p, k) functional values of k queries, in order, yield (start,
+    dist, arg), each query's max-norm distance to the nearest column of
+    cols, the (p, m) values of the points, and the lowest index attaining
+    it, for the queries start, start + 1, ... A block holds at most
+    _NEAREST_BUDGET query x point distances; _max_abs builds it one
+    functional at a time from the contiguous rows of cols, and each
+    distance is read at its argmin rather than found by a second pass. A
+    query's distances are elementwise over its row of the block, so its
+    results do not depend on the block that holds it, and a caller may
+    stop after any block."""
+    m, k = cols.shape[1], q_cols.shape[1]
+    step = max(1, _NEAREST_BUDGET // max(m, 1))
+    for start in range(0, k, step):
+        d = _max_abs(_differences(q_cols[:, start : start + step], cols))
         arg = d.argmin(axis=1)
-        yield start, d[np.arange(len(q)), arg], arg
+        yield start, d[np.arange(len(d)), arg], arg
 
 
-def _nearest(q_vals: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of q_vals, the max-norm distance to the nearest row of
-    vals and the lowest index attaining it: every block of
+def _nearest(q_cols: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each column of q_cols, the max-norm distance to the nearest
+    column of cols and the lowest index attaining it: every block of
     _nearest_blocks."""
-    dist = np.empty(len(q_vals))
-    arg = np.empty(len(q_vals), dtype=int)
-    for start, d, a in _nearest_blocks(q_vals, vals):
+    k = q_cols.shape[1]
+    dist = np.empty(k)
+    arg = np.empty(k, dtype=int)
+    for start, d, a in _nearest_blocks(q_cols, cols):
         dist[start : start + len(d)] = d
         arg[start : start + len(a)] = a
     return dist, arg
@@ -174,20 +177,17 @@ def _sun_report(vx, vy, lambda_max, grid, falsifier=None) -> SunReport:
     )
 
 
-def _ray_report(s: Space, cloud: PointCloud, vals, vx, vy, lambda_max, grid) -> SunReport:
+def _ray_report(s: Space, cloud: PointCloud, cols, vx, vy, lambda_max, grid) -> SunReport:
     """The ray kernel: the grid verdict for candidate vy of query vx, given
-    the cloud's (m, p) functional values vals, the transpose of the C-order
-    product reps @ cloud.points.T, so that _nearest_blocks reads its
-    columns without a copy. Callers check the grid and that vy is a
-    nearest point. It walks the blocks of _nearest_blocks in ray order and
-    stops at the first block that holds a failing grid point; the
-    falsifier's lambda and competitor are that point's, as a scan of the
-    whole grid gives them."""
+    the cloud's (p, m) functional values cols from space._values. Callers
+    check the grid and that vy is a nearest point. It walks the blocks of
+    _nearest_blocks in ray order and stops at the first block that holds a
+    failing grid point; the falsifier's lambda and competitor are that
+    point's, as a scan of the whole grid gives them."""
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
-    q_vals = ray @ s.representatives.T
     to_y = _distances(s, ray, vy)
-    for start, best, arg in _nearest_blocks(q_vals, vals):
+    for start, best, arg in _nearest_blocks(_values(s, ray), cols):
         ok = to_y[start : start + len(best)] <= _tie_threshold(best, TIE_TOL)
         if not ok.all():
             g = int(np.argmin(ok))
@@ -215,8 +215,8 @@ def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[floa
     lies within 2 (n + 1) u L X of b_i (gamma_n = n u / (1 - n u) for the
     sum, u for the difference), plus n eta for products that underflow; E =
     2**-51 (n + 1) L X + n eta is twice that, and s b_i >= |b_i'| - E. Likewise each value
-    vals[u, i] = fl(f_i(u)) of the product reps @ cloud.points.T lies within
-    gamma_n L X of f_i(u), so the certificate's fl(vals[y, i] - vals[u, i])
+    cols[i, u] = fl(f_i(u)) of the product reps @ cloud.points.T lies within
+    gamma_n L X of f_i(u), so the certificate's fl(cols[i, y] - cols[i, u])
     lies within E of f_i(y) - f_i(u). The margin is 2E, so every i with
     |b_i| = d exactly is active, and for an active i, d - s b_i <= (d' -
     |b_i'|) + 2E <= 5E, counting E for the rounding of d' - margin. Then
@@ -228,7 +228,7 @@ def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[floa
     The grid does not see z but z' = fl(y + fl(lam fl(x - y))), whose
     coordinates lie within u X (1 + 6 lambda_max) of z's, so ||z' - z|| <=
     u L X (1 + 6 lambda_max), counted once for y and once for u. Its
-    distance to u, the maximum over i of |fl(fl(f_i(z')) - vals[u, i])|,
+    distance to u, the maximum over i of |fl(fl(f_i(z')) - cols[i, u])|,
     lies within (n + 1) u L (Z + X) of ||z' - u||, |z'_k| <= Z = X (1 +
     2 lambda_max); its distance to y, from _distances(ray, vy), lies within
     (n + 1) u L W of ||z' - y||, W = 2 lambda_max X. Doubling these
@@ -337,8 +337,7 @@ def sun_check(
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"
         )
-    cols = s.representatives @ cloud.points.T
-    return _ray_report(s, cloud, cols.T, vx, vy, lambda_max, grid)
+    return _ray_report(s, cloud, _values(s, cloud.points), vx, vy, lambda_max, grid)
 
 
 def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[float, float]:
@@ -360,7 +359,7 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
-    cols = reps @ cloud.points.T
+    cols = _values(s, cloud.points)
     margin, floor = _certificate_floor(s, cloud, vx, lambda_max)
     # g(y) = 0 for the candidate itself, so a floor above 0 certifies nothing.
     if floor <= 0.0:
@@ -373,7 +372,7 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
         if cert >= floor:
             reports.append(_sun_report(vx, vy, lambda_max, grid))
         else:
-            reports.append(_ray_report(s, cloud, cols.T, vx, vy, lambda_max, grid))
+            reports.append(_ray_report(s, cloud, cols, vx, vy, lambda_max, grid))
         if reports[-1].holds == stop:
             break
     return reports

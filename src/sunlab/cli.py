@@ -422,7 +422,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (SunlabError, OSError, ValueError, FloatingPointError) as exc:
+    except (SunlabError, OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"sunlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

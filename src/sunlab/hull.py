@@ -20,7 +20,17 @@ import numpy as np
 from .approx import _nearest, _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
-from .space import Space, _check_slack, _check_vector, _max_abs, _rep_mask, norm, unit_ball_extents
+from .space import (
+    Space,
+    _check_slack,
+    _check_vector,
+    _differences,
+    _max_abs,
+    _rep_mask,
+    _values,
+    norm,
+    unit_ball_extents,
+)
 
 SLAB_TOL = 1e-10
 
@@ -58,8 +68,8 @@ class SlabPolytope:
         return bool(_in_slabs(vals, self.lo, self.hi, tol))
 
     def contains_many(self, points: np.ndarray, tol: float = SLAB_TOL) -> np.ndarray:
-        vals = np.asarray(points, dtype=float) @ self.space.representatives.T
-        return _in_slabs(np.ascontiguousarray(vals.T), self.lo, self.hi, tol)
+        cols = _values(self.space, np.asarray(points, dtype=float))
+        return _in_slabs(cols, self.lo, self.hi, tol)
 
     def to_json(self) -> dict:
         return {
@@ -171,12 +181,12 @@ def ball_hull_outer(
         centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
         reps = s.representatives
         # One row per representative, so that every reduction runs along the balls.
-        vals = np.ascontiguousarray((centers @ reps.T).T)
-        to_x = np.abs(vals - (reps @ vx)[:, None]).max(axis=0)
-        to_y = np.abs(vals - (reps @ vy)[:, None]).max(axis=0)
+        cols = _values(s, centers)
+        to_x = np.abs(cols - (reps @ vx)[:, None]).max(axis=0)
+        to_y = np.abs(cols - (reps @ vy)[:, None]).max(axis=0)
         radii = np.maximum(to_x, to_y)
-        lo = np.max(vals - radii, axis=1)
-        hi = np.min(vals + radii, axis=1)
+        lo = np.max(cols - radii, axis=1)
+        hi = np.min(cols + radii, axis=1)
     # A non-finite centre makes its values, and so its radius, inf or NaN.
     if not (math.isfinite(radii.max()) and all(map(math.isfinite, lo.tolist() + hi.tolist()))):
         raise ValueError("the sampled balls overflow: the points are too far apart")
@@ -269,9 +279,7 @@ def hull_interval_gap(
     axes = _grid_axes(s, vx, vy, res)
     step = max((float(a[1] - a[0]) for a in axes if a.size > 1), default=0.0)
     grid = _grid_points(axes)
-    reps = s.representatives
-    vals = grid @ reps.T
-    cols = np.ascontiguousarray(vals.T)
+    cols = _values(s, grid)
     in_box = _in_slabs(cols, box.lo, box.hi)
     in_hull = _in_slabs(cols, approx.lo, approx.hi)
 
@@ -284,8 +292,8 @@ def hull_interval_gap(
         # target.
         ts = np.linspace(0.0, 1.0, 257)[:, None]
         segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
-        reference = np.vstack([vals[in_box], segment @ reps.T])
-        best, _ = _nearest(vals[sliver], reference)
+        reference = np.hstack([cols[:, in_box], _values(s, segment)])
+        best, _ = _nearest(cols[:, sliver], reference)
         k = int(np.argmax(best))
         gap = float(best[k])
         witness = grid[sliver][k].tolist()
@@ -373,28 +381,23 @@ class MConnectReport:
         }
 
 
-def _rep_values(s: Space, cloud: PointCloud) -> np.ndarray:
-    cloud.require_dim(s.dim)
-    return cloud.points @ s.representatives.T
-
-
 def _hull_slack(top: float, l1: float, dim: int) -> float:
     """How far the float bounds of ball_hull_outer(s, x, y), for any two
     rows x, y of a cloud and any seed and ball count, can lie inside the
-    interval bounds min(vals[i], vals[j]) and max(vals[i], vals[j]) that
-    m_connected's scan uses (vals = cloud.points @ reps.T). top is the
-    cloud's largest |coordinate| X, l1 the largest l1-norm L of a
-    representative, dim the dimension n; u = 2**-53.
+    interval bounds min(c_i, c_j) and max(c_i, c_j) that m_connected's scan
+    uses, c_i the column of point i in the product reps @ cloud.points.T
+    (space._values). top is the cloud's largest |coordinate| X, l1 the
+    largest l1-norm L of a representative, dim the dimension n; u = 2**-53.
 
     Take lo for a functional f (hi is symmetric). Let c be a centre, c' =
-    fl(f(c)) its value from the product centers @ reps.T, x' = fl(f(x))
+    fl(f(c)) its value from the product reps @ centers.T, x' = fl(f(x))
     from reps @ x, and r >= fl(|c' - x'|) its radius. Exactly, f(c) - r
     <= f(x) for each ball; in floats fl(|c' - x'|) >= |c' - x'| (1 - u), so
     c' - r <= x' + u |c' - x'| and lo = max fl(c' - r) <= x' + u (|c' - x'|
     + |c' - r|), and the same for y. Additions and subtractions are exact
     in the subnormal range, so this holds there too.
 
-    x' and vals[i] are two dot products of f and x whose summation order
+    x' and c_i are two dot products of f and x whose summation order
     BLAS picks (a matrix-vector and a matrix-matrix product); each lies
     within gamma_n L X of f(x), gamma_n = n u / (1 - n u), so they differ
     by at most 2 gamma_n L X, plus n 2**-1074 for products that underflow.
@@ -403,8 +406,8 @@ def _hull_slack(top: float, l1: float, dim: int) -> float:
     points of the box of half-width 4 ||x - y|| <= 8 (1 + gamma_n) L X
     around the midpoint, so |c_k| <= C = (1 + 8L) X up to factors 1 + O(u).
     Then |c' - x'| <= L (C + X) and |c' - r| <= L (2C + X), whose sum is
-    L X (5 + 24L). Together lo - min(vals[i], vals[j]) <= u L X (5 + 24L +
-    2n), up to factors 1 + O(n u); the slack is twice that.
+    L X (5 + 24L). Together lo - min(c_i, c_j) <= u L X (5 + 24L + 2n), up
+    to factors 1 + O(n u); the slack is twice that.
 
     Every magnitude ball_hull_outer forms is at most L X (3 + 16L) up to
     the same factors, below scale = L X (5 + 24L + 2n). When 2 scale
@@ -427,28 +430,28 @@ def _certified_tol(s: Space, cloud: PointCloud, tol: float) -> float:
     return math.nextafter(tol - slack, -math.inf)
 
 
-def _slab_witnesses(vals, lo, hi, ends, tol) -> np.ndarray:
-    """For each box k, the lowest-index row of vals (the cloud's m x p
-    representative values), other than the two rows ends[k], with
-    lo[k] - tol <= vals <= hi[k] + tol; -1 if there is none. The m points
-    lie along the innermost axis, where numpy compares far faster."""
-    out = np.full(len(lo), -1)
-    cols = np.ascontiguousarray(vals.T)
-    step = max(1, _WITNESS_BUDGET // vals.size)
-    for start in range(0, len(lo), step):
+def _slab_witnesses(cols, lo, hi, ends, tol) -> np.ndarray:
+    """For each box k, the lowest index of a column of cols (the cloud's
+    p x m representative values), other than the two points ends[k], with
+    lo[:, k] - tol <= cols <= hi[:, k] + tol; -1 if there is none. lo and
+    hi are p x k. _in_slabs tests a block of boxes against every point, one
+    functional at a time, with the m points along the innermost axis."""
+    out = np.full(lo.shape[1], -1)
+    step = max(1, _WITNESS_BUDGET // cols.size)
+    for start in range(0, lo.shape[1], step):
         part = slice(start, start + step)
-        inside = ((cols >= lo[part, :, None] - tol) & (cols <= hi[part, :, None] + tol)).all(axis=1)
+        inside = _in_slabs(cols, lo[:, part, None], hi[:, part, None], tol)
         inside[np.arange(inside.shape[0])[:, None], ends[part]] = False
         out[part] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
     return out
 
 
 def _sup_rows(cols: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Sup distances from cloud rows start..stop-1 to every row (cols is
-    the p x m transpose of the representative values), inf on the
-    diagonal. |a - b| == |b - a| in IEEE arithmetic, so each entry equals
-    the distance taken the other way round bit for bit."""
-    d = _max_abs(col[start:stop, None] - col for col in cols)
+    """Sup distances from cloud points start..stop-1 to every point (cols
+    is the p x m block of representative values), inf on the diagonal.
+    |a - b| == |b - a| in IEEE arithmetic, so each entry equals the
+    distance taken the other way round bit for bit."""
+    d = _max_abs(_differences(cols[:, start:stop], cols))
     d[np.arange(stop - start), np.arange(start, stop)] = np.inf
     return d
 
@@ -527,10 +530,10 @@ def m_connected(
     # and an inf or NaN eps exempts every pair, so the cloud would pass
     # unchecked.
     with np.errstate(over="ignore"):
-        vals = _rep_values(s, cloud)
-        if not np.isfinite(vals).all():
+        cloud.require_dim(s.dim)
+        cols = _values(s, cloud.points)
+        if not np.isfinite(cols).all():
             raise ValueError("the cloud's functional values overflow")
-        cols = np.ascontiguousarray(vals.T)
         if adjacency_eps is None:
             blocks = range(0, m - 1, width)
             eps = min(float(_sup_rows(cols, a, min(a + width, m - 1)).min()) for a in blocks)
@@ -548,13 +551,15 @@ def m_connected(
         near = np.argpartition(dist, k - 1, axis=1)[:, :k].T
         miss = np.flatnonzero(~_near_hits(cols, near, start, stop, scan_tol)[far])
         pairs = ends[miss]
-        found = _slab_witnesses(vals, vals[pairs].min(1), vals[pairs].max(1), pairs, scan_tol)
+        v = cols[:, pairs]
+        found = _slab_witnesses(cols, v.min(2), v.max(2), pairs, scan_tol)
         for g in miss[found < 0].tolist():
             if hull == "interval":
                 return g
             i, j = ends[g].tolist()
             box = ball_hull_outer(s, cloud.points[i], cloud.points[j], n_balls, seed + i * m + j)
-            if _slab_witnesses(vals, box.lo[None], box.hi[None], ends[g : g + 1], SLAB_TOL)[0] < 0:
+            lo, hi = box.lo[:, None], box.hi[:, None]
+            if _slab_witnesses(cols, lo, hi, ends[g : g + 1], SLAB_TOL)[0] < 0:
                 return g
         return -1
 

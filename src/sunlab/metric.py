@@ -16,8 +16,8 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import DuplicatePoints, EndpointNotInCloud, WeightMismatch
-from .hull import _in_slabs, _rep_values, _slab_witnesses
-from .space import Space, _check_points, _check_slack, _check_vector, unit_ball_extents
+from .hull import _in_slabs, _slab_witnesses
+from .space import Space, _check_points, _check_slack, _check_vector, _values, unit_ball_extents
 
 BETWEEN_TOL = 1e-9
 
@@ -134,8 +134,10 @@ def between_equiv_check(
     additivity of |f(x)-f(y)|, (c) additivity of the associated norm. The
     triples mix unconstrained points, exact segment points and points
     rejection-sampled inside the interval, so every predicate is exercised
-    on both sides of its decision boundary.
+    on both sides of its decision boundary. tol must be finite and
+    nonnegative.
     """
+    _check_slack("tol", tol)
     check_weights(s, w)
     if trials < 1:
         raise ValueError(f"between_equiv_check needs at least 1 trial, got {trials}")
@@ -204,8 +206,12 @@ def between_equiv_check(
 
 
 def _assoc_dist_matrix(s: Space, w: Weights, cloud: PointCloud) -> np.ndarray:
-    """Dense associated distances, the reference for _hop_csr and max_nn_distance."""
-    vals = _rep_values(s, cloud)
+    """Dense associated distances, the reference for _hop_csr and
+    max_nn_distance, one row dot product per point pair. The rows are a
+    C-order copy: a matrix-vector product on a strided array may sum in
+    another order."""
+    cloud.require_dim(s.dim)
+    vals = np.ascontiguousarray(_values(s, cloud.points).T)
     return np.array([np.abs(vals - v) @ w.alphas for v in vals])
 
 
@@ -217,22 +223,25 @@ _WINDOW_WASTE = 2**12
 _ULP = np.finfo(float).eps
 
 
-def _pair_dists(vals, alphas, a, b) -> np.ndarray:
-    """Associated distances of the pairs (a[t], b[t]), by the expression
-    that _assoc_dist_matrix and _sorted_windows use."""
-    return np.abs(vals[b] - vals[a]) @ alphas
+def _pair_dists(cols, alphas, a, b) -> np.ndarray:
+    """Associated distances of the pairs (a[t], b[t]) of points of the
+    (p, m) block cols, by the expression that _assoc_dist_matrix and
+    _sorted_windows use: a dot product per row of the C-order array that
+    fancy indexing returns."""
+    return np.abs(cols.T[b] - cols.T[a]) @ alphas
 
 
-def _sort_key(vals, alphas) -> tuple[int, np.ndarray]:
+def _sort_key(cols, alphas) -> tuple[int, np.ndarray]:
     """The functional k of largest weight and the cloud's order by f_k."""
     k = int(np.argmax(alphas))
-    return k, np.argsort(vals[:, k], kind="stable")
+    return k, np.argsort(cols[k], kind="stable")
 
 
-def _sorted_windows(vals, alphas, k, order, reach):
-    """Yield blocks (rows, cols, d) with d[r, c] the associated distance of
-    the points rows[r] and cols[c], so that for every point i every j with
-    d(i, j) <= reach[i] is among the cols of i's block.
+def _sorted_windows(cols, alphas, k, order, reach):
+    """Yield blocks (rows, near, d) with d[r, c] the associated distance of
+    the points rows[r] and near[c], so that for every point i every j with
+    d(i, j) <= reach[i] is among the near points of i's block; cols is the
+    cloud's (p, m) block of representative values.
 
     d(i, j) >= alpha_k |f_k(i) - f_k(j)|, so those j lie within
     reach[i] / alpha_k of i in the order by f_k. The window is widened by a
@@ -241,11 +250,10 @@ def _sorted_windows(vals, alphas, k, order, reach):
     per point in that order (or one value for all), inf for the whole cloud.
     Rows come in that order, in blocks of at most _WINDOW_BUDGET pairs and
     _WINDOW_WASTE pairs outside the rows' windows (one row at least); each
-    block's cols are the union of its rows' windows, in index order.
+    block's near points are the union of its rows' windows, in index order.
     """
-    m, p = vals.shape
-    by_functional = np.ascontiguousarray(vals.T)
-    key = by_functional[k, order]
+    p, m = cols.shape
+    key = cols[k, order]
     reach = reach / alphas[k] * (1.0 + (p + 8) * _ULP)
     slack = 4 * _ULP * (np.abs(key) + reach)
     start = np.searchsorted(key, key - reach - slack, "left")
@@ -259,18 +267,18 @@ def _sorted_windows(vals, alphas, k, order, reach):
         waste = cost - np.cumsum(widths[r0:end])
         r1 = r0 + max(1, np.count_nonzero((cost <= _WINDOW_BUDGET) & (waste <= _WINDOW_WASTE)))
         rows = order[r0:r1]
-        cols = np.sort(order[start[r0:r1].min() : stop[r0:r1].max()])
+        near = np.sort(order[start[r0:r1].min() : stop[r0:r1].max()])
         # One functional at a time: a broadcast over the short last axis
         # is several times slower.
-        diff = np.empty((rows.size, cols.size, p))
-        for j, col in enumerate(by_functional):
-            np.subtract(col[cols], col[rows, None], out=diff[:, :, j])
-        yield rows, cols, np.abs(diff, out=diff) @ alphas
+        diff = np.empty((rows.size, near.size, p))
+        for j, col in enumerate(cols):
+            np.subtract(col[near], col[rows, None], out=diff[:, :, j])
+        yield rows, near, np.abs(diff, out=diff) @ alphas
         r0 = r1
 
 
-def _hop_csr(vals, alphas, hop: float):
-    """The hop graph of the cloud with representative values vals, as a
+def _hop_csr(cols, alphas, hop: float):
+    """The hop graph of the cloud with (p, m) representative values cols, as a
     canonical scipy CSR matrix: an edge of weight d(i, j) for every i != j
     with d(i, j) <= hop, or every i != j when hop is 0. Memory grows with
     the edges, not with m^2. Each distance is a row dot product with
@@ -278,15 +286,15 @@ def _hop_csr(vals, alphas, hop: float):
     BLAS sums a row in the same order whatever the array's shape."""
     from scipy.sparse import csr_matrix
 
-    m = len(vals)
-    k, order = _sort_key(vals, alphas)
+    m = cols.shape[1]
+    k, order = _sort_key(cols, alphas)
     counts, indices, data = [], [], []
-    for rows, cols, d in _sorted_windows(vals, alphas, k, order, hop if hop > 0.0 else np.inf):
-        keep = cols != rows[:, None]
+    for rows, near, d in _sorted_windows(cols, alphas, k, order, hop if hop > 0.0 else np.inf):
+        keep = near != rows[:, None]
         if hop > 0.0:
             keep &= d <= hop
         counts.append(keep.sum(axis=1))
-        indices.append(np.broadcast_to(cols, d.shape)[keep])
+        indices.append(np.broadcast_to(near, d.shape)[keep])
         data.append(d[keep])
     indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     graph = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(m, m))
@@ -333,7 +341,8 @@ def _verdicts(s: Space, pts: np.ndarray, tol: float) -> list[MonotoneVerdict]:
 def check_monotone(s: Space, path, tol: float = BETWEEN_TOL) -> list[MonotoneVerdict]:
     """Per-functional monotonicity of a path, with backward slack scaled by
     1 + |f(endpoint difference)|. Verdicts are direction-symmetric, so
-    reversing the path swaps nothing."""
+    reversing the path swaps nothing. tol must be finite and nonnegative."""
+    _check_slack("tol", tol)
     return _verdicts(s, _check_points(s, getattr(path, "points", path), "path"), tol)
 
 
@@ -417,11 +426,11 @@ def monotone_path(
         return Path(points=pts, length=0.0, target=0.0, defect=0.0, verdicts=_verdicts(s, pts, tol))
 
     cloud.require_unique()
-    vals = _rep_values(s, cloud)
-    graph = _hop_csr(vals, w.alphas, hop)
+    cols = _values(s, cloud.points)
+    graph = _hop_csr(cols, w.alphas, hop)
     if np.any(graph.data <= 0.0):
         raise DuplicatePoints("cloud has points at associated-norm distance 0")
-    target = float(_pair_dists(vals, w.alphas, [ix], [iy])[0])
+    target = float(_pair_dists(cols, w.alphas, [ix], [iy])[0])
     eps_val = 1e-6 * target if eps is None else float(eps)
 
     # Read through the module, so that a replaced `metric.dijkstra` is the
@@ -436,8 +445,8 @@ def monotone_path(
         order.append(int(pred[order[-1]]))
     order.reverse()
     if refine:
-        order = _split_steps(vals, order, tol)
-    length = float(np.cumsum(_pair_dists(vals, w.alphas, order[:-1], order[1:]))[-1])
+        order = _split_steps(cols, order, tol)
+    length = float(np.cumsum(_pair_dists(cols, w.alphas, order[:-1], order[1:]))[-1])
     if length > target + eps_val:
         return PathNotFound(
             reason="slack_exceeded", target=target, eps=eps_val, hop=hop, best_length=length
@@ -452,16 +461,18 @@ def monotone_path(
     )
 
 
-def _split_steps(vals: np.ndarray, order: list[int], tol: float) -> list[int]:
-    """Split each step (u, nxt[u]) of a path at its witness from
-    _slab_witnesses, and the new steps again. A witness already on the path
-    (it has a successor or ends the path) is skipped."""
-    nxt = np.full(len(vals), -1)
+def _split_steps(cols: np.ndarray, order: list[int], tol: float) -> list[int]:
+    """Split each step (u, nxt[u]) of a path through the points of the
+    (p, m) block cols at its witness from _slab_witnesses, and the new
+    steps again. A witness already on the path (it has a successor or ends
+    the path) is skipped."""
+    nxt = np.full(cols.shape[1], -1)
     nxt[order[:-1]] = order[1:]
     starts = np.asarray(order[:-1])
     while starts.size:
         ends = np.stack([starts, nxt[starts]], axis=1)
-        found = _slab_witnesses(vals, vals[ends].min(1), vals[ends].max(1), ends, tol)
+        v = cols[:, ends]
+        found = _slab_witnesses(cols, v.min(2), v.max(2), ends, tol)
         new = (found >= 0) & (nxt[found] < 0) & (found != order[-1])
         z, first = np.unique(found[new], return_index=True)
         u = starts[new][first]
@@ -507,8 +518,10 @@ def seq_convergence_check(s: Space, w: Weights, sequence, limit, tol: float) -> 
     is only known to be settled in sup at tol / min(alpha). The verdicts
     can differ: in linf(16) with geometric weights the unit vectors taken
     in weight order settle in the associated norm and keep sup 1. The first
-    settled indices are reported for inspection.
+    settled indices are reported for inspection. tol must be finite and
+    nonnegative.
     """
+    _check_slack("tol", tol)
     check_weights(s, w)
     seq = _check_points(s, sequence, "sequence")
     lim = _check_vector(s, limit)

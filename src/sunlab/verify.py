@@ -14,7 +14,6 @@ from .hull import (
     _grid_axes,
     _grid_points,
     _in_slabs,
-    _rep_values,
     ball_hull_outer,
     interval,
 )
@@ -31,7 +30,7 @@ from .metric import (
     seq_convergence_check,
     uniform_weights,
 )
-from .space import Space, builtin, norm, random_space
+from .space import Space, _values, builtin, norm, random_space
 from .errors import DimensionMismatch
 
 
@@ -87,7 +86,7 @@ def hull_inclusion_suite(spaces: list[Space], pairs: int, seed: int) -> dict:
             box = interval(s, x, y)
             approx = ball_hull_outer(s, x, y, n_balls=128, seed=seed + 7919 * t)
             grid = _grid_points(_grid_axes(s, x, y, res))
-            cols = np.ascontiguousarray((grid @ s.representatives.T).T)
+            cols = _values(s, grid)
             inside = _in_slabs(cols, box.lo, box.hi)
             checked += int(inside.sum())
             bad = inside & ~_in_slabs(cols, approx.lo, approx.hi)
@@ -174,13 +173,14 @@ def max_nn_distance(s: Space, w: Weights, cloud: PointCloud) -> float:
     that distance bounds is scanned; the result equals the dense matrix's."""
     check_weights(s, w)
     cloud.require_nonempty()
-    vals = _rep_values(s, cloud)
-    k, order = _sort_key(vals, w.alphas)
-    steps = _pair_dists(vals, w.alphas, order[:-1], order[1:])
+    cloud.require_dim(s.dim)
+    cols = _values(s, cloud.points)
+    k, order = _sort_key(cols, w.alphas)
+    steps = _pair_dists(cols, w.alphas, order[:-1], order[1:])
     bound = np.minimum(np.append(steps, np.inf), np.insert(steps, 0, np.inf))
     nearest = -np.inf
-    for rows, cols, d in _sorted_windows(vals, w.alphas, k, order, bound):
-        d[cols == rows[:, None]] = np.inf
+    for rows, near, d in _sorted_windows(cols, w.alphas, k, order, bound):
+        d[near == rows[:, None]] = np.inf
         nearest = max(nearest, float(d.min(axis=1).max()))
     return nearest
 

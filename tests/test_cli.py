@@ -979,6 +979,11 @@ GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
         pytest.param(
             COLLINEAR3, ["sun", "--query", "1,0", "--strict"], id="sun-strict-query-in-cloud"
         ),
+        pytest.param(
+            TWO_POINTS,
+            ["hull", "--space", "linf3", "--from", "0,0,0", "--to", "1,1,1", "--grid", "100000"],
+            id="hull-grid-huge",
+        ),
     ],
 )
 def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):

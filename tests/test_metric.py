@@ -180,6 +180,8 @@ def test_path_direct_edge_when_no_witness():
 NAN, INF = float("nan"), float("inf")
 LINE = PointCloud([[0, 0], [1, 0], [2, 0]])
 GAPPED = PointCloud([[0, 0], [5, 0], [9, 3]])  # not m-connected: witness (0, 1)
+BUMP = [[0, 0], [1, 1], [2, 0]]  # not monotone in the second coordinate
+FAR = [[5, 5]] * 3  # every term at distance 5 from the limit 0
 
 
 @pytest.mark.parametrize(
@@ -192,16 +194,24 @@ GAPPED = PointCloud([[0, 0], [5, 0], [9, 3]])  # not m-connected: witness (0, 1)
         ("hop", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], hop=INF)),
         ("hop", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [2, 0], hop=-1.0)),
         ("tol", lambda: monotone_path(LINF2, ONES, LINE, [0, 0], [0, 0], tol=NAN)),
+        ("tol", lambda: check_monotone(LINF2, BUMP, tol=INF)),
+        ("tol", lambda: check_monotone(LINF2, LINE.points, tol=-1.0)),
+        ("tol", lambda: seq_convergence_check(LINF2, ONES, FAR, [0, 0], NAN)),
+        ("tol", lambda: seq_convergence_check(LINF2, ONES, FAR, [0, 0], INF)),
+        ("tol", lambda: between_equiv_check(LINF2, ONES, 3, 0, tol=NAN)),
     ],
     ids=[
         "tie_tol-neg", "tie_tol-inf", "adjacency_eps-nan", "eps-neg", "hop-inf", "hop-neg",
-        "tol-nan",
+        "tol-nan", "monotone-tol-inf", "monotone-tol-neg", "seq-tol-nan", "seq-tol-inf",
+        "equiv-tol-nan",
     ],
 )
 def test_tolerances_must_be_finite_and_nonnegative(name, call):
     """A NaN adjacency_eps exempted every pair, so GAPPED passed, and a
-    negative tie_tol kept no nearest point; each bad value names its
-    parameter."""
+    negative tie_tol kept no nearest point; an infinite tol called BUMP
+    monotone, a negative one called a straight segment "none", and a NaN
+    or infinite one reported FAR converged at index 0. Each bad value
+    names its parameter."""
     with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got "):
         call()
 

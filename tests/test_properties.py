@@ -111,7 +111,7 @@ def test_slab_witnesses_is_lowest_brute_force_witness(case, data):
     a, b = vals[ends[:, 0]], vals[ends[:, 1]]
     budget = data.draw(st.sampled_from([1, 100, hull._WITNESS_BUDGET]))
     with mock.patch.object(hull, "_WITNESS_BUDGET", budget):
-        found = _slab_witnesses(vals, np.minimum(a, b), np.maximum(a, b), ends, 0.0)
+        found = _slab_witnesses(vals.T.copy(), np.minimum(a, b).T, np.maximum(a, b).T, ends, 0.0)
     want = [min(_between(vals, i, j), default=-1) for i, j in ends]
     assert found.tolist() == want
 
@@ -128,7 +128,7 @@ def test_nearest_is_lowest_brute_force_minimiser(case, data):
     q_vals = queries @ s.representatives.T
     budget = data.draw(st.sampled_from([1, 7, 100, approx._NEAREST_BUDGET]))
     with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
-        dist, arg = _nearest(q_vals, vals)
+        dist, arg = _nearest(q_vals.T, vals.T.copy())
     for q, d, k in zip(q_vals, dist, arg):
         brute = [np.max(np.abs(q - v)) for v in vals]
         assert d == min(brute)
@@ -156,7 +156,7 @@ def test_nearest_equals_the_three_axis_formula(s, data):
     q_vals = _random_rows(data.draw, data.draw(st.integers(1, 20)), s.dim) @ reps.T
     budget = data.draw(st.integers(1, 5 * len(vals)) | st.just(approx._NEAREST_BUDGET))
     with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
-        dist, arg = _nearest(q_vals, vals)
+        dist, arg = _nearest(q_vals.T, vals.T.copy())
     d = np.abs(q_vals[:, :, None] - vals.T).max(axis=1)
     assert dist.tobytes() == d.min(axis=1).tobytes()
     assert arg.tolist() == d.argmin(axis=1).tolist()
@@ -212,7 +212,7 @@ def test_ray_report_is_the_full_grid_scan(case, budget):
     reps = s.representatives
     vals = cloud.points @ reps.T
     with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
-        rep = approx._ray_report(s, cloud, vals, x, y, **ray)
+        rep = approx._ray_report(s, cloud, vals.T.copy(), x, y, **ray)
     lams = np.linspace(0.0, ray["lambda_max"], ray["grid"])
     pts = y[None, :] + lams[:, None] * (x - y)[None, :]
     q_vals = pts @ reps.T
@@ -247,6 +247,9 @@ def test_norms_equals_the_max_abs_formula(s, data):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+# Ball centres per sampled hull and the default gap grids in 2 and 3 dimensions.
+KERNEL_SIZES = [2000, 96**2, 24**3]
+
 # Every dimension from 1 to 5 in builtin and inexact families.
 DISTANCE_SPACES = NORM_SPACES + [make_space([[0.7], [-0.7]]), random_space(5, 8, 4)]
 
@@ -256,18 +259,22 @@ DISTANCE_SPACES = NORM_SPACES + [make_space([[0.7], [-0.7]]), random_space(5, 8,
 @pytest.mark.parametrize("frozen", [False, True], ids=["array", "cloud"])
 @pytest.mark.parametrize("s", DISTANCE_SPACES, ids=lambda s: s.name or "0.7")
 def test_distances_equal_the_row_form(s, frozen, data):
-    """space._distances(s, P, x) and norms(s, P) against the row forms
-    they replaced, bit for bit, and P is left as it was. Clouds are 1 to 20
-    drawn floats or up to 3000 seeded uniform ones, scaled by 1e-6 to
-    1e12, given as a plain array or as a PointCloud's read-only buffer; in
-    dimension 1, P.T of that buffer is already contiguous."""
+    """space._distances(s, P, x), norms(s, P) and the (p, m) block
+    space._values(s, P) against the row forms they replaced, bit for bit,
+    and P is left as it was. Clouds are 1 to 20 drawn floats or up to
+    13824 seeded uniform ones, among them the sizes the kernels receive:
+    2000 ball centres and the 96 x 96 and 24 x 24 x 24 gap grids. They are
+    scaled by 1e-6 to 1e12 and given as a plain array or as a PointCloud's
+    read-only buffer; in dimension 1, P.T of that buffer is already
+    contiguous."""
     reps = s.representatives
     scale = 10.0 ** data.draw(st.integers(-6, 12))
     if data.draw(st.booleans()):
         pts = _random_rows(data.draw, data.draw(st.integers(1, 20)), s.dim)
     else:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        pts = rng.uniform(-4.0, 4.0, (data.draw(st.integers(1, 3000)), s.dim))
+        m = data.draw(st.integers(1, 24**3) | st.sampled_from(KERNEL_SIZES))
+        pts = rng.uniform(-4.0, 4.0, (m, s.dim))
     pts = pts * scale
     if frozen:
         pts = PointCloud(pts).points
@@ -276,6 +283,8 @@ def test_distances_equal_the_row_form(s, frozen, data):
     got = space._distances(s, pts, x)
     assert got.tobytes() == np.max(np.abs((pts - x) @ reps.T), axis=1).tobytes()
     assert norms(s, pts).tobytes() == np.max(np.abs(pts @ reps.T), axis=1).tobytes()
+    cols = space._values(s, pts)
+    assert cols.flags.c_contiguous and cols.tobytes() == (pts @ reps.T).T.tobytes()
     assert pts.tobytes() == before.tobytes()
 
 
@@ -576,7 +585,7 @@ def _assert_hop_csr_is_dense(s, w, cloud, hop, patches):
     keep = ~np.eye(len(cloud), dtype=bool) & (dist <= hop if hop > 0 else True)
     want = csr_matrix(np.where(keep, dist, 0.0))
     with _window_patch(patches):
-        got = _hop_csr(cloud.points @ s.representatives.T, w.alphas, hop)
+        got = _hop_csr((cloud.points @ s.representatives.T).T.copy(), w.alphas, hop)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
