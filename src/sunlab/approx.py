@@ -7,18 +7,18 @@ never the full ray.
 Distances to the cloud come from column-form products, one (p, m) product
 per projection (space._distances) and one per sun query (space._values),
 which every kernel here reads as that (p, m) block.
-One kernel, _ray_report, gives every grid verdict. One loop over a query's
-nearest points, _candidate_reports, runs it for find_luminosity and both
-modes of is_sun_sampled; sun_check runs it on one checked pair. The loop
-first tries a certificate: with b = F(x - y) and c_u,i = f_i(u), it is the
+One kernel, _ray_falsifier, gives every grid verdict: the first failing
+point's lambda and competitor, or None. One loop over a query's nearest
+points, _candidate_falsifiers, runs it for find_luminosity and both modes
+of is_sun_sampled, and sun_check runs it on one checked pair; these three
+build a SunReport only for a record they return or print. The loop first
+tries a certificate: with b = F(x - y) and c_u,i = f_i(u), it is the
 minimum over the cloud points u of the maximum, over the functionals i
-whose |b_i| is within a margin of max |b| (the active ones), of
-sgn(b_i) (c_y,i - c_u,i). A candidate whose certificate clears a rounding
-slack (_ray_slack) stays nearest on the whole ray, and the grid cannot
-falsify it, so it skips the grid and gets the report the grid gives
-("holds-on-grid", every grid point passing). The grid runs on every other
-candidate, so each falsification, its lambda and its competitor are the
-grid's, and no report depends on how the certificate was computed.
+whose |b_i| is within a margin of max |b| (the active ones), of sgn(b_i)
+(c_y,i - c_u,i). A candidate whose certificate clears a rounding slack
+(_ray_slack) stays nearest on the whole ray, so the grid cannot falsify
+it, and it skips the grid with no falsifier. The grid runs on every other
+candidate, so every falsifier is the grid's.
 The grid is scanned in blocks of ray points, in ray order, by the one
 distance kernel, _nearest_blocks, and the scan stops at the first block
 that holds a failing point. A row's distances do not depend on its block,
@@ -142,18 +142,21 @@ def project(s: Space, cloud: PointCloud, x, tie_tol: float = TIE_TOL) -> Project
 @dataclass(frozen=True, eq=False)
 class SunReport:
     """Grid verdict for one (query, nearest point) ray: "holds-on-grid", or
-    "falsified" with the first failing lambda and its competitor."""
+    "falsified" with a falsifier, the first failing lambda and its competitor."""
 
     x: list
     y: list
     lambda_max: float
     grid: int
-    verdict: str
     falsifier: dict | None = None
 
     @property
+    def verdict(self) -> str:
+        return "holds-on-grid" if self.falsifier is None else "falsified"
+
+    @property
     def holds(self) -> bool:
-        return self.verdict == "holds-on-grid"
+        return self.falsifier is None
 
     def to_json(self) -> dict:
         return {
@@ -167,23 +170,16 @@ class SunReport:
 
 
 def _sun_report(vx, vy, lambda_max, grid, falsifier=None) -> SunReport:
-    return SunReport(
-        x=vx.tolist(),
-        y=vy.tolist(),
-        lambda_max=float(lambda_max),
-        grid=int(grid),
-        verdict="holds-on-grid" if falsifier is None else "falsified",
-        falsifier=falsifier,
-    )
+    return SunReport(vx.tolist(), vy.tolist(), float(lambda_max), int(grid), falsifier)
 
 
-def _ray_report(s: Space, cloud: PointCloud, cols, vx, vy, lambda_max, grid) -> SunReport:
-    """The ray kernel: the grid verdict for candidate vy of query vx, given
-    the cloud's (p, m) functional values cols from space._values. Callers
-    check the grid and that vy is a nearest point. It walks the blocks of
-    _nearest_blocks in ray order and stops at the first block that holds a
-    failing grid point; the falsifier's lambda and competitor are that
-    point's, as a scan of the whole grid gives them."""
+def _ray_falsifier(s: Space, cloud: PointCloud, cols, vx, vy, lambda_max, grid) -> dict | None:
+    """The ray kernel: the falsifier of candidate vy of query vx, None when
+    the grid passes, given the cloud's (p, m) functional values cols from
+    space._values. Callers check the grid and that vy is a nearest point.
+    It walks the blocks of _nearest_blocks in ray order and stops at the
+    first block that holds a failing grid point; the falsifier's lambda and
+    competitor are that point's, as a scan of the whole grid gives them."""
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
     to_y = _distances(s, ray, vy)
@@ -192,9 +188,8 @@ def _ray_report(s: Space, cloud: PointCloud, cols, vx, vy, lambda_max, grid) -> 
         if not ok.all():
             g = int(np.argmin(ok))
             competitor = cloud.points[int(arg[g])].tolist()
-            falsifier = {"lambda": float(lams[start + g]), "competitor": competitor}
-            return _sun_report(vx, vy, lambda_max, grid, falsifier)
-    return _sun_report(vx, vy, lambda_max, grid)
+            return {"lambda": float(lams[start + g]), "competitor": competitor}
+    return None
 
 
 def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[float, float]:
@@ -337,7 +332,8 @@ def sun_check(
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"
         )
-    return _ray_report(s, cloud, _values(s, cloud.points), vx, vy, lambda_max, grid)
+    falsifier = _ray_falsifier(s, cloud, _values(s, cloud.points), vx, vy, lambda_max, grid)
+    return _sun_report(vx, vy, lambda_max, grid, falsifier)
 
 
 def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[float, float]:
@@ -349,13 +345,13 @@ def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[flo
     return margin, math.nextafter(slack - TIE_TOL, math.inf)
 
 
-def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: bool) -> list:
+def _candidate_falsifiers(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: bool) -> list:
     """Project vx and compute the cloud's functional values once, then test
-    each nearest point in index order, up to and including the first report
-    whose holds equals stop (True: a luminosity point was found; False: a
-    candidate was falsified). A candidate whose certificate clears
-    slack - TIE_TOL cannot be falsified by the grid and gets the grid's
-    passing report without it. The ray kernel tests the others."""
+    each nearest point y in index order, giving (y, falsifier) pairs up to
+    and including the first whose (falsifier is None) equals stop (True: a
+    luminosity point was found; False: a candidate was falsified). A
+    candidate whose certificate clears slack - TIE_TOL gets no falsifier
+    without the grid, which cannot falsify it; the ray kernel tests the rest."""
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
@@ -366,16 +362,14 @@ def _candidate_reports(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: 
         certs = _ray_certificates(reps, cols, cloud.points, pr.indices, vx, margin)
     else:
         certs = itertools.repeat(-math.inf)
-    reports = []
+    pairs = []
     for idx, cert in zip(pr.indices, certs):
         vy = cloud.points[idx]
-        if cert >= floor:
-            reports.append(_sun_report(vx, vy, lambda_max, grid))
-        else:
-            reports.append(_ray_report(s, cloud, cols, vx, vy, lambda_max, grid))
-        if reports[-1].holds == stop:
+        f = None if cert >= floor else _ray_falsifier(s, cloud, cols, vx, vy, lambda_max, grid)
+        pairs.append((vy, f))
+        if (f is None) == stop:
             break
-    return reports
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -407,8 +401,10 @@ def find_luminosity(
     vx = _check_vector(s, x)
     if cloud.index_of(vx) is not None:
         raise QueryInCloud("query already belongs to the cloud")
-    reports = _candidate_reports(s, cloud, vx, lambda_max, grid, stop=True)
-    return reports[-1] if reports[-1].holds else NoCandidate(falsifications=reports)
+    pairs = _candidate_falsifiers(s, cloud, vx, lambda_max, grid, stop=True)
+    if pairs[-1][1] is None:
+        return _sun_report(vx, pairs[-1][0], lambda_max, grid)
+    return NoCandidate([_sun_report(vx, vy, lambda_max, grid, f) for vy, f in pairs])
 
 
 @dataclass(frozen=True)
@@ -454,8 +450,10 @@ def is_sun_sampled(
         if cloud.index_of(q) is not None:
             skipped.append(qi)
             continue
-        reports = _candidate_reports(s, cloud, q, lambda_max, grid, stop=not strict)
-        if not reports[-1].holds:
+        pairs = _candidate_falsifiers(s, cloud, q, lambda_max, grid, stop=not strict)
+        if pairs[-1][1] is not None:
+            tested = pairs[-1:] if strict else pairs
+            reports = [_sun_report(q, vy, lambda_max, grid, f) for vy, f in tested]
             failed = reports[-1] if strict else NoCandidate(falsifications=reports)
             failures.append({"query": qi, "report": failed.to_json()})
     if len(skipped) == len(qs):

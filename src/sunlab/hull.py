@@ -521,6 +521,7 @@ def m_connected(
         raise ValueError("n_balls must be at least 3 (the deterministic seeds)")
     if adjacency_eps is not None:
         _check_slack("adjacency_eps", adjacency_eps)
+    cloud.require_dim(s.dim)
     m = len(cloud)
     if m == 1:
         return MConnectReport(True, None, 0.0, 0, 0, hull)
@@ -530,7 +531,6 @@ def m_connected(
     # and an inf or NaN eps exempts every pair, so the cloud would pass
     # unchecked.
     with np.errstate(over="ignore"):
-        cloud.require_dim(s.dim)
         cols = _values(s, cloud.points)
         if not np.isfinite(cols).all():
             raise ValueError("the cloud's functional values overflow")

@@ -421,11 +421,11 @@ def monotone_path(
     iy = cloud.index_of(_check_vector(s, y))
     if ix is None or iy is None:
         raise EndpointNotInCloud("both path endpoints must belong to the cloud")
+    cloud.require_unique()
     if ix == iy:
         pts = cloud.points[[ix]]
         return Path(points=pts, length=0.0, target=0.0, defect=0.0, verdicts=_verdicts(s, pts, tol))
 
-    cloud.require_unique()
     cols = _values(s, cloud.points)
     graph = _hop_csr(cols, w.alphas, hop)
     if np.any(graph.data <= 0.0):

@@ -306,17 +306,17 @@ BUMP_RAY = {"lambda_max": 4.0, "grid": 64}
 def test_only_uncertified_candidates_run_the_grid(cloud, q, ray, stop, reports, calls):
     """The candidate loop runs the ray kernel only on candidates whose
     certificate fails, and its reports are the grid's."""
-    with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
-        got = approx._candidate_reports(LINF2, cloud, np.asarray(q), stop=stop, **ray)
+    with mock.patch.object(approx, "_ray_falsifier", wraps=approx._ray_falsifier) as spy:
+        got = approx._candidate_falsifiers(LINF2, cloud, np.asarray(q), stop=stop, **ray)
     want = _grid_reference(cloud, q, ray, stop)
     assert (len(got), spy.call_count) == (reports, calls)
-    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+    assert [(y.tolist(), f) for y, f in got] == [(r.y, r.falsifier) for r in want]
 
 
 @pytest.mark.parametrize("strict", [False, True])
 def test_tied_segment_query_runs_no_grid_in_either_mode(strict):
     q = [[1.0, 0.375]]
-    with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
+    with mock.patch.object(approx, "_ray_falsifier", wraps=approx._ray_falsifier) as spy:
         rep = is_sun_sampled(LINF2, SEGMENT_16, q, strict=strict)
     assert (spy.call_count, rep.passed, rep.failures) == (0, True, [])
 
@@ -334,7 +334,7 @@ def test_strict_segment_queries_run_no_pass_over_the_cloud_per_candidate():
     The report is the one a loop of sun_check calls gives."""
     queries = np.array([[0.5, 3 / 64], [0.7, -3 / 64]])
     with (
-        mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as grid,
+        mock.patch.object(approx, "_ray_falsifier", wraps=approx._ray_falsifier) as grid,
         mock.patch.object(approx, "_ray_certificate", wraps=approx._ray_certificate) as single,
     ):
         rep = is_sun_sampled(LINF2, SEGMENT_513, queries, strict=True)
@@ -352,12 +352,33 @@ def test_strict_segment_queries_run_no_pass_over_the_cloud_per_candidate():
     }
 
 
+def test_records_are_built_only_where_read():
+    """A SunReport is built only for a record that a caller returns or
+    prints: none for passing strict queries with about 24 tied candidates
+    each, the last one of a failing strict query, every falsification of a
+    default query without a luminosity point, and the luminous record."""
+
+    def built(call, *args, **kwargs):
+        with mock.patch.object(approx, "_sun_report", wraps=approx._sun_report) as spy:
+            out = call(LINF2, *args, **kwargs)
+        return out, spy.call_count
+
+    passing, n = built(is_sun_sampled, SEGMENT_513, [[0.5, 3 / 64], [0.7, -3 / 64]], strict=True)
+    assert (passing.passed, n) == (True, 0)
+    strict, n = built(is_sun_sampled, BUMP, [[0.8125, 0.125]], strict=True, **BUMP_RAY)
+    assert (len(strict.failures), n) == (1, 1)
+    default, n = built(is_sun_sampled, BUMP, [[0.3125, 0.125]], **BUMP_RAY)
+    assert (len(default.failures[0]["report"]["falsifications"]), n) == (2, 2)
+    luminous, n = built(find_luminosity, BUMP, [0.1875, 0.125], **BUMP_RAY)
+    assert (luminous.holds, n) == (True, 1)
+
+
 def test_float_limit_query_runs_the_grid():
     """At 1.7e308 the slack is inf, so the grid runs, and its overflowing
     scan falsifies the query where it always has."""
     cloud = PointCloud(np.array([[0, 0], [0.5, 0], [1, 0]]) * 1.7e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        with mock.patch.object(approx, "_ray_report", wraps=approx._ray_report) as spy:
+        with mock.patch.object(approx, "_ray_falsifier", wraps=approx._ray_falsifier) as spy:
             out = find_luminosity(builtin("l1", 2), cloud, [0.5e308, 1.2e308])
     assert spy.call_count == 1
     assert out.to_json()["falsifications"] == [

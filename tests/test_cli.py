@@ -1031,6 +1031,26 @@ def test_cloud_of_another_dimension_is_named(capsys, cloud_file, argv):
     assert err == "sunlab: error: cloud dimension 3 does not match space dimension 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, cloud, message",
+    [
+        (["mconnect"], {"points": [[0, 0, 0]]},
+         "cloud dimension 3 does not match space dimension 2"),
+        (["path", "--from", "0", "--to", "0"], {"points": [[0, 0], [1, 0], [0, 0]]},
+         "points 0 and 2 coincide"),
+    ],
+    ids=["mconnect-one-point", "path-to-itself"],
+)
+def test_early_returns_check_the_cloud(capsys, cloud_file, argv, cloud, message):
+    """A one-point cloud and a path from a point to itself returned before
+    the cloud was checked."""
+    command, *rest = argv
+    code, out, err = _run(
+        capsys, [command, "--space", "linf2", "--cloud", cloud_file(cloud), *rest]
+    )
+    assert (code, out, err) == (1, "", f"sunlab: error: {message}\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "sun"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_trials_below_one_is_named(capsys, cloud_file, command, trials):

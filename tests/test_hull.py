@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sunlab import (
+    DimensionMismatch,
     DuplicatePoints,
     PointCloud,
     ball_hull_outer,
@@ -283,6 +284,12 @@ def test_mconnected_two_points_never():
 
 def test_mconnected_singleton():
     assert m_connected(LINF2, PointCloud([[3.0, -2.0]])).connected
+
+
+def test_mconnected_singleton_of_another_dimension_is_named():
+    """A one-point cloud returned before its dimension was checked."""
+    with pytest.raises(DimensionMismatch, match="^cloud dimension 3 does not match space dim"):
+        m_connected(LINF2, PointCloud([[0.0, 0.0, 0.0]]))
 
 
 def test_mconnected_rejects_duplicates():

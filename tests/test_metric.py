@@ -234,6 +234,15 @@ def test_path_cloud_must_match_the_space(x, y):
         monotone_path(LINF2, ONES, cloud, x, y)
 
 
+@pytest.mark.parametrize("dst", [0, 1])
+def test_path_rejects_duplicate_points_for_every_endpoint(dst):
+    """A path from a point to itself returned before the cloud's points
+    were checked for duplicates."""
+    cloud = PointCloud([[0, 0], [1, 0], [0, 0]])
+    with pytest.raises(DuplicatePoints, match="^points 0 and 2 coincide$"):
+        monotone_path(LINF2, ONES, cloud, [0, 0], cloud.points[dst])
+
+
 def test_path_hop_disconnects():
     cloud = PointCloud([[0, 0], [1, 1]])
     out = monotone_path(LINF2, ONES, cloud, [0, 0], [1, 1], hop=0.5)
