@@ -309,7 +309,7 @@ def cmd_sun(args, s: Space, cloud: PointCloud) -> _Outcome:
 
 def cmd_embed(args, s: Space, cloud: PointCloud) -> _Outcome:
     indices = None
-    if args.indices:
+    if args.indices is not None:
         try:
             indices = [int(p) for p in re.split(r"[,\s]+", args.indices.strip()) if p]
         except ValueError:

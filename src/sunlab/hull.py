@@ -200,18 +200,33 @@ def ball_hull_outer(
     )
 
 
-def _grid_axes(s: Space, x: np.ndarray, y: np.ndarray, resolution: int) -> list[np.ndarray]:
-    """Per-axis sample coordinates for a box that covers both the interval
-    and any hull approximation that includes the midpoint ball."""
+def _grid_resolution(s: Space, resolution: int | None = None) -> int:
+    """Points per axis of a gap grid: the default for the dimension, or the
+    given count, which must be at least 3. With 2 the grid is the corners of
+    its box, which lie outside the midpoint ball and so outside both the
+    interval and the hull: it would compare nothing and pass vacuously."""
+    if s.dim not in _GRID_DEFAULT:
+        raise DimensionMismatch(f"gap grids exist for dim <= 3 only, got dim {s.dim}")
+    res = _GRID_DEFAULT[s.dim] if resolution is None else resolution
+    if res < 3:
+        raise ValueError(f"the gap grid needs at least 3 points per axis, got {res}")
+    return res
+
+
+def _gap_grid(s: Space, x: np.ndarray, y: np.ndarray, resolution: int):
+    """The gap grid of the pair: its points, their (p, m) _values block and
+    the largest axis step. Each axis spans the midpoint ball, which holds
+    the interval and every sampled hull (it is one of the hull's balls),
+    plus one step on each side."""
     mid = 0.5 * (x + y)
     r = 0.5 * norm(s, x - y)
-    ext = unit_ball_extents(s)
     axes = []
-    for i in range(s.dim):
-        half = r * ext[i]
-        step = 2.0 * half / max(resolution - 1, 1)
+    for i, ext in enumerate(unit_ball_extents(s)):
+        half = r * ext
+        step = 2.0 * half / (resolution - 1)
         axes.append(np.linspace(mid[i] - half - step, mid[i] + half + step, resolution))
-    return axes
+    grid = _grid_points(axes)
+    return grid, _values(s, grid), max(float(a[1] - a[0]) for a in axes)
 
 
 def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
@@ -247,15 +262,11 @@ def hull_interval_gap(
     interval on a shared grid (the interval lies inside the hull, so the
     other side is zero; `contained` checks this at x and y, which is exact
     for two slab polytopes with the same normals). The grid has
-    `resolution` points per axis, at least 2, with a per-dimension
+    `resolution` points per axis, at least 3, with a per-dimension
     default."""
     vx = _check_vector(s, x)
     vy = _check_vector(s, y)
-    if s.dim not in _GRID_DEFAULT:
-        raise DimensionMismatch("grid gap reports are available for dim <= 3 only")
-    res = _GRID_DEFAULT[s.dim] if resolution is None else resolution
-    if res < 2:
-        raise ValueError(f"the gap grid needs at least 2 points per axis, got {res}")
+    res = _grid_resolution(s, resolution)
     box = interval(s, vx, vy)
     approx = hull if hull is not None else ball_hull_outer(s, vx, vy, n_balls=n_balls, seed=seed)
     # Both shapes are slab polytopes with the same normals, so the interval
@@ -263,40 +274,25 @@ def hull_interval_gap(
     end_tol = SLAB_TOL * (1.0 + float(np.abs([box.lo, box.hi]).max()))
     outside = [p.tolist() for p in (vx, vy) if not approx.contains(p, tol=end_tol)]
 
-    if norm(s, vx - vy) == 0.0:
-        return GapReport(
-            pair=(vx.tolist(), vy.tolist()),
-            contained=not outside,
-            gap=0.0,
-            witness=None,
-            step=0.0,
-            n_grid=1,
-            n_interval=1,
-            n_hull=1,
-            inclusion_witness=outside[0] if outside else None,
-        )
-
-    axes = _grid_axes(s, vx, vy, res)
-    step = max((float(a[1] - a[0]) for a in axes if a.size > 1), default=0.0)
-    grid = _grid_points(axes)
-    cols = _values(s, grid)
-    in_box = _in_slabs(cols, box.lo, box.hi)
-    in_hull = _in_slabs(cols, approx.lo, approx.hi)
-
-    sliver = in_hull & ~in_box
-    gap = 0.0
-    witness = None
-    if sliver.any():
-        # Distance reference: interval grid points plus a dense segment
-        # sample, so thin intervals that miss every grid node still have a
-        # target.
-        ts = np.linspace(0.0, 1.0, 257)[:, None]
-        segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
-        reference = np.hstack([cols[:, in_box], _values(s, segment)])
-        best, _ = _nearest(cols[:, sliver], reference)
-        k = int(np.argmax(best))
-        gap = float(best[k])
-        witness = grid[sliver][k].tolist()
+    # Equal ends make both shapes one point, which the grid need not sample.
+    gap, witness, step, n_grid, n_interval, n_hull = 0.0, None, 0.0, 1, 1, 1
+    if norm(s, vx - vy) != 0.0:
+        grid, cols, step = _gap_grid(s, vx, vy, res)
+        in_box = _in_slabs(cols, box.lo, box.hi)
+        in_hull = _in_slabs(cols, approx.lo, approx.hi)
+        n_grid, n_interval, n_hull = grid.shape[0], int(in_box.sum()), int(in_hull.sum())
+        sliver = in_hull & ~in_box
+        if sliver.any():
+            # Distance reference: interval grid points plus a dense segment
+            # sample, so thin intervals that miss every grid node still have
+            # a target.
+            ts = np.linspace(0.0, 1.0, 257)[:, None]
+            segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
+            reference = np.hstack([cols[:, in_box], _values(s, segment)])
+            best, _ = _nearest(cols[:, sliver], reference)
+            k = int(np.argmax(best))
+            gap = float(best[k])
+            witness = grid[sliver][k].tolist()
 
     return GapReport(
         pair=(vx.tolist(), vy.tolist()),
@@ -304,9 +300,9 @@ def hull_interval_gap(
         gap=gap,
         witness=witness,
         step=step,
-        n_grid=grid.shape[0],
-        n_interval=int(in_box.sum()),
-        n_hull=int(in_hull.sum()),
+        n_grid=n_grid,
+        n_interval=n_interval,
+        n_hull=n_hull,
         inclusion_witness=outside[0] if outside else None,
     )
 
@@ -337,15 +333,12 @@ def mei_check(
     if trials < 1:
         raise ValueError(f"mei_check needs at least 1 trial, got {trials}")
     rng = np.random.default_rng(seed)
-    res = _GRID_DEFAULT.get(s.dim)
-    if res is None:
-        raise DimensionMismatch("mei_check needs dim <= 3 for its grids")
     reports: list[GapReport] = []
     violations: list[dict] = []
     for t in range(trials):
         x = rng.uniform(-1.0, 1.0, size=s.dim)
         y = rng.uniform(-1.0, 1.0, size=s.dim)
-        rep = hull_interval_gap(s, x, y, n_balls=n_balls, seed=seed + 1 + t, resolution=res)
+        rep = hull_interval_gap(s, x, y, n_balls=n_balls, seed=seed + 1 + t)
         reports.append(rep)
         if not rep.contained:
             violations.append({"trial": t, "kind": "inclusion", "witness": rep.inclusion_witness})

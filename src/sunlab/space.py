@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Degenerate, DimensionMismatch, NotSymmetric, TooLarge
+from .errors import Degenerate, DimensionMismatch, NotSymmetric, ParseError, TooLarge
 
 DEFAULT_BUDGET = 2**20
 
@@ -309,7 +309,10 @@ def space_from_json(data: dict) -> Space:
         fam = data["functionals"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatch("space JSON needs a 'functionals' array") from exc
-    s = make_space(fam, name=str(data.get("name", "")))
+    name = data.get("name", "")
+    s = make_space(fam, name=name)
+    if not isinstance(name, str):
+        raise ParseError(f"space JSON 'name' must be a string, got {name!r}")
     if "dim" not in data:
         return s
     dim = data["dim"]

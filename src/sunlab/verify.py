@@ -11,8 +11,9 @@ import numpy as np
 from .cloud import PointCloud
 from .hull import (
     _GRID_DEFAULT,
-    _grid_axes,
+    _gap_grid,
     _grid_points,
+    _grid_resolution,
     _in_slabs,
     ball_hull_outer,
     interval,
@@ -31,7 +32,6 @@ from .metric import (
     uniform_weights,
 )
 from .space import Space, _values, builtin, norm, random_space
-from .errors import DimensionMismatch
 
 
 def default_spaces(seed: int = 12345) -> list[Space]:
@@ -73,9 +73,7 @@ def hull_inclusion_suite(spaces: list[Space], pairs: int, seed: int) -> dict:
     per_space = []
     total_violations = 0
     for si, s in enumerate(spaces):
-        if s.dim not in _GRID_DEFAULT:
-            raise DimensionMismatch("hull inclusion grids need dim <= 3")
-        res = max(8, _GRID_DEFAULT[s.dim] // 2)
+        res = max(8, _grid_resolution(s) // 2)
         rng = np.random.default_rng(seed + si)
         violations = 0
         witness = None
@@ -85,8 +83,7 @@ def hull_inclusion_suite(spaces: list[Space], pairs: int, seed: int) -> dict:
             y = rng.uniform(-1.0, 1.0, size=s.dim)
             box = interval(s, x, y)
             approx = ball_hull_outer(s, x, y, n_balls=128, seed=seed + 7919 * t)
-            grid = _grid_points(_grid_axes(s, x, y, res))
-            cols = _values(s, grid)
+            grid, cols, _ = _gap_grid(s, x, y, res)
             inside = _in_slabs(cols, box.lo, box.hi)
             checked += int(inside.sum())
             bad = inside & ~_in_slabs(cols, approx.lo, approx.hi)
@@ -239,7 +236,7 @@ def path_suite() -> dict:
 
 def run_verify(trials: int = 1000, seed: int = 0) -> dict:
     spaces = default_spaces(seed=seed + 1000)
-    grid_spaces = [s for s in spaces if s.dim <= 3]
+    grid_spaces = [s for s in spaces if s.dim in _GRID_DEFAULT]
     sections = {
         "equivalence": equivalence_suite(spaces, trials, seed),
         "hull_inclusion": hull_inclusion_suite(

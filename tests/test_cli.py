@@ -688,8 +688,8 @@ def test_generic_space_reports_are_pinned(tmp_path, monkeypatch):
 def test_hull_reports_are_pinned(tmp_path, monkeypatch):
     """The slab tests on the gap grid must leave these reports
     byte-identical: few-ball hulls with a sliver in linf2, l1(2), linf3 and
-    l1(3), a thin linf2 pair whose interval holds no grid point, a 2 x 2
-    grid, a JSON random space, a full 2000-ball hull and the l1(2) figure."""
+    l1(3), a thin linf2 pair whose interval holds no grid point, a JSON
+    random space, a full 2000-ball hull and the l1(2) figure."""
     monkeypatch.chdir(tmp_path)
     Path("space.json").write_text(json.dumps(space_to_json(random_space(2, 4, seed=3))))
     runs = [
@@ -713,11 +713,6 @@ def test_hull_reports_are_pinned(tmp_path, monkeypatch):
         (
             ["--space", "linf2", "--from", "0,0", "--to", "1,0", "--balls", "4"],
             602, "ad72574e5d54cd92cc17a02427fedbb428a647ab40dc3a6c9e9f01dd682081bd",
-        ),
-        (
-            ["--space", "linf2", "--from", "0,0", "--to", "1,0.5", "--balls", "4", "--grid",
-             "2"],
-            505, "e5cc191603302029be61bc2fe5c54a7ab261a8a5bebec9b9217fa60bd521c23a",
         ),
         (
             ["--space", "space.json", "--from", "0.2,-0.1", "--to=-0.5,0.7", "--balls", "4",
@@ -921,6 +916,7 @@ SUN_QUERY = ["sun", "--query", "1,5"]
 NAN_SPACE = {"functionals": [[float("nan"), 1], [float("nan"), -1], [0, 1], [0, -1]]}
 ZERO_WIDTH_SPACE = {"functionals": [[], []]}
 RAGGED_SPACE = {"functionals": [[1, 0], [-1]]}
+NULL_NAME_SPACE = {"functionals": [[1, 0], [-1, 0], [0, 1], [0, -1]], "name": None}
 RAGGED_CLOUD = {"points": [[1, 0], [1]]}
 INF_WEIGHTS = {"alphas": [float("inf"), 1]}
 GAPPED_CLOUD = {"points": [[0, 0], [5, 0], [9, 3]]}
@@ -971,6 +967,14 @@ GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
         pytest.param(
             TWO_POINTS, ["hull", "--from", "0", "--to", "1", "--grid", "0"], id="hull-grid-0"
         ),
+        pytest.param(
+            TWO_POINTS,
+            ["hull", "--from", "0,0", "--to", "1,1", "--grid", "2"],
+            id="hull-grid-2",
+        ),
+        pytest.param(
+            TWO_POINTS, ["embed", "--space", NULL_NAME_SPACE], id="space-name-null"
+        ),
         pytest.param(CLOUD_3D, ["project", "--query", "1,1"], id="project-cloud-dim"),
         pytest.param(GAP_CSV, ["project", "--query", "0.4,0.1"], id="project-csv-empty-cell"),
         pytest.param(CLOUD_3D, SUN_QUERY, id="sun-query-cloud-dim"),
@@ -1009,6 +1013,14 @@ def test_space_file_with_fractional_dim_exits_one(capsys, cloud_file):
     )
     assert (code, out) == (1, "")
     assert err == "sunlab: error: space JSON 'dim' must be an integer, got 2.5\n"
+
+
+def test_hull_dimension_limit_exits_one(capsys):
+    code, out, err = _run(
+        capsys, ["hull", "--space", "linf4", "--from", "0,0,0,0", "--to", "1,1,1,1"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "sunlab: error: gap grids exist for dim <= 3 only, got dim 4\n"
 
 
 @pytest.mark.parametrize(
@@ -1132,11 +1144,13 @@ def test_malformed_input_file_is_named(capsys, cloud_file, tmp_path, kind, conte
     [
         ("1,x", "--indices takes integers, got '1,x'"),
         (",", "an embedding needs at least one functional index"),
+        ("", "an embedding needs at least one functional index"),
     ],
 )
 def test_embed_indices_are_named(capsys, cloud_file, indices, message):
     """'1,x' failed with int()'s message, which does not name the flag, and
-    ',' with "dimension must be positive" from the target space."""
+    ',' with "dimension must be positive" from the target space. An empty
+    string embedded every functional, as if --indices were not given."""
     code, out, err = _run(
         capsys,
         ["embed", "--space", "l1(2)", "--cloud", cloud_file(COLLINEAR3), "--indices", indices],

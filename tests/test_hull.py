@@ -189,12 +189,35 @@ def test_gap_endpoint_slack_scales_with_the_pair():
             assert rep.contained, (s.name, scale, rep.inclusion_witness)
 
 
-@pytest.mark.parametrize("resolution", [-3, 0, 1])
-def test_gap_grid_needs_two_points_per_axis(resolution):
+@pytest.mark.parametrize("resolution", [-3, 0, 1, 2])
+def test_gap_grid_needs_three_points_per_axis(resolution):
     """A one-point grid checks no interval point and so passed vacuously;
-    0 fell back to the default grid."""
-    with pytest.raises(ValueError, match=f"at least 2 points per axis, got {resolution}$"):
+    0 fell back to the default grid. A two-point grid is the corners of its
+    box, outside the midpoint ball and so outside both shapes: it passed
+    with no grid point in the interval or the hull."""
+    with pytest.raises(ValueError, match=f"at least 3 points per axis, got {resolution}$"):
         hull_interval_gap(LINF2, [0, 0], [1, 0.5], n_balls=10, resolution=resolution)
+
+
+def test_three_point_grid_sees_both_shapes():
+    rep = hull_interval_gap(LINF2, [0, 0], [1, 1], n_balls=10, resolution=3)
+    assert (rep.n_grid, rep.n_interval, rep.n_hull) == (9, 1, 1)
+
+
+def test_dimension_limit_has_one_message():
+    """The gap report, mei_check and the hull inclusion suite each had their
+    own message for a space without gap grids."""
+    s = builtin("linf", 4)
+    messages = set()
+    for run in (
+        lambda: hull_interval_gap(s, [0, 0, 0, 0], [1, 1, 1, 1]),
+        lambda: mei_check(s, trials=1, seed=0),
+        lambda: hull_inclusion_suite([s], pairs=1, seed=0),
+    ):
+        with pytest.raises(DimensionMismatch) as err:
+            run()
+        messages.add(str(err.value))
+    assert messages == {"gap grids exist for dim <= 3 only, got dim 4"}
 
 
 def test_mei_check_builtin_spaces():

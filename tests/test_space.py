@@ -9,6 +9,7 @@ from sunlab import (
     Degenerate,
     DimensionMismatch,
     NotSymmetric,
+    ParseError,
     TooLarge,
     builtin,
     make_space,
@@ -303,6 +304,16 @@ def test_space_json_integral_dim_is_accepted(dim):
     assert space_from_json({"functionals": functionals, "dim": dim}).dim == 2
     with pytest.raises(DimensionMismatch, match="^declared dim 3"):
         space_from_json({"functionals": functionals, "dim": dim + 1})
+
+
+@pytest.mark.parametrize("name", [None, {"a": [1]}, 3])
+def test_space_json_name_must_be_a_string(name):
+    """str() turned null into the name "None" and an object into its repr."""
+    functionals = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    with pytest.raises(ParseError) as err:
+        space_from_json({"functionals": functionals, "name": name})
+    assert str(err.value) == f"space JSON 'name' must be a string, got {name!r}"
+    assert space_from_json({"functionals": functionals, "name": "box"}).name == "box"
 
 
 def test_make_space_zero_functional_is_degenerate():
