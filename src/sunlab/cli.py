@@ -22,7 +22,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, svg
+from . import __version__, hull, svg
 from .approx import TIE_TOL, SunReport, find_luminosity, is_sun_sampled, project
 from .cloud import PointCloud, _read_json, load_cloud
 from .embed import embed_cloud, make_embedding
@@ -183,9 +183,10 @@ def cmd_interval(args, s: Space, cloud: PointCloud | None) -> _Outcome:
 
 def cmd_hull(args, s: Space, cloud: PointCloud | None) -> _Outcome:
     x, y = _ends(args, s, cloud)
-    # The figure draws the hull the gap is measured on, so sample it once.
-    # Only planar spaces get a figure, and they pass the gap's dimension
-    # check, so sampling first raises no error that the gap would not.
+    # The figure draws the hull the gap is measured on, so sample it once,
+    # after the grid check that hull_interval_gap makes before it samples:
+    # --svg then changes no error.
+    hull._grid_resolution(s, args.grid)
     approx = None
     if args.svg and s.dim == 2:
         approx = ball_hull_outer(s, x, y, n_balls=args.balls, seed=args.seed)
@@ -367,7 +368,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--balls", type=int, default=2000)
     p.set_defaults(func=cmd_mconnect)
 
-    p = sub.add_parser("path", help="shortest monotone path between two cloud points")
+    p = sub.add_parser("path", help="monotone path between two cloud points")
     common(p)
     p.add_argument(
         "--weights", default="geometric", help="geometric, uniform, or a weights JSON path"
@@ -375,7 +376,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", required=True)
     p.add_argument("--to", required=True)
     p.add_argument("--eps", type=float, default=None, help="length slack (default relative)")
-    p.add_argument("--hop", type=float, default=0.0, help="maximum edge length, 0 = unbounded")
+    p.add_argument("--hop", type=float, default=0.0, help="maximum step length, 0 = unbounded")
     p.add_argument("--tol", type=float, default=BETWEEN_TOL)
     p.set_defaults(func=cmd_path)
 

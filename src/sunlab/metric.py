@@ -4,8 +4,8 @@
 norm whenever every alpha_i is positive, and |x| <= ||x|| * sum(alpha). Its
 value is additive along a triple exactly when every functional value of z
 sits between those of x and y, which ties metric betweenness to interval
-membership and makes shortest paths in the weighted cloud graph discrete
-surrogates for monotone geodesics.
+membership: every monotone route from x to y has length |x - y|, so a
+monotone path is found by reachability in the slab box of x and y.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ BETWEEN_TOL = 1e-9
 
 
 def __getattr__(name: str):
-    """`dijkstra` is scipy's, imported on first use: scipy.sparse takes
-    about 0.2 s to import and only monotone_path needs it."""
+    """`dijkstra` is scipy's, imported on first use. sunlab never calls it;
+    perfbench's tracer wraps it by this name, and it goes when that stops."""
     if name == "dijkstra":
         from scipy.sparse.csgraph import dijkstra
 
@@ -205,102 +205,123 @@ def between_equiv_check(
     )
 
 
-def _assoc_dist_matrix(s: Space, w: Weights, cloud: PointCloud) -> np.ndarray:
-    """Dense associated distances, the reference for _hop_csr and
-    max_nn_distance, one row dot product per point pair. The rows are a
-    C-order copy: a matrix-vector product on a strided array may sum in
-    another order."""
-    cloud.require_dim(s.dim)
-    vals = np.ascontiguousarray(_values(s, cloud.points).T)
-    return np.array([np.abs(vals - v) @ w.alphas for v in vals])
-
-
 # Point pairs per block of _sorted_windows (each holds p floats), and the
 # pairs a block may add outside its rows' own windows: about what one more
 # block costs in numpy calls.
 _WINDOW_BUDGET = 2**17
 _WINDOW_WASTE = 2**12
 _ULP = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def _pair_dists(cols, alphas, a, b) -> np.ndarray:
-    """Associated distances of the pairs (a[t], b[t]) of points of the
-    (p, m) block cols, by the expression that _assoc_dist_matrix and
-    _sorted_windows use: a dot product per row of the C-order array that
-    fancy indexing returns."""
+    """Associated distances of the point pairs (a[t], b[t]) of the (p, m)
+    block cols, one row dot product each, as _sorted_windows' callers."""
     return np.abs(cols.T[b] - cols.T[a]) @ alphas
 
 
-def _sort_key(cols, alphas) -> tuple[int, np.ndarray]:
-    """The functional k of largest weight and the cloud's order by f_k."""
-    k = int(np.argmax(alphas))
-    return k, np.argsort(cols[k], kind="stable")
-
-
-def _sorted_windows(cols, alphas, k, order, reach):
-    """Yield blocks (rows, near, d) with d[r, c] the associated distance of
-    the points rows[r] and near[c], so that for every point i every j with
-    d(i, j) <= reach[i] is among the near points of i's block; cols is the
-    cloud's (p, m) block of representative values.
-
-    d(i, j) >= alpha_k |f_k(i) - f_k(j)|, so those j lie within
-    reach[i] / alpha_k of i in the order by f_k. The window is widened by a
-    few ulps of the distance sum and of f_k, so that a rounded distance
-    <= reach[i] is never left out; the caller filters on d itself. reach is
-    per point in that order (or one value for all), inf for the whole cloud.
-    Rows come in that order, in blocks of at most _WINDOW_BUDGET pairs and
-    _WINDOW_WASTE pairs outside the rows' windows (one row at least); each
-    block's near points are the union of its rows' windows, in index order.
-    """
-    p, m = cols.shape
-    key = cols[k, order]
-    reach = reach / alphas[k] * (1.0 + (p + 8) * _ULP)
-    slack = 4 * _ULP * (np.abs(key) + reach)
-    start = np.searchsorted(key, key - reach - slack, "left")
-    stop = np.searchsorted(key, key + reach + slack, "right")
+def _sorted_windows(cols, order, start, stop):
+    """Yield blocks (rows, near, diff) over the points order[i] of the
+    cloud with (p, m) representative values cols: rows and near are ranges
+    of positions in order, and diff[r, c] holds the p differences
+    f(order[near[c]]) - f(order[rows[r]]) in C order. Rows come in order,
+    in blocks of at most _WINDOW_BUDGET pairs and _WINDOW_WASTE pairs
+    outside the rows' own windows [start, stop) of positions, each holding
+    its row (one row at least); near is the union of the block's windows."""
+    sub = cols[:, order]
     widths = stop - start
     r0 = 0
-    while r0 < m:
+    while r0 < order.size:
         end = r0 + max(1, _WINDOW_BUDGET // int(widths[r0]))
         span = np.maximum.accumulate(stop[r0:end]) - np.minimum.accumulate(start[r0:end])
         cost = span * np.arange(1, span.size + 1)
         waste = cost - np.cumsum(widths[r0:end])
         r1 = r0 + max(1, np.count_nonzero((cost <= _WINDOW_BUDGET) & (waste <= _WINDOW_WASTE)))
-        rows = order[r0:r1]
-        near = np.sort(order[start[r0:r1].min() : stop[r0:r1].max()])
+        lo, hi = start[r0:r1].min(), stop[r0:r1].max()
         # One functional at a time: a broadcast over the short last axis
         # is several times slower.
-        diff = np.empty((rows.size, near.size, p))
-        for j, col in enumerate(cols):
-            np.subtract(col[near], col[rows, None], out=diff[:, :, j])
-        yield rows, near, np.abs(diff, out=diff) @ alphas
+        diff = np.empty((r1 - r0, hi - lo, sub.shape[0]))
+        for j, col in enumerate(sub):
+            np.subtract(col[lo:hi], col[r0:r1, None], out=diff[:, :, j])
+        yield np.arange(r0, r1), np.arange(lo, hi), diff
         r0 = r1
 
 
-def _hop_csr(cols, alphas, hop: float):
-    """The hop graph of the cloud with (p, m) representative values cols, as a
-    canonical scipy CSR matrix: an edge of weight d(i, j) for every i != j
-    with d(i, j) <= hop, or every i != j when hop is 0. Memory grows with
-    the edges, not with m^2. Each distance is a row dot product with
-    alphas, as in _assoc_dist_matrix, and matches it bit for bit as long as
-    BLAS sums a row in the same order whatever the array's shape."""
-    from scipy.sparse import csr_matrix
+def _nearest_dists(cols, alphas, reach=None) -> np.ndarray:
+    """The associated distance from each point of the (p, m) block cols to
+    its nearest other point, exact where it is at most reach and inf where
+    no point is that near; reach defaults to the distance to a neighbour in
+    the order by g, which bounds it. g is f_k, the functional of largest
+    weight, plus a blend of the others, spread by the golden ratio so that
+    no two points of a grid tie, and small enough that |g(i) - g(j)| <=
+    d(i, j) / alpha_k. Each window is widened by a few ulps of the distance
+    sum and of g, and by the p subnormals that a distance's products may
+    lose to underflow: at reach 0, a point a subnormal away in g can still
+    be at distance 0."""
+    p, k = cols.shape[0], int(np.argmax(alphas))
+    c = 2.0**-10 * alphas / alphas[k] * (1.0 + np.arange(p) * 0.6180339887498949 % 1.0)
+    c[k] = 1.0
+    order = np.argsort(c @ cols, kind="stable")
+    if reach is None:
+        steps = _pair_dists(cols, alphas, order[:-1], order[1:])
+        reach = np.minimum(np.append(steps, np.inf), np.insert(steps, 0, np.inf))
+    key = np.sort(c @ cols)
+    reach = (reach + p * _TINY) / alphas[k] * (1.0 + (p + 8) * _ULP)
+    slack = (p + 8) * _ULP * (c @ np.abs(cols[:, order]) + reach) + p * _TINY
+    start = np.searchsorted(key, key - reach - slack, "left")
+    stop = np.searchsorted(key, key + reach + slack, "right")
+    if np.all(stop - start == 1):
+        return np.full(order.size, np.inf)
+    return np.concatenate([
+        np.where(near == rows[:, None], np.inf, np.abs(diff, out=diff) @ alphas).min(axis=1)
+        for rows, near, diff in _sorted_windows(cols, order, start, stop)
+    ])
 
-    m = cols.shape[1]
-    k, order = _sort_key(cols, alphas)
-    counts, indices, data = [], [], []
-    for rows, near, d in _sorted_windows(cols, alphas, k, order, hop if hop > 0.0 else np.inf):
-        keep = near != rows[:, None]
-        if hop > 0.0:
-            keep &= d <= hop
-        counts.append(keep.sum(axis=1))
-        indices.append(np.broadcast_to(near, d.shape)[keep])
-        data.append(d[keep])
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    graph = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=(m, m))
-    inv = np.empty_like(order)
-    inv[order] = np.arange(m)
-    return graph[inv]
+
+def _monotone_route(cols, alphas, ix: int, iy: int, hop: float, tol: float):
+    """A monotone route from x = ix to y = iy through the points of the (p, m)
+    block cols, as point indices, or None. The candidates are the points in
+    the slab box of x and y (_in_slabs at tol). With s_k = sgn f_k(y - x),
+    a step u -> v is admissible when s_k (f_k(v) - f_k(u)) >= -tol (1 +
+    |f_k(y) - f_k(x)|) for every k, the slack of _verdicts, and its
+    distance, a row dot product as in _pair_dists, is <= hop. At hop 0 the
+    route is [x, y]. phi(v) = sum_k alpha_k s_k (f_k(v) - f_k(x)) orders
+    the candidates, ties broken by index. A step rises in phi by at most
+    its length, so the points that can step to v lie within hop of phi(v)
+    before it, a window widened by ulps of hop and of the phi sums (each at
+    most sum_k alpha_k (|f_k(y - x)| + tol)). The sweep visits the
+    candidates in that order, in the blocks of _sorted_windows: v is
+    reached when a reached point before it has an admissible step to it,
+    and its predecessor is the first such point."""
+    if hop == 0.0:
+        return [ix, iy]
+    p = cols.shape[0]
+    span = cols[:, iy] - cols[:, ix]
+    sign, back = np.sign(span), tol * (1.0 + np.abs(span))
+    ends = cols[:, [ix, iy]]
+    cand = np.flatnonzero(_in_slabs(cols, ends.min(axis=1), ends.max(axis=1), tol))
+    phi = (sign * alphas) @ (cols[:, cand] - cols[:, [ix]])
+    order, key = cand[np.argsort(phi, kind="stable")], np.sort(phi, kind="stable")
+    reach = hop + (p + 8) * _ULP * (hop + 2.0 * (np.abs(span) + tol) @ alphas) + 4 * p * _TINY
+    start = np.searchsorted(key, key - reach, "left")
+    pred = {ix: -1}
+    for rows, near, diff in _sorted_windows(cols, order, start, np.arange(1, order.size + 1)):
+        # diff holds f(u) - f(v) for a step from u, a near point, to v, a row.
+        ok = near < rows[:, None]
+        for j in range(p):
+            ok &= sign[j] * diff[:, :, j] <= back[j]
+        ok &= np.abs(diff, out=diff) @ alphas <= hop
+        # Steps by row, then in order: the first from a reached point wins.
+        r, c = np.nonzero(ok)
+        for v, u in zip(order[rows[r]].tolist(), order[near[c]].tolist()):
+            if u in pred and v not in pred:
+                pred[v] = u
+    if iy not in pred:
+        return None
+    route = [iy]
+    while route[-1] != ix:
+        route.append(pred[route[-1]])
+    return route[::-1]
 
 
 @dataclass(frozen=True)
@@ -371,9 +392,9 @@ class Path:
 
 @dataclass(frozen=True)
 class PathNotFound:
-    """Search outcome when no admissible path exists: either the endpoints
-    are disconnected at this hop scale or every route exceeds the slack.
-    best_length reports the shortest length seen so the caller can refine."""
+    """Search outcome when no admissible path exists: "unreachable" when no
+    monotone route joins the ends at this hop, "slack_exceeded" when the
+    route is longer than target + eps; best_length reports its length."""
 
     reason: str
     target: float
@@ -396,19 +417,18 @@ def monotone_path(
     refine: bool = True,
     tol: float = BETWEEN_TOL,
 ) -> Path | PathNotFound:
-    """Shortest admissible path between two cloud points.
+    """A monotone path between two cloud points.
 
-    Dijkstra runs on the cloud graph, where hop > 0 drops edges longer than
-    hop: the epsilon-net regime, in which an unreachable endpoint means the
-    set is not monotone path-connected at that scale. The graph is built
-    sparse (_hop_csr), so memory grows with its edges. refine then splits
-    each step at a cloud point in its slab interval (widened by tol), and
-    the halves again, until no step skips an intermediary; no point enters
-    the path twice, so at most m splits happen. Splitting keeps the length,
-    since betweenness is exactly additivity of the associated norm. Success
+    _monotone_route finds a route of steps inside the slab box of x and y
+    that rise, up to tol, in every functional x and y tell apart; hop > 0
+    bounds the steps, the epsilon-net regime. refine then splits each step
+    at a cloud point in its slab interval (widened by tol), and the halves
+    again, until no step skips an intermediary; no point enters the path
+    twice, so at most m splits happen. Splitting keeps the length, since
+    betweenness is exactly additivity of the associated norm. Success
     requires the length, summed left to right, to be <= |x - y| + eps, with
-    eps defaulting to 1e-6 * |x - y|. eps, hop and tol must be finite and
-    nonnegative.
+    eps defaulting to 1e-6 * |x - y|. A cloud with two points at associated
+    distance 0 is refused. eps, hop and tol must be finite and nonnegative.
     """
     if eps is not None:
         _check_slack("eps", eps)
@@ -427,23 +447,13 @@ def monotone_path(
         return Path(points=pts, length=0.0, target=0.0, defect=0.0, verdicts=_verdicts(s, pts, tol))
 
     cols = _values(s, cloud.points)
-    graph = _hop_csr(cols, w.alphas, hop)
-    if np.any(graph.data <= 0.0):
+    if _nearest_dists(cols, w.alphas, 0.0).min() <= 0.0:
         raise DuplicatePoints("cloud has points at associated-norm distance 0")
     target = float(_pair_dists(cols, w.alphas, [ix], [iy])[0])
     eps_val = 1e-6 * target if eps is None else float(eps)
-
-    # Read through the module, so that a replaced `metric.dijkstra` is the
-    # one called: perfbench's tracer times Dijkstra that way.
-    from .metric import dijkstra
-
-    lengths, pred = dijkstra(graph, directed=False, indices=ix, return_predecessors=True)
-    if not np.isfinite(lengths[iy]):
+    order = _monotone_route(cols, w.alphas, ix, iy, hop, tol)
+    if order is None:
         return PathNotFound(reason="unreachable", target=target, eps=eps_val, hop=hop)
-    order = [iy]
-    while order[-1] != ix:
-        order.append(int(pred[order[-1]]))
-    order.reverse()
     if refine:
         order = _split_steps(cols, order, tol)
     length = float(np.cumsum(_pair_dists(cols, w.alphas, order[:-1], order[1:]))[-1])

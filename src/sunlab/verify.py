@@ -21,9 +21,7 @@ from .hull import (
 from .metric import (
     PathNotFound,
     Weights,
-    _pair_dists,
-    _sort_key,
-    _sorted_windows,
+    _nearest_dists,
     between_equiv_check,
     check_weights,
     geometric_weights,
@@ -165,21 +163,12 @@ def two_sheet_cloud(q: int, step: float = 0.5) -> PointCloud:
 
 def max_nn_distance(s: Space, w: Weights, cloud: PointCloud) -> float:
     """Largest nearest-neighbour associated-norm distance in the cloud; inf
-    for a one-point cloud. Each point's nearest neighbour is no farther than
-    its neighbours in the order by f_k (_sort_key), so only the sorted window
-    that distance bounds is scanned; the result equals the dense matrix's."""
+    for a one-point cloud. It equals the dense matrix's, but only the
+    sorted windows of metric._nearest_dists are scanned."""
     check_weights(s, w)
     cloud.require_nonempty()
     cloud.require_dim(s.dim)
-    cols = _values(s, cloud.points)
-    k, order = _sort_key(cols, w.alphas)
-    steps = _pair_dists(cols, w.alphas, order[:-1], order[1:])
-    bound = np.minimum(np.append(steps, np.inf), np.insert(steps, 0, np.inf))
-    nearest = -np.inf
-    for rows, near, d in _sorted_windows(cols, w.alphas, k, order, bound):
-        d[near == rows[:, None]] = np.inf
-        nearest = max(nearest, float(d.min(axis=1).max()))
-    return nearest
+    return float(_nearest_dists(_values(s, cloud.points), w.alphas).max())
 
 
 def path_suite() -> dict:

@@ -517,11 +517,11 @@ def test_mconnect_reports_are_pinned(tmp_path, monkeypatch):
 
 
 def test_path_reports_are_pinned(tmp_path, monkeypatch):
-    """The hop-graph build must leave these reports byte-identical: a 21 x 21
-    linf2 box net corner to corner and an l1(2) staircase, each with hop
-    1.5 x its largest nearest-neighbour distance, the complete graph (hop 0)
-    on a 30-point dyadic cloud, and two linf3 sheets that no hop-bounded
-    path joins."""
+    """These reports stay byte-identical unless a change means to alter
+    them: a 21 x 21 linf2 box net corner to corner and an l1(2) staircase,
+    each with hop 1.5 x its largest nearest-neighbour distance, hop 0 on a
+    30-point dyadic cloud, and two linf3 sheets that no hop-bounded path
+    joins."""
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(11)
     ticks = np.arange(21) / 32.0
@@ -538,7 +538,7 @@ def test_path_reports_are_pinned(tmp_path, monkeypatch):
         (
             ["--space", "linf2", "--cloud", "box.json", "--weights", "uniform", "--from", "0",
              "--to", "440", "--hop", "0.0234375"],
-            0, 2342, "3a8dfa462f7afdfd2b2db6b30dc34010aaa84f90d08d52cd0e5bd169318e116b",
+            0, 2342, "ae271315e7ba0a7bef7a931b33ad2373bdc82551f5e344fb4fbda7f1c9272dfc",
         ),
         (
             ["--space", "l1(2)", "--cloud", "stair.json", "--weights", "geometric", "--from",
@@ -563,12 +563,11 @@ def test_path_reports_are_pinned(tmp_path, monkeypatch):
 
 
 def test_path_reports_at_hop_0_are_pinned(tmp_path, monkeypatch):
-    """At the default hop 0 every pair is an edge, and Dijkstra picks the
-    route among equal-length ones. These reports must stay byte-identical
-    unless a change means to alter them: the 9 x 9 dyadic linf2 grid
-    corner to corner (17 points), and two routes through 300 uniform points
-    in a random 3-d space, where rounding separates the routes (6 points
-    with geometric weights, 4 with uniform ones)."""
+    """At the default hop 0 the route is the step [x, y], which refinement
+    splits at the lowest-index witnesses. These reports must stay
+    byte-identical unless a change means to alter them: the 9 x 9 dyadic
+    linf2 grid corner to corner (17 points), and two routes through 300
+    uniform points in a random 3-d space (4 points each)."""
     monkeypatch.chdir(tmp_path)
     grid = [[i / 8, j / 8] for i in range(9) for j in range(9)]
     blob = np.random.default_rng(13).uniform(-1.0, 1.0, (300, 3))
@@ -578,16 +577,16 @@ def test_path_reports_at_hop_0_are_pinned(tmp_path, monkeypatch):
     runs = [
         (
             ["--space", "linf2", "--cloud", "grid.json", "--from", "0", "--to", "80"],
-            1233, "d510d9887a80a383454cfd6c0e55bc2ebde1c7b961458fea22e1728468137337",
+            1217, "1f7111f0664780e7a397be1f50056117a80ea665f43934dbe69c318a06b82ad1",
         ),
         (
             ["--space", "space.json", "--cloud", "blob.json", "--from", "0", "--to", "239"],
-            1262, "3cf40de7b2cd5a06d5c6d8a3deb1a60d6968fd1330f3912b87f639c3689c6beb",
+            1054, "9d0b50f9bbc3e4c9360d4e97687da9e293a4f8adf28fcef77fe2f911c1cd22cf",
         ),
         (
             ["--space", "space.json", "--cloud", "blob.json", "--weights", "uniform",
              "--from", "17", "--to", "250"],
-            1033, "aae97a7e83b57bd21c41b7a2065d846b851207f812dc999e4350ed925c3e4d1b",
+            1035, "9769b418067ad8cb9f2dc40a5934d95811cff39b1e35f68dbbbf86cfef6243aa",
         ),
     ]
     for argv, size, digest in runs:
@@ -653,7 +652,7 @@ def test_generic_space_reports_are_pinned(tmp_path, monkeypatch):
         (
             ["path", *space, "--cloud", "blob.json", "--from", "0", "--to", "239", "--hop",
              "0.6"],
-            0, 1262, "3e8719d64fbfa939ff70347efc89cb149508b88f72504e5c61446d71596b579e",
+            0, 1155, "5642c7fd5ca865e22aaf5c60387f7a3cf741c379be25c26de21d90ce7efb0ae7",
         ),
         (
             ["hull", *space, "--from", "0.2,-0.1,0.3", "--to=-0.5,0.7,0.1", "--balls", "6",
@@ -973,6 +972,12 @@ GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
             id="hull-grid-2",
         ),
         pytest.param(
+            TWO_POINTS,
+            ["hull", "--from", "0,0", "--to", "1,1", "--grid", "2", "--balls", "2", "--svg",
+             "f.svg"],
+            id="hull-grid-2-svg",
+        ),
+        pytest.param(
             TWO_POINTS, ["embed", "--space", NULL_NAME_SPACE], id="space-name-null"
         ),
         pytest.param(CLOUD_3D, ["project", "--query", "1,1"], id="project-cloud-dim"),
@@ -1021,6 +1026,18 @@ def test_hull_dimension_limit_exits_one(capsys):
     )
     assert (code, out) == (1, "")
     assert err == "sunlab: error: gap grids exist for dim <= 3 only, got dim 4\n"
+
+
+@pytest.mark.parametrize("svg", [[], ["--svg", "f.svg"]], ids=["plain", "svg"])
+def test_hull_grid_error_does_not_depend_on_svg(capsys, tmp_path, monkeypatch, svg):
+    """With --svg the figure's hull was sampled before the grid was checked,
+    so too few balls was reported in place of the grid error."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["hull", "--space", "linf2", "--from", "0,0", "--to", "1,1", "--grid", "2"]
+    code, out, err = _run(capsys, [*argv, "--balls", "2", *svg])
+    assert (code, out) == (1, "")
+    assert err == "sunlab: error: the gap grid needs at least 3 points per axis, got 2\n"
+    assert not (tmp_path / "f.svg").exists()
 
 
 @pytest.mark.parametrize(
@@ -1192,15 +1209,20 @@ out["embed"] = run("embed", "--space", "l1(2)", "--cloud", cloud)
 out["mconnect"] = run("mconnect", "--space", "linf2", "--cloud", cloud)
 out["hull"] = run("hull", "--space", "l1(2)", "--from", "0,0", "--to", "1,0.5", "--balls", "50")
 out["path"] = run("path", "--space", "linf2", "--cloud", cloud, "--from", "0", "--to", "2")
+out["path_hop"] = run(
+    "path", "--space", "linf2", "--cloud", cloud, "--from", "0", "--to", "2", "--hop", "1"
+)
+out["verify"] = run("verify", "--seed", "7", "--trials", "20")
+import scipy.sparse  # the probe must see an import when one happens
+out["probe"] = "scipy.sparse" in scipy_loaded()
 print(json.dumps(out))
 """
 
 
-def test_only_path_loads_scipy(cloud_file):
-    """scipy.sparse is most of the package's import time; only commands that
-    reach Dijkstra may load it. hull sizes its grid by the unit ball's
-    extents, which need no solver. path runs last, to show that the probe
-    sees the import when it happens."""
+def test_no_command_loads_scipy(cloud_file):
+    """scipy.sparse is most of the package's import time, and no command
+    needs it: path finds its route by a reachability sweep, and hull sizes
+    its grid by the unit ball's extents, which need no solver."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -1208,16 +1230,16 @@ def test_only_path_loads_scipy(cloud_file):
         [sys.executable, "-c", SCIPY_PROBE, cloud_file(COLLINEAR3)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    seen = json.loads(proc.stdout)
-    assert seen.pop("import") == []
-    path_code, path_scipy = seen.pop("path")
-    assert seen == {
+    assert json.loads(proc.stdout) == {
+        "import": [],
         "interval": [0, []],
         "project": [0, []],
         "sun": [0, []],
         "embed": [0, []],
         "mconnect": [0, []],
         "hull": [0, []],
+        "path": [0, []],
+        "path_hop": [0, []],
+        "verify": [0, []],
+        "probe": True,
     }
-    assert path_code == 0
-    assert "scipy.sparse.csgraph" in path_scipy

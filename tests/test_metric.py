@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,11 +253,23 @@ def test_path_hop_disconnects():
 
 
 def test_path_slack_exceeded_reports_best_length():
+    """(1, -1e-10) lies in the slab box of the ends at the default tol, so
+    the route steps through it, but the detour is longer than eps."""
+    cloud = PointCloud([[0, 0], [1, -1e-10], [2, 0]])
+    out = monotone_path(LINF2, ONES, cloud, [0, 0], [2, 0], eps=1e-12, hop=1.8)
+    assert isinstance(out, PathNotFound)
+    assert out.reason == "slack_exceeded"
+    assert out.best_length == 2.0000000002
+
+
+def test_path_through_a_point_outside_the_box_is_unreachable():
+    """The only route at this hop passes (1, 0.5), outside the slab box of
+    the ends, so no monotone route exists; a shortest-path search reported
+    the detour as slack_exceeded with best_length 3."""
     cloud = PointCloud([[0, 0], [1, 0.5], [2, 0]])
     out = monotone_path(LINF2, ONES, cloud, [0, 0], [2, 0], hop=1.8)
     assert isinstance(out, PathNotFound)
-    assert out.reason == "slack_exceeded"
-    assert out.best_length == 3.0
+    assert (out.reason, out.best_length) == ("unreachable", None)
 
 
 def test_path_without_hop_uses_direct_edge():
@@ -297,24 +311,19 @@ def test_max_nn_distance_checks_weights_and_emptiness():
     assert max_nn_distance(LINF2, ONES, PointCloud([[1.0, 2.0]])) == np.inf
 
 
-def test_path_calls_dijkstra_through_the_module(monkeypatch):
-    """scipy is imported on first use, but `sunlab.metric.dijkstra` stays an
-    attribute, and replacing it (perfbench times Dijkstra that way) takes
-    effect in monotone_path."""
-    from sunlab import metric
-
-    calls = []
-    scipy_dijkstra = metric.dijkstra
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["indices"])
-        return scipy_dijkstra(*args, **kwargs)
-
-    monkeypatch.setattr(metric, "dijkstra", counted)
-    cloud = PointCloud([[0, 0], [1, 0], [2, 0]])
-    p = monotone_path(LINF2, ONES, cloud, [0, 0], [2, 0])
-    assert not isinstance(p, PathNotFound)
-    assert calls == [0]
+def test_path_at_hop_0_needs_no_quadratic_memory():
+    """Corner to corner on a 41 x 41 net at hop 0, where a shortest-path
+    search on the complete hop graph peaked at 122 MB."""
+    ticks = np.arange(41) / 40.0
+    net = PointCloud(np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2))
+    tracemalloc.start()
+    try:
+        p = monotone_path(LINF2, geometric_weights(LINF2), net, [0, 0], [1, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(p, PathNotFound) and len(p.points) == 81
+    assert peak < 16 * 2**20
 
 
 # --- monotonicity verdicts ---------------------------------------------------

@@ -4,8 +4,9 @@ scan against a pair-by-pair scan, the oracle's interval certificate against
 the sampled hulls it stands in for, the nearest-point kernel behind the sun
 ray scan and the hull gap against a brute-force scan, the ray kernel's
 early exit against a scan of the whole grid, the invariants of
-monotone paths on epsilon-nets, the sparse hop graph and the
-nearest-neighbour scale against the dense distance matrix, the sun test's
+monotone paths on epsilon-nets, the monotone-path sweep against Dijkstra
+on the dense hop graph (tests/dense.py), the nearest-neighbour scale
+against the dense distance matrix, the sun test's
 candidate loop against sun_check on one nearest point at a time, the
 batched sun certificate against the one-candidate pass, the symmetries of
 project, contraction under a partial embedding, the three-way
@@ -17,8 +18,8 @@ functional value and every distance is exact in binary floating point and
 the brute force needs no tolerance. Some properties use random floats
 instead: `norms`, `space._distances` and the nearest-point kernel must
 equal the plain max-over-an-axis formulas bit for bit, the slab kernel
-the row-wise formula on faces and one ulp outside them, the hop graph and
-the nearest-neighbour scale the dense matrix's, the oracle's certificate must
+the row-wise formula on faces and one ulp outside them, the
+nearest-neighbour scale the dense matrix's, the oracle's certificate must
 hold on clouds scaled from 2**-30 to 2**40, and a candidate the sun
 certificate passes must pass the grid at every scale and offset. The
 pair-scan properties also run in random spaces, whose values are inexact;
@@ -34,9 +35,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
-from scipy.sparse import csr_matrix
+
+import dense
 
 from sunlab import (
+    DuplicatePoints,
     NoCandidate,
     PathNotFound,
     PointCloud,
@@ -61,7 +64,6 @@ from sunlab import (
 from sunlab import approx, hull, metric, space
 from sunlab.approx import _nearest
 from sunlab.hull import _in_slabs, _slab_witnesses
-from sunlab.metric import _assoc_dist_matrix, _hop_csr
 from sunlab.space import _first_rows
 from sunlab.verify import max_nn_distance
 
@@ -564,7 +566,7 @@ def hop_cases(draw):
     w = draw(st.sampled_from([uniform_weights, geometric_weights]))(s)
     # Rows a subnormal apart can still be at distance 0, which monotone_path
     # refuses and the dense reference cannot tell from a missing edge.
-    assume(np.all(_assoc_dist_matrix(s, w, cloud) + np.eye(len(cloud)) > 0.0))
+    assume(np.all(dense.assoc_dist_matrix(s, w, cloud) + np.eye(len(cloud)) > 0.0))
     return s, w, cloud
 
 
@@ -579,49 +581,83 @@ def _window_patch(patches):
     return mock.patch.multiple(metric, _WINDOW_BUDGET=budget, _WINDOW_WASTE=waste)
 
 
-def _assert_hop_csr_is_dense(s, w, cloud, hop, patches):
-    dist = _assoc_dist_matrix(s, w, cloud)
-    keep = ~np.eye(len(cloud), dtype=bool) & (dist <= hop if hop > 0 else True)
-    want = csr_matrix(np.where(keep, dist, 0.0))
-    with _window_patch(patches):
-        got = _hop_csr((cloud.points @ s.representatives.T).T.copy(), w.alphas, hop)
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
-
-
-@PROPERTY
-@given(hop_cases(), st.sampled_from([1.0, 1.5]), WINDOW_PATCHES, st.data())
-def test_hop_csr_is_the_dense_graph_bit_for_bit(case, scale, patches, data):
-    """hop is 0 (the complete graph) or a distance of the cloud, so edges of
-    exactly length hop occur, or 1.5 times one."""
+def _separated(case):
+    """At least two points, and no two distinct values of a functional
+    closer than 1e-6: no point lies within the path tolerance of a slab box
+    that does not hold it, or of another point."""
     s, w, cloud = case
-    dist = _assoc_dist_matrix(s, w, cloud)
-    hop = scale * data.draw(st.sampled_from(sorted(set(dist.ravel()))))
-    _assert_hop_csr_is_dense(s, w, cloud, hop, patches)
+    gaps = [np.diff(np.unique(col)) for col in space._values(s, cloud.points)]
+    return len(cloud) > 1 and all(g.size == 0 or g.min() >= 1e-6 for g in gaps)
 
 
 @PROPERTY
 @given(
-    st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=30, unique=True),
-    st.sampled_from([0.0, 0.1, 1.0]),
-    st.sampled_from([uniform_weights, geometric_weights]),
+    hop_cases().filter(_separated),
+    st.sampled_from([0.0, 1.0, 1.5]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
     WINDOW_PATCHES,
 )
-def test_hop_csr_is_exact_when_the_sort_key_is_constant(ys, hop, weights, patches):
-    """A vertical segment in linf2: every point has the same f_0, the key of
-    largest weight, so each window spans the whole cloud."""
-    cloud = PointCloud(np.column_stack([np.full(len(ys), 0.75), ys]))
-    w = weights(LINF2)
-    assume(np.all(_assoc_dist_matrix(LINF2, w, cloud) + np.eye(len(ys)) > 0.0))
-    _assert_hop_csr_is_dense(LINF2, w, cloud, hop, patches)
+@example(
+    (LINF2, uniform_weights(LINF2), PointCloud([[0, 0], [1, 1], [0.5, -1e-11]])),
+    1.0, 1, 0, (1, _WASTE),
+)
+@example(
+    (LINF2, geometric_weights(LINF2), PointCloud([[0, -0.125], [0, 0.25], [0, 0]])),
+    1.0, 1, 0, (1, _WASTE),
+)
+def test_monotone_path_agrees_with_dense_dijkstra(case, scale, pick, ends, patches):
+    """The sweep looks for a monotone route inside the slab box of the ends;
+    the reference, Dijkstra on the whole cloud's hop graph, for a shortest
+    route. hop is 0, a pair distance, so that a step of exactly hop occurs,
+    or 1.5 times one. eps = 1e-10 exceeds the rounding of a length and is
+    below 2 min(alpha) 1e-6, so on separated clouds a route within eps of
+    the target stays in the box and rises in every functional, and the two
+    searches agree. The first example steps 1e-11 back in f_1, which only
+    the sweep's rise tolerance admits; in the second, the step of length hop
+    from (0, 0) to (0, 0.25) rises in phi by one ulp more than hop."""
+    s, w, cloud = case
+    m = len(cloud)
+    dist = dense.assoc_dist_matrix(s, w, cloud)
+    pairs = np.unique(dist[~np.eye(m, dtype=bool)])
+    hop = scale * pairs[pick % pairs.size]
+    src = ends % m
+    dst = (src + 1 + ends // m % (m - 1)) % m
+    with _window_patch(patches):
+        got = monotone_path(s, w, cloud, cloud.points[src], cloud.points[dst], 1e-10, hop)
+    want = dense.dijkstra_path(s, w, cloud, src, dst, 1e-10, hop)
+    assert isinstance(got, PathNotFound) == isinstance(want, PathNotFound)
+    if not isinstance(got, PathNotFound):
+        assert got.verdicts == want.verdicts
+        assert abs(got.length - want.length) <= 1e-10
+
+
+@PROPERTY
+@given(WINDOW_PATCHES, st.sampled_from([0.0, 2.0]), st.integers(1, 8), st.permutations(range(4)))
+def test_path_rejects_a_zero_distance_pair_outside_the_box(patches, hop, far, perm):
+    """(0, 0) and (0, 5e-324) lie at uniform-linf2 distance 0, far outside
+    the slab box of the path's ends. The zero check orders the cloud by
+    f_0, the second coordinate, plus a small blend of the first, so the
+    pair's keys differ by 5e-324 and leave no room for rounding: without
+    the subnormals a distance may lose to underflow, each window holds one
+    point and the pair is missed."""
+    assert LINF2.representatives[0].tolist() == [0.0, 1.0]
+    pts = np.array([[1.0, far], [2.0, far], [0.0, 0.0], [0.0, 5e-324]])[list(perm)]
+    with _window_patch(patches), pytest.raises(DuplicatePoints, match="distance 0"):
+        monotone_path(LINF2, uniform_weights(LINF2), PointCloud(pts), [1, far], [2, far], hop=hop)
 
 
 @PROPERTY
 @given(hop_cases(), WINDOW_PATCHES)
+@example(
+    (LINF2, uniform_weights(LINF2), PointCloud([[0.5, 0.75], [-1.25, 0.75], [3.0, 0.75]])),
+    (1, _WASTE),
+)
 def test_max_nn_distance_is_the_dense_formula(case, patches):
+    """The example holds f_0, the second coordinate, constant, so only the
+    small blend of the first in the sort key orders the points."""
     s, w, cloud = case
-    dist = _assoc_dist_matrix(s, w, cloud)
+    dist = dense.assoc_dist_matrix(s, w, cloud)
     np.fill_diagonal(dist, np.inf)
     with _window_patch(patches):
         got = max_nn_distance(s, w, cloud)
