@@ -4,9 +4,9 @@ A cloud point y nearest to x is a luminosity point when it stays nearest to
 every point of the outward ray (1 - lambda) y + lambda x. The checks here
 are falsification-only: a pass verdict certifies the grid that was sampled,
 never the full ray.
-Distances to the cloud come from column-form products, one (p, m) product
-per projection (space._distances) and one per sun query (space._values),
-which every kernel here reads as that (p, m) block.
+Distances to the cloud come from column-form products: one per projection
+(space._distances), and the cloud's (p, m) space._values block, which each
+driver forms once per call, for all of its queries, and every kernel reads.
 One kernel, _ray_falsifier, gives every grid verdict: the first failing
 point's lambda and competitor, or None. One loop over a query's nearest
 points, _candidate_falsifiers, runs it for find_luminosity and both modes
@@ -345,17 +345,16 @@ def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[flo
     return margin, math.nextafter(slack - TIE_TOL, math.inf)
 
 
-def _candidate_falsifiers(s: Space, cloud: PointCloud, vx, lambda_max, grid, stop: bool) -> list:
-    """Project vx and compute the cloud's functional values once, then test
-    each nearest point y in index order, giving (y, falsifier) pairs up to
-    and including the first whose (falsifier is None) equals stop (True: a
-    luminosity point was found; False: a candidate was falsified). A
+def _candidate_falsifiers(s: Space, cloud: PointCloud, cols, vx, lambda_max, grid, stop: bool):
+    """Project vx, then test each nearest point y in index order against
+    cols, the cloud's space._values block, giving (y, falsifier) pairs up
+    to and including the first whose (falsifier is None) equals stop (True:
+    a luminosity point was found; False: a candidate was falsified). A
     candidate whose certificate clears slack - TIE_TOL gets no falsifier
     without the grid, which cannot falsify it; the ray kernel tests the rest."""
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
-    cols = _values(s, cloud.points)
     margin, floor = _certificate_floor(s, cloud, vx, lambda_max)
     # g(y) = 0 for the candidate itself, so a floor above 0 certifies nothing.
     if floor <= 0.0:
@@ -401,7 +400,8 @@ def find_luminosity(
     vx = _check_vector(s, x)
     if cloud.index_of(vx) is not None:
         raise QueryInCloud("query already belongs to the cloud")
-    pairs = _candidate_falsifiers(s, cloud, vx, lambda_max, grid, stop=True)
+    cols = _values(s, cloud.points)
+    pairs = _candidate_falsifiers(s, cloud, cols, vx, lambda_max, grid, stop=True)
     if pairs[-1][1] is None:
         return _sun_report(vx, pairs[-1][0], lambda_max, grid)
     return NoCandidate([_sun_report(vx, vy, lambda_max, grid, f) for vy, f in pairs])
@@ -444,13 +444,14 @@ def is_sun_sampled(
     _check_ray_grid(lambda_max, grid)
     cloud.require_dim(s.dim)
     qs = _check_points(s, queries, "query")
+    cols = _values(s, cloud.points)
     skipped: list[int] = []
     failures: list[dict] = []
     for qi, q in enumerate(qs):
         if cloud.index_of(q) is not None:
             skipped.append(qi)
             continue
-        pairs = _candidate_falsifiers(s, cloud, q, lambda_max, grid, stop=not strict)
+        pairs = _candidate_falsifiers(s, cloud, cols, q, lambda_max, grid, stop=not strict)
         if pairs[-1][1] is not None:
             tested = pairs[-1:] if strict else pairs
             reports = [_sun_report(q, vy, lambda_max, grid, f) for vy, f in tested]

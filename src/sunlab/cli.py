@@ -1,9 +1,9 @@
 """Command-line surface.
 
-`main` does all of the I/O: it loads the space and the cloud, calls one
-command, writes the command's figure (when --svg asks for one and the
-space is two-dimensional) and writes the JSON report, whose config echoes
-the parsed options. Each `cmd_*` is a function of the parsed arguments and
+`main` does all of the I/O: it loads the space and the cloud, checks that
+their dimensions match, calls one command, writes the command's figure
+(when --svg asks for one and the space is two-dimensional) and writes the
+JSON report, whose config echoes the parsed options. Each `cmd_*` is a function of the parsed arguments and
 the loaded inputs: it calls one library operation and returns its result,
 its exit code and the builder of its figure (None for embed and verify).
 Exit codes: 0 success or no falsification, 1 usage or input error, 2
@@ -183,13 +183,11 @@ def cmd_interval(args, s: Space, cloud: PointCloud | None) -> _Outcome:
 
 def cmd_hull(args, s: Space, cloud: PointCloud | None) -> _Outcome:
     x, y = _ends(args, s, cloud)
-    # The figure draws the hull the gap is measured on, so sample it once,
-    # after the grid check that hull_interval_gap makes before it samples:
-    # --svg then changes no error.
+    # The gap is measured on the hull the figure draws: sample it here, once,
+    # after the grid check that hull_interval_gap makes before it samples,
+    # so the errors come in hull_interval_gap's order.
     hull._grid_resolution(s, args.grid)
-    approx = None
-    if args.svg and s.dim == 2:
-        approx = ball_hull_outer(s, x, y, n_balls=args.balls, seed=args.seed)
+    approx = ball_hull_outer(s, x, y, n_balls=args.balls, seed=args.seed)
     rep = hull_interval_gap(
         s, x, y, n_balls=args.balls, seed=args.seed, resolution=args.grid, hull=approx
     )
@@ -417,6 +415,8 @@ def main(argv=None) -> int:
         with np.errstate(over="raise"):
             s = _load_space(args.space) if "space" in args else None
             cloud = load_cloud(args.cloud) if getattr(args, "cloud", None) is not None else None
+            if cloud is not None:
+                cloud.require_dim(s.dim)
             result, code, scene = args.func(args, s, cloud)
             _maybe_svg(args, s, scene)
             return _emit(args, result, code)

@@ -80,10 +80,7 @@ class EmbedResult:
 
 
 def embed_cloud(e: Embedding, cloud: PointCloud) -> EmbedResult:
-    if cloud.dim != e.source.dim:
-        raise DimensionMismatch(
-            f"cloud dimension {cloud.dim} does not match source dimension {e.source.dim}"
-        )
+    cloud.require_dim(e.source.dim)
     imgs = cloud.points @ e.selected.T
     first = _first_rows(imgs)
     kept = np.flatnonzero(first == np.arange(len(first)))

@@ -17,7 +17,16 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import DuplicatePoints, EndpointNotInCloud, WeightMismatch
 from .hull import _in_slabs, _slab_witnesses
-from .space import Space, _check_points, _check_slack, _check_vector, _values, unit_ball_extents
+from .space import (
+    Space,
+    _check_points,
+    _check_slack,
+    _check_vector,
+    _holds_non_numbers,
+    _values,
+    norms,
+    unit_ball_extents,
+)
 
 BETWEEN_TOL = 1e-9
 
@@ -68,10 +77,13 @@ def weights_from_json(s: Space, data) -> Weights:
     if not isinstance(data, dict):
         raise WeightMismatch("weights JSON needs an 'alphas' array or a 'scheme'")
     if "alphas" in data:
+        bad = WeightMismatch("weights JSON 'alphas' must be an array of numbers")
+        if _holds_non_numbers(data["alphas"]):
+            raise bad
         try:
             alphas = np.asarray(data["alphas"], dtype=float)
         except (TypeError, ValueError):
-            raise WeightMismatch("weights JSON 'alphas' must be an array of numbers") from None
+            raise bad from None
         return check_weights(s, Weights(alphas=alphas))
     scheme = data.get("scheme", "geometric")
     if scheme == "geometric":
@@ -142,7 +154,7 @@ def between_equiv_check(
     if trials < 1:
         raise ValueError(f"between_equiv_check needs at least 1 trial, got {trials}")
     rng = np.random.default_rng(seed)
-    n, reps, alphas = s.dim, s.representatives, w.alphas
+    n, alphas = s.dim, w.alphas
 
     X = rng.uniform(-1.0, 1.0, size=(trials, n))
     Y = rng.uniform(-1.0, 1.0, size=(trials, n))
@@ -156,8 +168,8 @@ def between_equiv_check(
     m1 = mode == 1
     t = rng.uniform(0.0, 1.0, size=(int(m1.sum()), 1))
     Z[m1] = X[m1] * (1.0 - t) + Y[m1] * t
-    VX = X @ reps.T
-    VY = Y @ reps.T
+    VX = _values(s, X)
+    VY = _values(s, Y)
     lo = np.minimum(VX, VY)
     hi = np.maximum(VX, VY)
     # Mode 2: rejection samples from the interval's coordinate box, 24 per
@@ -165,20 +177,19 @@ def between_equiv_check(
     m2 = np.nonzero(mode == 2)[0]
     if m2.size:
         mid = 0.5 * (X[m2] + Y[m2])
-        spread = np.max(np.abs((X[m2] - Y[m2]) @ reps.T), axis=1, keepdims=True)
+        spread = norms(s, X[m2] - Y[m2])[:, None]
         half = 0.5 * spread * unit_ball_extents(s)
         cand = mid[:, None] + rng.uniform(-1.0, 1.0, size=(m2.size, 24, n)) * half[:, None]
-        cols = np.moveaxis(cand @ reps.T, -1, 0)
-        hits = _in_slabs(cols, lo[m2].T[:, :, None], hi[m2].T[:, :, None], 0.0)
+        cols = _values(s, cand.reshape(-1, n)).reshape(-1, m2.size, 24)
+        hits = _in_slabs(cols, lo[:, m2, None], hi[:, m2, None], 0.0)
         picked = cand[np.arange(m2.size), hits.argmax(axis=1)]
         Z[m2] = np.where(hits.any(axis=1)[:, None], picked, mid)
 
-    VZ = Z @ reps.T
-    in_a = _in_slabs(VZ.T, lo.T, hi.T)
+    VZ = _values(s, Z)
+    in_a = _in_slabs(VZ, lo, hi)
     defect_b = np.abs(VX - VZ) + np.abs(VZ - VY) - np.abs(VX - VY)
-    in_b = np.max(defect_b, axis=1) <= tol
-    defect_c = defect_b @ alphas
-    in_c = defect_c <= tol
+    in_b = defect_b.max(axis=0) <= tol
+    in_c = alphas @ defect_b <= tol
 
     bad = np.nonzero((in_a != in_b) | (in_b != in_c))[0]
     disagreements = [
@@ -344,18 +355,12 @@ class MonotoneVerdict:
         return "none"
 
 
-def _verdicts(s: Space, pts: np.ndarray, tol: float) -> list[MonotoneVerdict]:
-    vals = pts @ s.representatives.T
-    span = np.abs(vals[-1] - vals[0])
-    scale = tol * (1.0 + span)
-    diffs = np.diff(vals, axis=0) if vals.shape[0] > 1 else np.zeros((1, vals.shape[1]))
+def _verdicts(vals: np.ndarray, tol: float) -> list[MonotoneVerdict]:
+    """The verdicts of a path from its (p, L) values; one point is constant."""
+    scale = tol * (1.0 + np.abs(vals[:, -1] - vals[:, 0]))
     return [
-        MonotoneVerdict(
-            functional=j,
-            nondecreasing=bool(np.all(diffs[:, j] >= -scale[j])),
-            nonincreasing=bool(np.all(diffs[:, j] <= scale[j])),
-        )
-        for j in range(s.n_pairs)
+        MonotoneVerdict(j, bool(np.all(d >= -c)), bool(np.all(d <= c)))
+        for j, (d, c) in enumerate(zip(np.diff(vals, axis=1), scale))
     ]
 
 
@@ -364,7 +369,7 @@ def check_monotone(s: Space, path, tol: float = BETWEEN_TOL) -> list[MonotoneVer
     1 + |f(endpoint difference)|. Verdicts are direction-symmetric, so
     reversing the path swaps nothing. tol must be finite and nonnegative."""
     _check_slack("tol", tol)
-    return _verdicts(s, _check_points(s, getattr(path, "points", path), "path"), tol)
+    return _verdicts(_values(s, _check_points(s, getattr(path, "points", path), "path")), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,11 +447,9 @@ def monotone_path(
     if ix is None or iy is None:
         raise EndpointNotInCloud("both path endpoints must belong to the cloud")
     cloud.require_unique()
-    if ix == iy:
-        pts = cloud.points[[ix]]
-        return Path(points=pts, length=0.0, target=0.0, defect=0.0, verdicts=_verdicts(s, pts, tol))
-
     cols = _values(s, cloud.points)
+    if ix == iy:
+        return Path(cloud.points[[ix]], 0.0, 0.0, 0.0, _verdicts(cols[:, [ix]], tol))
     if _nearest_dists(cols, w.alphas, 0.0).min() <= 0.0:
         raise DuplicatePoints("cloud has points at associated-norm distance 0")
     target = float(_pair_dists(cols, w.alphas, [ix], [iy])[0])
@@ -461,13 +464,12 @@ def monotone_path(
         return PathNotFound(
             reason="slack_exceeded", target=target, eps=eps_val, hop=hop, best_length=length
         )
-    pts = cloud.points[order]
     return Path(
-        points=pts,
+        points=cloud.points[order],
         length=length,
         target=target,
         defect=length - target,
-        verdicts=_verdicts(s, pts, tol),
+        verdicts=_verdicts(cols[:, order], tol),
     )
 
 
@@ -535,9 +537,9 @@ def seq_convergence_check(s: Space, w: Weights, sequence, limit, tol: float) -> 
     check_weights(s, w)
     seq = _check_points(s, sequence, "sequence")
     lim = _check_vector(s, limit)
-    vals = np.abs((seq - lim) @ s.representatives.T)
-    assoc_tail = vals @ w.alphas
-    funcs_tail = vals.max(axis=1)
+    vals = np.abs(_values(s, seq - lim))
+    assoc_tail = w.alphas @ vals
+    funcs_tail = vals.max(axis=0)
     ai = _first_settled(assoc_tail, tol)
     fi = _first_settled(funcs_tail, tol)
     return SeqReport(

@@ -87,13 +87,24 @@ def _rep_mask(rows: np.ndarray) -> np.ndarray:
     return lead > 0
 
 
+# The types of JSON strings and booleans, which np.asarray reads as numbers.
+_NOT_NUMBERS = frozenset({str, bool})
+
+
+def _holds_non_numbers(values) -> bool:
+    """Whether a list or tuple holds a string or boolean entry. Types are
+    matched exactly, so numpy scalars and arrays pass unchecked."""
+    return isinstance(values, (list, tuple)) and not _NOT_NUMBERS.isdisjoint(map(type, values))
+
+
 def _float_rows(rows, error: type[Exception], what: str) -> np.ndarray:
     """`rows` as a float array. Rows of unequal length raise `error`, naming
     the first row whose length differs from row 0's; failing that, an entry
-    that is not a number raises `error` naming the first row holding one.
-    numpy's own messages name neither."""
+    that is not a number, a string or a boolean included, raises `error`
+    naming the first row holding one. numpy's own messages name neither,
+    and it reads "1" and true as 1.0. An ndarray is taken as it is."""
     try:
-        return np.asarray(rows, dtype=float)
+        arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
         lengths = []
         for row in rows:
@@ -107,14 +118,26 @@ def _float_rows(rows, error: type[Exception], what: str) -> np.ndarray:
                     f"{what} rows have inconsistent lengths: row 0 has {lengths[0]} entries, "
                     f"row {i} has {length}"
                 ) from None
-        for i, row in enumerate(rows):
-            try:
-                np.asarray(row, dtype=float)
-            except (TypeError, ValueError):
-                raise error(
-                    f"{what} row {i} holds an entry that is not a number: {row!r}"
-                ) from None
+        _name_non_number_row(rows, error, what)
         raise
+    if arr.ndim == 2 and not isinstance(rows, np.ndarray):
+        if not _NOT_NUMBERS.isdisjoint(map(type, itertools.chain.from_iterable(rows))):
+            _name_non_number_row(rows, error, what)
+    return arr
+
+
+def _name_non_number_row(rows, error: type[Exception], what: str) -> None:
+    """Raise `error` naming the first row that does not read as floats or
+    holds a string or boolean."""
+    for i, row in enumerate(rows):
+        try:
+            np.asarray(row, dtype=float)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not _holds_non_numbers(row):
+                continue
+        raise error(f"{what} row {i} holds an entry that is not a number: {row!r}") from None
 
 
 def make_space(functionals, name: str = "") -> Space:
@@ -226,14 +249,15 @@ def _check_points(s: Space, rows, what: str) -> np.ndarray:
 
 def _values(s: Space, points: np.ndarray) -> np.ndarray:
     """The functional values of the rows of an (m, n) array: the C-order
-    (p, m) product reps @ points.T, row i holding f_i at every point. Every
-    kernel reads a cloud, a grid, a ray or a set of ball centres in this
-    layout, so that a pass over one functional runs along a contiguous row.
-    Each entry is the dot product of a representative with a point, which
-    BLAS accumulates over the n coordinates in the same order, with the same
-    fused multiply-adds, as the row form points @ reps.T, so the block is
-    that product's transpose bit for bit (tests/test_properties.py checks
-    this in dimensions 1 to 5, up to 13824 points)."""
+    (p, m) product reps @ points.T, row i holding f_i at every point. Each
+    driver forms the values of a cloud, a grid, a ray, a path or a set of
+    ball centres here, once per call, and every kernel reads this layout, so
+    that a pass over one functional runs along a contiguous row; only
+    embed_cloud keeps the row form, as _first_rows and its report read rows.
+    BLAS sums each entry over the n coordinates in the same order, with the
+    same fused multiply-adds, as the row form points times reps.T, so the
+    block is its transpose bit for bit (tests/test_properties.py checks this
+    in dimensions 1 to 5, up to 13824 points)."""
     return s.representatives @ points.T
 
 
@@ -266,9 +290,9 @@ def norm(s: Space, x) -> float:
 
 def norms(s: Space, points: np.ndarray) -> np.ndarray:
     """Vectorized norm over the rows of `points`: _max_abs over the p
-    contiguous rows of the (p, m) block _values. The row form pts @ reps.T
-    gives BLAS a product with only p output columns and leaves _max_abs
-    strided columns; the norms are the row form's bit for bit."""
+    contiguous rows of the (p, m) block _values. The row form, pts times
+    reps.T, gives BLAS a product with only p output columns and leaves
+    _max_abs strided columns; the norms are the row form's bit for bit."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != s.dim:
         raise DimensionMismatch(f"expected (m, {s.dim}) array, got shape {pts.shape}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .metric import MonotoneVerdict
-from .space import Space
+from .space import Space, _values
 
 _W, _H, _PAD = 640.0, 480.0, 40.0
 
@@ -103,12 +103,10 @@ def edge_colors_for_path(s: Space, pts: np.ndarray, verdicts: list[MonotoneVerdi
     """Color an edge bad when it moves a non-monotone functional against
     that functional's net direction along the path (either way, if the net
     change is zero) by more than the verdicts' slack tol * (1 + |net|)."""
-    vals = np.asarray(pts, dtype=float) @ s.representatives.T
-    if not len(vals):
-        return []
-    net = vals[-1] - vals[0]
-    diffs = np.diff(vals, axis=0)
+    vals = _values(s, np.asarray(pts, dtype=float))
+    net = vals[:, -1:] - vals[:, :1]
+    diffs = np.diff(vals, axis=1)
     against = np.where(net == 0.0, np.abs(diffs), -np.sign(net) * diffs)
     broken = [v.functional for v in verdicts if not v.monotone]
-    bad = (against[:, broken] > tol * (1.0 + np.abs(net[broken]))).any(axis=1)
+    bad = (against[broken] > tol * (1.0 + np.abs(net[broken]))).any(axis=0)
     return [_EDGE_BAD if b else _EDGE_OK for b in bad]

@@ -49,4 +49,4 @@ def dijkstra_path(s, w, cloud, ix, iy, eps=None, hop=0.0, tol=BETWEEN_TOL):
             reason="slack_exceeded", target=target, eps=eps, hop=hop, best_length=length
         )
     pts = cloud.points[order]
-    return Path(pts, length, target, length - target, _verdicts(s, pts, tol))
+    return Path(pts, length, target, length - target, _verdicts(_values(s, pts), tol))

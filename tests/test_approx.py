@@ -17,7 +17,7 @@ from sunlab import (
     project,
     sun_check,
 )
-from sunlab import approx
+from sunlab import approx, space
 
 LINF2 = builtin("linf", 2)
 
@@ -307,7 +307,8 @@ def test_only_uncertified_candidates_run_the_grid(cloud, q, ray, stop, reports, 
     """The candidate loop runs the ray kernel only on candidates whose
     certificate fails, and its reports are the grid's."""
     with mock.patch.object(approx, "_ray_falsifier", wraps=approx._ray_falsifier) as spy:
-        got = approx._candidate_falsifiers(LINF2, cloud, np.asarray(q), stop=stop, **ray)
+        cols = space._values(LINF2, cloud.points)
+        got = approx._candidate_falsifiers(LINF2, cloud, cols, np.asarray(q), stop=stop, **ray)
     want = _grid_reference(cloud, q, ray, stop)
     assert (len(got), spy.call_count) == (reports, calls)
     assert [(y.tolist(), f) for y, f in got] == [(r.y, r.falsifier) for r in want]
@@ -350,6 +351,18 @@ def test_strict_segment_queries_run_no_pass_over_the_cloud_per_candidate():
         "queries": 2, "skipped": [], "failures": failures, "strict": True,
         "lambda_max": 16.0, "grid": 256, "passed": not failures,
     }
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("count", [1, 10])
+def test_cloud_values_are_formed_once_per_call(count, strict):
+    """is_sun_sampled forms the cloud's (p, m) block once, however many
+    queries it tests; it formed one per query."""
+    queries = np.column_stack([np.linspace(0.1, 0.9, count), np.full(count, 0.3)])
+    with mock.patch.object(approx, "_values", wraps=approx._values) as spy:
+        is_sun_sampled(LINF2, SEGMENT_513, queries, strict=strict)
+    on_cloud = [c for c in spy.call_args_list if c.args[1] is SEGMENT_513.points]
+    assert len(on_cloud) == 1
 
 
 def test_records_are_built_only_where_read():

@@ -923,6 +923,12 @@ CLOUD_3D = {"points": [[0, 0, 0], [1, 1, 1]]}
 TRIANGLE = {"points": [[0, 0], [1, 0], [0, 1]]}
 PATH_0_2 = ["path", "--from", "0", "--to", "2"]
 GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
+TEXT_CLOUD = {"points": [["1", 0], [True, 0]]}
+BOOL_CLOUD = {"points": [[0, 0], [True, 0]]}
+BOOL_SPACE = {"functionals": [[True, 0], [-1, 0], [0, 1], [0, -1]]}
+TEXT_SPACE = {"functionals": [["1", 0], [-1, 0], [0, 1], [0, -1]]}
+TEXT_WEIGHTS = {"alphas": ["0.5", True]}
+HULL_0_1 = ["hull", "--from", "0,0", "--to", "1,1"]
 
 
 @pytest.mark.parametrize(
@@ -993,6 +999,26 @@ GAP_CSV = "0,,0\n1,,0\n2,,0\n"  # a str is written as a CSV cloud
             ["hull", "--space", "linf3", "--from", "0,0,0", "--to", "1,1,1", "--grid", "100000"],
             id="hull-grid-huge",
         ),
+        pytest.param(TEXT_CLOUD, ["project", "--query", "0.5,0.5"], id="cloud-numeric-string"),
+        pytest.param(BOOL_CLOUD, ["path", "--from", "0", "--to", "1"], id="cloud-boolean"),
+        pytest.param(TWO_POINTS, ["mconnect", "--space", BOOL_SPACE], id="space-boolean"),
+        pytest.param(
+            TWO_POINTS, ["project", "--query", "0,0", "--space", TEXT_SPACE],
+            id="space-numeric-string",
+        ),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--weights", TEXT_WEIGHTS], id="weights-text"),
+        pytest.param(CLOUD_3D, HULL_0_1, id="hull-cloud-dim"),
+        pytest.param(
+            CLOUD_3D, ["interval", "--from", "0,0", "--to", "1,1"], id="interval-cloud-dim"
+        ),
+        pytest.param(
+            CLOUD_3D, ["interval", "--from", "0", "--to", "1", "--svg", "f.svg"],
+            id="interval-svg-cloud-dim",
+        ),
+        pytest.param(
+            COLLINEAR3, ["interval", "--space", "linf1", "--from", "1", "--to", "2"],
+            id="interval-linf1-cloud-dim",
+        ),
     ],
 )
 def test_bad_input_exits_one_with_one_line(capsys, cloud_file, cloud, argv):
@@ -1048,16 +1074,25 @@ def test_hull_grid_error_does_not_depend_on_svg(capsys, tmp_path, monkeypatch, s
         SUN_QUERY,
         [*SUN_QUERY, "--strict"],
         ["sun", "--trials", "3"],
+        ["interval", "--from", "0,0", "--to", "1,1"],
+        ["interval", "--from", "0", "--to", "1", "--svg", "f.svg"],
+        HULL_0_1,
+        ["embed"],
     ],
     ids=lambda argv: "-".join(argv[:1] + [a.lstrip("-") for a in argv[1::2]]),
 )
-def test_cloud_of_another_dimension_is_named(capsys, cloud_file, argv):
+def test_cloud_of_another_dimension_is_named(capsys, tmp_path, monkeypatch, cloud_file, argv):
+    """interval and hull used the cloud unchecked: hull exited 0, interval
+    --svg printed numpy's reshape error, and embed named the source
+    dimension. main now checks the cloud once, as soon as it is loaded."""
+    monkeypatch.chdir(tmp_path)
     command, *rest = argv
     code, out, err = _run(
         capsys, [command, "--space", "linf2", "--cloud", cloud_file(CLOUD_3D), *rest]
     )
     assert (code, out) == (1, "")
     assert err == "sunlab: error: cloud dimension 3 does not match space dimension 2\n"
+    assert not (tmp_path / "f.svg").exists()
 
 
 @pytest.mark.parametrize(

@@ -70,14 +70,18 @@ def test_json_ragged_rows_rejected():
         ([[0, 0], [{"a": 1}, 1]], "row 1 holds an entry that is not a number: [{'a': 1}, 1]"),
         ([[0, 0], [1, [2, 3]]], "row 1 holds an entry that is not a number: [1, [2, 3]]"),
         ([["x", 1], [0]], "rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"),
+        ([["1", 0], [True, 0]], "row 0 holds an entry that is not a number: ['1', 0]"),
+        ([[0, 0], [True, 0]], "row 1 holds an entry that is not a number: [True, 0]"),
+        ([[0, 0], [False, 0], ["x", 1]], "row 1 holds an entry that is not a number: [False, 0]"),
     ],
-    ids=["string", "object", "list", "ragged-first"],
+    ids=["string", "object", "list", "ragged-first", "numeric-string", "boolean",
+         "boolean-before-string"],
 )
 def test_json_non_numeric_entry_is_named(points, message):
     """numpy's "could not convert string to float: 'x'" named neither the
     input nor the row, an object entry raised a TypeError, and a list entry
     gave numpy's "setting an array element with a sequence". A ragged array
-    keeps its message, which comes first."""
+    keeps its message, which comes first. numpy read "1" and true as 1.0."""
     with pytest.raises(ParseError) as err:
         cloud_from_json({"points": points})
     assert str(err.value) == f"point cloud JSON {message}"

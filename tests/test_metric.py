@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sunlab import (
     uniform_weights,
     weights_from_json,
 )
+from sunlab import metric
 from sunlab.verify import max_nn_distance
 
 LINF2 = builtin("linf", 2)
@@ -79,12 +81,16 @@ def test_weights_from_json_forms():
         ({"alphas": ["x", 1]}, "^weights JSON 'alphas' must be an array of numbers$"),
         ({"alphas": [[1], [1, 2]]}, "^weights JSON 'alphas' must be an array of numbers$"),
         ({"alphas": {"a": 1}}, "^weights JSON 'alphas' must be an array of numbers$"),
+        ({"alphas": ["0.5", 0.5]}, "^weights JSON 'alphas' must be an array of numbers$"),
+        ({"alphas": [0.5, True]}, "^weights JSON 'alphas' must be an array of numbers$"),
     ],
-    ids=["list", "string", "alphas-text", "alphas-ragged", "alphas-object"],
+    ids=["list", "string", "alphas-text", "alphas-ragged", "alphas-object",
+         "alphas-numeric-string", "alphas-boolean"],
 )
 def test_weights_from_json_rejects_other_shapes(data, message):
     """A list or string made the parser fail with AttributeError, and a
-    non-numeric alphas entry with numpy's message, which names no field."""
+    non-numeric alphas entry with numpy's message, which names no field.
+    numpy read "0.5" and true as numbers."""
     with pytest.raises(WeightMismatch, match=message):
         weights_from_json(LINF2, data)
 
@@ -165,10 +171,26 @@ def test_path_collinear_goes_through_middle():
     assert p.monotone
 
 
+def test_path_forms_the_cloud_values_once():
+    """The verdicts are read off the cloud's block at the route's columns,
+    with no second product over the path's points."""
+    s = random_space(2, 5, seed=4)
+    cloud = PointCloud(np.random.default_rng(3).uniform(-1, 1, size=(120, 2)))
+    with (
+        mock.patch.object(metric, "_values", wraps=metric._values) as values,
+        mock.patch.object(metric, "_verdicts", wraps=metric._verdicts) as verdicts,
+    ):
+        p = monotone_path(s, geometric_weights(s), cloud, cloud.points[0], cloud.points[1], hop=0.4)
+    assert not isinstance(p, PathNotFound) and len(p.points) > 2
+    assert values.call_count == 1 and values.call_args.args[1] is cloud.points
+    assert np.array_equal(verdicts.call_args.args[0], s.representatives @ p.points.T)
+
+
 def test_path_same_endpoint():
     cloud = PointCloud([[0, 0], [1, 0]])
     p = monotone_path(LINF2, ONES, cloud, [1, 0], [1, 0])
     assert p.length == 0.0 and len(p.points) == 1
+    assert [v.label() for v in p.verdicts] == ["constant", "constant"]
 
 
 def test_path_direct_edge_when_no_witness():

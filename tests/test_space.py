@@ -266,16 +266,35 @@ def test_make_space_names_ragged_rows():
         ([["x", 1]], "row 0 holds an entry that is not a number: ['x', 1]"),
         ([[1, 0], [{"a": 1}, 0]], "row 1 holds an entry that is not a number: [{'a': 1}, 0]"),
         ([["x", 1], [1]], "rows have inconsistent lengths: row 0 has 2 entries, row 1 has 1"),
+        ([[True, 0], [-1, 0], [0, 1], [0, -1]], "row 0 holds an entry that is not a number: "
+         "[True, 0]"),
+        ([[1, 0], ["-1", 0], [0, 1], [0, -1]], "row 1 holds an entry that is not a number: "
+         "['-1', 0]"),
     ],
-    ids=["string", "object", "ragged-first"],
+    ids=["string", "object", "ragged-first", "boolean", "numeric-string"],
 )
 def test_make_space_names_non_numeric_rows(functionals, message):
     """numpy's "could not convert string to float: 'x'" named neither the
     family nor the row, and an object entry raised a TypeError. A ragged
-    family keeps its message, which comes first."""
+    family keeps its message, which comes first. numpy read "-1" and true
+    as numbers."""
     with pytest.raises(DimensionMismatch) as err:
         space_from_json({"functionals": functionals})
     assert str(err.value) == f"functional {message}"
+
+
+def test_make_space_takes_numpy_rows_as_they_are():
+    """Only the str and bool of parsed JSON are refused: numpy scalars,
+    arrays and rows of arrays are read as numbers, as before."""
+    fam = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    want = make_space(fam).functionals
+    for rows in (
+        np.array(fam),
+        [np.array(row) for row in fam],
+        [[np.float64(v) for v in row] for row in fam],
+        np.array(fam).astype(str),
+    ):
+        assert np.array_equal(make_space(rows).functionals, want)
 
 
 @pytest.mark.parametrize("dim", ["two", None, [2]])
