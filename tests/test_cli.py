@@ -617,16 +617,21 @@ def test_generic_space_reports_are_pinned(tmp_path, monkeypatch):
     without a witness; the bent segment's first gap is (139, 150), and 5 of
     its pairs reach _slab_witnesses. The oracle runs on points 120 to 179
     of each, path --hop on the 300-point blob of the hop 0 pins, and hull
-    on the same space."""
+    on the same space. Without --eps, mconnect prints the least pair
+    distance of the bent segment, of the blob and of two 8 x 8 sheets
+    shifted off the dyadic lattice, so an eps one ulp off shows."""
     monkeypatch.chdir(tmp_path)
     s, line, bent, eps = _generic_segments()
     blob = np.random.default_rng(13).uniform(-1.0, 1.0, (300, 3))
+    grid = np.stack(np.meshgrid(np.arange(8), np.arange(8), indexing="ij"), -1).reshape(-1, 2)
+    sheet = np.hstack([np.zeros((64, 1)), grid / 8])
     clouds = {
         "line": line,
         "bent": bent,
         "line60": line[120:180],
         "bent60": bent[120:180],
         "blob": blob,
+        "sheets": np.vstack([sheet, sheet + [1, 0, 0]]) + [0.1, 0.2, 0.3],
     }
     for name, pts in clouds.items():
         Path(f"{name}.json").write_text(json.dumps({"points": pts.tolist()}))
@@ -648,6 +653,18 @@ def test_generic_space_reports_are_pinned(tmp_path, monkeypatch):
         (
             ["mconnect", *space, "--cloud", "bent60.json", "--eps", repr(eps), *oracle],
             2, 423, "626a83bd85b87227fc53d44ffe9af8b4906b819050eb81b3f913f1e2c336f505",
+        ),
+        (
+            ["mconnect", *space, "--cloud", "bent.json"],
+            2, 410, "38bb4b9583e5655a77cf7a6042d7f736193149dcdcdb9aa896975ced58c9c898",
+        ),
+        (
+            ["mconnect", *space, "--cloud", "blob.json"],
+            2, 407, "149e0619efad30bc195220279bb28c76c22df71de42b9ea8862347eabe2fbf1a",
+        ),
+        (
+            ["mconnect", *space, "--cloud", "sheets.json"],
+            2, 409, "f89e73f9c63d86e57418c6b3782497c9c2150ac9e14514f06b22c86f73762a65",
         ),
         (
             ["path", *space, "--cloud", "blob.json", "--from", "0", "--to", "239", "--hop",
@@ -680,7 +697,7 @@ def test_generic_space_reports_are_pinned(tmp_path, monkeypatch):
         result = json.loads(data)["result"]
         if argv[4] == "line.json":
             assert (result["m_connected"], result["pairs_checked"]) == (True, 18717)
-        if argv[4] == "bent.json":
+        if argv[4:6] == ["bent.json", "--eps"]:
             assert (result["witness"], sum(boxes)) == ([139, 150], 5)
 
 
