@@ -11,6 +11,7 @@ keeps membership queries cheap no matter how many balls were drawn.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ from .approx import _nearest, _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
 from .space import (
+    _TINY,
+    _ULP,
     Space,
     _check_slack,
     _check_vector,
@@ -28,6 +31,7 @@ from .space import (
     _max_abs,
     _rep_mask,
     _values,
+    _window_blocks,
     norm,
     unit_ball_extents,
 )
@@ -449,6 +453,69 @@ def _sup_rows(cols: np.ndarray, start: int, stop: int) -> np.ndarray:
     return d
 
 
+@functools.cache
+def _key_weights(p: int) -> np.ndarray:
+    """The sort key weights of _least_distance for p functionals: 1 + k phi
+    mod 1, phi the golden ratio, scaled to sum to less than 1."""
+    raw = 1.0 + np.arange(p) * 0.6180339887498949 % 1.0
+    return raw * ((1.0 - (p + 2) * _ULP) / raw.sum())
+
+
+def _least_distance(cols: np.ndarray) -> float:
+    """The least sup distance between two of the m >= 2 points whose (p, m)
+    representative values are cols, min over i < j of d(i, j) = max_k
+    |cols[k, i] - cols[k, j]|, the minimum of _sup_rows over all rows bit
+    for bit; inf when every distance overflows. Only pairs that share a
+    sorted window are measured.
+
+    The points are sorted by the key g = c @ cols. The weights c are
+    positive, spread by the golden ratio so that no two points of a grid
+    tie, and their exact sum S is below 1: the factor 1 - (p + 2) 2**-52
+    outweighs the roundings of forming c, below (p + 1) 2**-53. So |G(i) -
+    G(j)| <= S D(i, j) <= D(i, j) for the exact key G and exact distance
+    D, and no partial sum of a key exceeds the largest |value| X, so no key
+    overflows. U, the least distance between neighbours in key order, is
+    a pair's distance, so the least distance is at most U, and the pairs
+    to measure beyond the neighbours are those with d(i, j) <= U. Each
+    row's window holds the points after it whose key is at most its own
+    plus reach = U + (p + 8) 2**-52 (X + U) + 4 p 2**-1074.
+
+    The slack: with u = 2**-53, a rounded difference is exact or within a
+    factor 1 + u, so D <= d (1 + 2u); a key's dot product lies within
+    gamma_p X + p 2**-1074 of G (products may underflow), gamma_p <= (p +
+    1) u. A pair with d <= U thus has |g(i) - g(j)| <= U (1 + 2u) + 2 (p +
+    1) u X + 2 p 2**-1074, and reach exceeds that by more than the
+    roundings of forming it and of key + reach, a few u (X + U). max and abs
+    are exact and |a - b| = |b - a|, so each measured distance is the one
+    _sup_rows gives, and the minimum is the same.
+
+    The windows, beyond each row's neighbour, are read in the blocks of
+    space._window_blocks as a band: entry (i, t) of a block pairs row i
+    with row i + 2 + t of the sorted values, padded with inf, so the pairs
+    a block holds outside a window are still pairs of the cloud, or inf."""
+    p, m = cols.shape
+    key = _key_weights(p) @ cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # The sorted values, followed by inf columns that pad the band below.
+    pad = np.full((p, 2 * m), np.inf)
+    sub = cols.take(order, axis=1, out=pad[:, :m])
+    step = sub[:, 1:] - sub[:, :-1]
+    best = float(np.abs(step, out=step).max(axis=0).min())
+    reach = best + (p + 8) * _ULP * (float(np.abs(sub).max()) + best) + 4 * p * _TINY
+    extra = np.searchsorted(key, key + reach, "right")
+    extra -= np.arange(2, m + 2)
+    width = int(extra.max())
+    if width <= 0:
+        return best
+    size = pad.itemsize
+    band = np.ndarray((p, m + 2, width), buffer=pad, strides=(pad.strides[0], size, size))
+    for r0, r1, _, hi in _window_blocks(np.zeros_like(extra), np.maximum(extra, 0, out=extra)):
+        d = band[:, r0 + 2 : r1 + 2, :hi] - sub[:, r0:r1, None]
+        best = min(best, float(np.abs(d, out=d).max(axis=0).min(initial=np.inf)))
+    return best
+
+
 def _neighbour_count(dim: int) -> int:
     """How many nearest points of row i m_connected tries as witnesses of
     the pairs (i, j) before the kernel: every neighbour of a point of a
@@ -492,6 +559,14 @@ def m_connected(
     literal definition. hull="interval" tests the slab interval, "oracle"
     the sampled ball hull.
 
+    The default eps comes from _least_distance, without an all-pairs
+    pass: the points are sorted by a positively weighted sum of their
+    values, which two points at distance d differ in by at most d, so
+    only the pairs whose sums lie within the least distance between
+    neighbours in that order, plus a proven rounding slack, are measured.
+    Each is measured as _sup_rows measures it, and max and abs are exact,
+    so eps is the least of all pairwise distances bit for bit.
+
     The scan visits the pairs (i, j), i < j, in row-major order, in blocks
     of 1, 2, 4, ... rows up to _SCAN_BUDGET row x point x neighbour
     entries, so a gap in row 0 costs one row. A block computes its rows'
@@ -528,8 +603,7 @@ def m_connected(
         if not np.isfinite(cols).all():
             raise ValueError("the cloud's functional values overflow")
         if adjacency_eps is None:
-            blocks = range(0, m - 1, width)
-            eps = min(float(_sup_rows(cols, a, min(a + width, m - 1)).min()) for a in blocks)
+            eps = _least_distance(cols)
         else:
             eps = float(adjacency_eps)
     if not math.isfinite(eps):

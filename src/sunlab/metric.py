@@ -18,12 +18,15 @@ from .cloud import PointCloud
 from .errors import DuplicatePoints, EndpointNotInCloud, WeightMismatch
 from .hull import _in_slabs, _slab_witnesses
 from .space import (
+    _TINY,
+    _ULP,
     Space,
     _check_points,
     _check_slack,
     _check_vector,
     _holds_non_numbers,
     _values,
+    _window_blocks,
     norms,
     unit_ball_extents,
 )
@@ -216,15 +219,6 @@ def between_equiv_check(
     )
 
 
-# Point pairs per block of _sorted_windows (each holds p floats), and the
-# pairs a block may add outside its rows' own windows: about what one more
-# block costs in numpy calls.
-_WINDOW_BUDGET = 2**17
-_WINDOW_WASTE = 2**12
-_ULP = np.finfo(float).eps
-_TINY = np.finfo(float).smallest_subnormal
-
-
 def _pair_dists(cols, alphas, a, b) -> np.ndarray:
     """Associated distances of the point pairs (a[t], b[t]) of the (p, m)
     block cols, one row dot product each, as _sorted_windows' callers."""
@@ -236,26 +230,17 @@ def _sorted_windows(cols, order, start, stop):
     cloud with (p, m) representative values cols: rows and near are ranges
     of positions in order, and diff[r, c] holds the p differences
     f(order[near[c]]) - f(order[rows[r]]) in C order. Rows come in order,
-    in blocks of at most _WINDOW_BUDGET pairs and _WINDOW_WASTE pairs
-    outside the rows' own windows [start, stop) of positions, each holding
-    its row (one row at least); near is the union of the block's windows."""
+    in the blocks of space._window_blocks over the rows' own windows
+    [start, stop) of positions, each holding its row; near is the union of
+    the block's windows."""
     sub = cols[:, order]
-    widths = stop - start
-    r0 = 0
-    while r0 < order.size:
-        end = r0 + max(1, _WINDOW_BUDGET // int(widths[r0]))
-        span = np.maximum.accumulate(stop[r0:end]) - np.minimum.accumulate(start[r0:end])
-        cost = span * np.arange(1, span.size + 1)
-        waste = cost - np.cumsum(widths[r0:end])
-        r1 = r0 + max(1, np.count_nonzero((cost <= _WINDOW_BUDGET) & (waste <= _WINDOW_WASTE)))
-        lo, hi = start[r0:r1].min(), stop[r0:r1].max()
+    for r0, r1, lo, hi in _window_blocks(start, stop):
         # One functional at a time: a broadcast over the short last axis
         # is several times slower.
         diff = np.empty((r1 - r0, hi - lo, sub.shape[0]))
         for j, col in enumerate(sub):
             np.subtract(col[lo:hi], col[r0:r1, None], out=diff[:, :, j])
         yield np.arange(r0, r1), np.arange(lo, hi), diff
-        r0 = r1
 
 
 def _nearest_dists(cols, alphas, reach=None) -> np.ndarray:

@@ -87,22 +87,24 @@ def _rep_mask(rows: np.ndarray) -> np.ndarray:
     return lead > 0
 
 
-# The types of JSON strings and booleans, which np.asarray reads as numbers.
-_NOT_NUMBERS = frozenset({str, bool})
+# The types of JSON strings, booleans and null, which np.asarray reads as
+# numbers (null as NaN).
+_NOT_NUMBERS = frozenset({str, bool, type(None)})
 
 
 def _holds_non_numbers(values) -> bool:
-    """Whether a list or tuple holds a string or boolean entry. Types are
-    matched exactly, so numpy scalars and arrays pass unchecked."""
+    """Whether a list or tuple holds a string, boolean or null entry. Types
+    are matched exactly, so numpy scalars and arrays pass unchecked."""
     return isinstance(values, (list, tuple)) and not _NOT_NUMBERS.isdisjoint(map(type, values))
 
 
 def _float_rows(rows, error: type[Exception], what: str) -> np.ndarray:
     """`rows` as a float array. Rows of unequal length raise `error`, naming
     the first row whose length differs from row 0's; failing that, an entry
-    that is not a number, a string or a boolean included, raises `error`
-    naming the first row holding one. numpy's own messages name neither,
-    and it reads "1" and true as 1.0. An ndarray is taken as it is."""
+    that is not a number, a string, a boolean or null included, raises
+    `error` naming the first row holding one. numpy's own messages name
+    neither, and it reads "1" and true as 1.0 and null as NaN. An ndarray is
+    taken as it is."""
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError):
@@ -128,7 +130,7 @@ def _float_rows(rows, error: type[Exception], what: str) -> np.ndarray:
 
 def _name_non_number_row(rows, error: type[Exception], what: str) -> None:
     """Raise `error` naming the first row that does not read as floats or
-    holds a string or boolean."""
+    holds a string, boolean or null."""
     for i, row in enumerate(rows):
         try:
             np.asarray(row, dtype=float)
@@ -280,6 +282,42 @@ def _differences(q_cols: np.ndarray, cols: np.ndarray):
     and (p, m) values; _max_abs of them is the (k, m) block of max-norm
     distances."""
     return (q[:, None] - c for q, c in zip(q_cols, cols))
+
+
+# Point pairs per block of _window_blocks, and the pairs a block may add
+# outside its rows' own windows: about what one more block costs in numpy
+# calls.
+_WINDOW_BUDGET = 2**17
+_WINDOW_WASTE = 2**12
+_ULP = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+
+
+def _window_blocks(start, stop):
+    """Split rows 0..n-1, row r holding the window [start[r], stop[r]) of
+    columns, into blocks (r0, r1, lo, hi) of consecutive rows, in order:
+    [lo, hi) is the union of the block's windows, and the rectangle of its
+    rows by [lo, hi) holds at most _WINDOW_BUDGET pairs, at most
+    _WINDOW_WASTE of them outside the rows' own windows, or is one row. Both
+    counts grow with each row added, so a block is the longest prefix of
+    the rows left that keeps within them, and rows that all fit are one
+    block, found without the prefix counts."""
+    widths = stop - start
+    lo, hi = start.min(), stop.max()
+    cost = (hi - lo) * widths.size
+    if cost <= _WINDOW_BUDGET and cost - widths.sum() <= _WINDOW_WASTE:
+        yield 0, widths.size, lo, hi
+        return
+    r0 = 0
+    while r0 < widths.size:
+        end = r0 + max(1, _WINDOW_BUDGET // max(1, int(widths[r0])))
+        lo = np.minimum.accumulate(start[r0:end])
+        hi = np.maximum.accumulate(stop[r0:end])
+        cost = (hi - lo) * np.arange(1, hi.size + 1)
+        waste = cost - np.cumsum(widths[r0:end])
+        n = max(1, np.count_nonzero((cost <= _WINDOW_BUDGET) & (waste <= _WINDOW_WASTE)))
+        yield r0, r0 + n, lo[n - 1], hi[n - 1]
+        r0 += n
 
 
 def norm(s: Space, x) -> float:

@@ -945,6 +945,9 @@ BOOL_CLOUD = {"points": [[0, 0], [True, 0]]}
 BOOL_SPACE = {"functionals": [[True, 0], [-1, 0], [0, 1], [0, -1]]}
 TEXT_SPACE = {"functionals": [["1", 0], [-1, 0], [0, 1], [0, -1]]}
 TEXT_WEIGHTS = {"alphas": ["0.5", True]}
+NULL_CLOUD = {"points": [[0, 0], [None, 1]]}
+NULL_SPACE = {"functionals": [[None, 0], [-1, 0], [0, 1], [0, -1]]}
+NULL_WEIGHTS = {"alphas": [None, 1]}
 HULL_0_1 = ["hull", "--from", "0,0", "--to", "1,1"]
 
 
@@ -1024,6 +1027,9 @@ HULL_0_1 = ["hull", "--from", "0,0", "--to", "1,1"]
             id="space-numeric-string",
         ),
         pytest.param(COLLINEAR3, [*PATH_0_2, "--weights", TEXT_WEIGHTS], id="weights-text"),
+        pytest.param(NULL_CLOUD, ["mconnect"], id="cloud-null"),
+        pytest.param(TWO_POINTS, ["mconnect", "--space", NULL_SPACE], id="space-null"),
+        pytest.param(COLLINEAR3, [*PATH_0_2, "--weights", NULL_WEIGHTS], id="weights-null"),
         pytest.param(CLOUD_3D, HULL_0_1, id="hull-cloud-dim"),
         pytest.param(
             CLOUD_3D, ["interval", "--from", "0,0", "--to", "1,1"], id="interval-cloud-dim"

@@ -83,14 +83,16 @@ def test_weights_from_json_forms():
         ({"alphas": {"a": 1}}, "^weights JSON 'alphas' must be an array of numbers$"),
         ({"alphas": ["0.5", 0.5]}, "^weights JSON 'alphas' must be an array of numbers$"),
         ({"alphas": [0.5, True]}, "^weights JSON 'alphas' must be an array of numbers$"),
+        ({"alphas": [None, 1]}, "^weights JSON 'alphas' must be an array of numbers$"),
     ],
     ids=["list", "string", "alphas-text", "alphas-ragged", "alphas-object",
-         "alphas-numeric-string", "alphas-boolean"],
+         "alphas-numeric-string", "alphas-boolean", "alphas-null"],
 )
 def test_weights_from_json_rejects_other_shapes(data, message):
     """A list or string made the parser fail with AttributeError, and a
     non-numeric alphas entry with numpy's message, which names no field.
-    numpy read "0.5" and true as numbers."""
+    numpy read "0.5" and true as numbers, and null as NaN, which the weight
+    check called not strictly positive."""
     with pytest.raises(WeightMismatch, match=message):
         weights_from_json(LINF2, data)
 

@@ -572,13 +572,13 @@ def hop_cases(draw):
 
 # (budget, waste): one-row and seven-pair blocks split every cloud, and no
 # waste ends a block wherever the next row's window differs.
-_BUDGET, _WASTE = metric._WINDOW_BUDGET, metric._WINDOW_WASTE
+_BUDGET, _WASTE = space._WINDOW_BUDGET, space._WINDOW_WASTE
 WINDOW_PATCHES = st.sampled_from([(1, _WASTE), (7, _WASTE), (_BUDGET, 0), (_BUDGET, _WASTE)])
 
 
 def _window_patch(patches):
     budget, waste = patches
-    return mock.patch.multiple(metric, _WINDOW_BUDGET=budget, _WINDOW_WASTE=waste)
+    return mock.patch.multiple(space, _WINDOW_BUDGET=budget, _WINDOW_WASTE=waste)
 
 
 def _separated(case):
@@ -662,6 +662,64 @@ def test_max_nn_distance_is_the_dense_formula(case, patches):
     with _window_patch(patches):
         got = max_nn_distance(s, w, cloud)
     assert np.float64(got).tobytes() == dist.min(axis=1).max().tobytes()
+
+
+@st.composite
+def eps_clouds(draw):
+    """Non-dyadic clouds for m_connected's default eps. Either 2 to 16
+    random rows in a builtin or random space, scaled by 2**k down to
+    subnormal spacings and translated by up to 2**40, or an edge cloud in
+    linf(n): a = T e_0 for T up to 2**40 (or subnormal), g = ulp(T), b = a
+    + N g (1, ..., 1) + r g (0, 1, ..., 1) and z = a + (N + 1) g e_0 - e
+    (0, 1, ..., 1) with e far below g. (a, b) is the nearest pair and z
+    lies between them in any key with positive weights of sum about 1, so
+    the least neighbour distance is |z - b| = d(a, b) + e. b's key exceeds
+    a's by about N g, so where its rounding at the ulp of T's key rounds
+    up, b lies beyond the edge of a's window unless the window is widened
+    for rounding."""
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(SPACES + RANDOM_SPACES))
+        rows = _random_rows(draw, draw(st.integers(2, 16)), s.dim)
+        shift = _random_rows(draw, 1, s.dim)[0] * 2.0 ** draw(st.integers(0, 38))
+        pts = rows * 2.0 ** draw(st.integers(-1074, 8)) + draw(st.sampled_from([0.0, 1.0])) * shift
+        pts = pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
+        assume(len(pts) >= 2)
+    else:
+        s = draw(st.sampled_from([LINF2, SPACES[2]]))
+        t = draw(st.floats(1.0, 2.0, exclude_max=True)) * 2.0 ** draw(st.integers(-60, 40))
+        g, n = np.spacing(t), draw(st.integers(1, 16))
+        r = draw(st.sampled_from([0.0625, 0.125, 0.25]))
+        e = g * 2.0 ** -draw(st.integers(4, 40))
+        fine = np.arange(s.dim) != 0
+        a = np.where(fine, 0.0, t)
+        pts = np.array([a, a + n * g + r * g * fine, a + np.where(fine, -e, (n + 1) * g)])
+    return s, PointCloud(pts)
+
+
+@PROPERTY
+@given(eps_clouds(), WINDOW_PATCHES)
+@example(
+    (
+        SPACES[2],
+        PointCloud([
+            [13.62121656527829, 0.0, 0.0],
+            [13.621216565278292, 1.9984014443252818e-15, 1.9984014443252818e-15],
+            [13.621216565278294, -6.938893903907228e-18, -6.938893903907228e-18],
+        ]),
+    ),
+    (_BUDGET, _WASTE),
+)
+def test_default_eps_is_the_brute_force_least_distance(case, patches):
+    """m_connected measures only the pairs in sorted windows; its default
+    eps must still be the least of all pairwise sup distances, bit for bit,
+    on every cloud, the 2- and 3-point ones included. In the example, an
+    edge cloud with T near 13.6, b's key rounds to more than the least
+    neighbour distance above a's: a window of exactly that distance misses
+    the nearest pair."""
+    s, cloud = case
+    with _window_patch(patches):
+        got = m_connected(s, cloud).adjacency_eps
+    assert np.float64(got).tobytes() == np.float64(_min_distance(s, cloud)).tobytes()
 
 
 @st.composite

@@ -270,8 +270,10 @@ def test_make_space_names_ragged_rows():
          "[True, 0]"),
         ([[1, 0], ["-1", 0], [0, 1], [0, -1]], "row 1 holds an entry that is not a number: "
          "['-1', 0]"),
+        ([[None, 0], [-1, 0], [0, 1], [0, -1]], "row 0 holds an entry that is not a number: "
+         "[None, 0]"),
     ],
-    ids=["string", "object", "ragged-first", "boolean", "numeric-string"],
+    ids=["string", "object", "ragged-first", "boolean", "numeric-string", "null"],
 )
 def test_make_space_names_non_numeric_rows(functionals, message):
     """numpy's "could not convert string to float: 'x'" named neither the
