@@ -59,9 +59,9 @@ from .space import (
 
 TIE_TOL = 1e-9
 
-# Most query x point distances _nearest holds at once. Against 256 ray
-# points in linf(2) (one core, OpenBLAS), 2**14 ran fastest at m = 257 to
-# 1681 points, 2**15 took 1.2-2.2x as long there and 2**16 2-3x.
+# Most query x point distances one block of _nearest_blocks holds. Against
+# 256 ray points in linf(2) (one core, OpenBLAS), 2**14 ran fastest at m =
+# 257 to 1681 points, 2**15 took 1.2-2.2x as long there and 2**16 2-3x.
 _NEAREST_BUDGET = 1 << 14
 
 
@@ -89,19 +89,6 @@ def _nearest_blocks(q_cols: np.ndarray, cols: np.ndarray):
         yield start, d[np.arange(len(d)), arg], arg
 
 
-def _nearest(q_cols: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each column of q_cols, the max-norm distance to the nearest
-    column of cols and the lowest index attaining it: every block of
-    _nearest_blocks."""
-    k = q_cols.shape[1]
-    dist = np.empty(k)
-    arg = np.empty(k, dtype=int)
-    for start, d, a in _nearest_blocks(q_cols, cols):
-        dist[start : start + len(d)] = d
-        arg[start : start + len(a)] = a
-    return dist, arg
-
-
 def _check_ray_grid(lambda_max: float, grid: int) -> None:
     """A pass must never rest on an empty or degenerate ray."""
     if int(grid) < 2:
@@ -122,7 +109,7 @@ class ProjectionResult:
         return {
             "distance": self.distance,
             "indices": [int(i) for i in self.indices],
-            "points": [list(p) for p in self.points],
+            "points": self.points.tolist(),
         }
 
 

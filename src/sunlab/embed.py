@@ -73,7 +73,7 @@ class EmbedResult:
 
     def to_json(self) -> dict:
         return {
-            "points": [list(p) for p in self.cloud.points],
+            "points": self.cloud.points.tolist(),
             "preimages": self.preimages,
             "multiplicities": self.multiplicities,
         }

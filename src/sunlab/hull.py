@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import _nearest, _tie_threshold
+from .approx import _NEAREST_BUDGET, _nearest_blocks, _tie_threshold
 from .cloud import PointCloud
 from .errors import DimensionMismatch
 from .space import (
@@ -46,6 +46,10 @@ _WITNESS_BUDGET = 1 << 18
 _SCAN_BUDGET = 1 << 18
 
 _GRID_DEFAULT = {1: 512, 2: 96, 3: 24}
+
+# Columns of the reference, nearest in key order, whose distances bound a
+# sliver point's nearest distance in _farthest_nearest.
+_BOUND_NEIGHBOURS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,16 +185,21 @@ def ball_hull_outer(
         mid = 0.5 * (vx + vy)
         width = 4.0 * norm(s, vx - vy)
         rng = np.random.default_rng(seed)
-        random_part = mid + rng.uniform(-1.0, 1.0, size=(n_balls - 3, s.dim)) * max(width, 0.0)
-        centers = np.vstack([vx[None, :], vy[None, :], mid[None, :], random_part])
+        centers = np.empty((n_balls, s.dim))
+        centers[:3] = vx, vy, mid
+        drawn = centers[3:]
+        drawn[...] = rng.uniform(-1.0, 1.0, size=drawn.shape)
+        drawn *= max(width, 0.0)
+        drawn += mid
         reps = s.representatives
-        # One row per representative, so that every reduction runs along the balls.
+        # One row per representative, so that every reduction runs along the
+        # balls; work holds one (p, n_balls) difference at a time.
         cols = _values(s, centers)
-        to_x = np.abs(cols - (reps @ vx)[:, None]).max(axis=0)
-        to_y = np.abs(cols - (reps @ vy)[:, None]).max(axis=0)
-        radii = np.maximum(to_x, to_y)
-        lo = np.max(cols - radii, axis=1)
-        hi = np.min(cols + radii, axis=1)
+        work = np.empty_like(cols)
+        radii = _max_abs(np.subtract(cols, (reps @ vx)[:, None], out=work))
+        np.maximum(radii, _max_abs(np.subtract(cols, (reps @ vy)[:, None], out=work)), out=radii)
+        lo = np.subtract(cols, radii, out=work).max(axis=1)
+        hi = np.add(cols, radii, out=work).min(axis=1)
     # A non-finite centre makes its values, and so its radius, inf or NaN.
     if not (math.isfinite(radii.max()) and all(map(math.isfinite, lo.tolist() + hi.tolist()))):
         raise ValueError("the sampled balls overflow: the points are too far apart")
@@ -217,25 +226,84 @@ def _grid_resolution(s: Space, resolution: int | None = None) -> int:
     return res
 
 
-def _gap_grid(s: Space, x: np.ndarray, y: np.ndarray, resolution: int):
-    """The gap grid of the pair: its points, their (p, m) _values block and
-    the largest axis step. Each axis spans the midpoint ball, which holds
-    the interval and every sampled hull (it is one of the hull's balls),
-    plus one step on each side."""
+def _gap_grid(s: Space, x: np.ndarray, y: np.ndarray, resolution: int, dist: float):
+    """The gap grid of the pair, dist = norm(s, x - y) apart: its C-order
+    (n, m) block of points (_grid_block), their (p, m) _values block and
+    the largest axis step. Point j of the grid is column j of both blocks.
+    Each axis spans the midpoint ball, which holds the interval and every
+    sampled hull (it is one of the hull's balls), plus one step on each
+    side."""
     mid = 0.5 * (x + y)
-    r = 0.5 * norm(s, x - y)
+    r = 0.5 * dist
     axes = []
     for i, ext in enumerate(unit_ball_extents(s)):
         half = r * ext
         step = 2.0 * half / (resolution - 1)
         axes.append(np.linspace(mid[i] - half - step, mid[i] + half + step, resolution))
-    grid = _grid_points(axes)
-    return grid, _values(s, grid), max(float(a[1] - a[0]) for a in axes)
+    grid = _grid_block(axes)
+    return grid, _values(s, grid.T), max(float(a[1] - a[0]) for a in axes)
 
 
-def _grid_points(axes: list[np.ndarray]) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+def _grid_block(axes: list[np.ndarray]) -> np.ndarray:
+    """The product grid of the axes as a C-order (n, m) block, row i
+    holding coordinate i of every point, the points in the order of
+    np.meshgrid(*axes, indexing="ij") raveled (the last axis fastest). Each
+    row is filled through one broadcast view of the grid's shape, so the
+    block is a copy of the axis values, written once; the row form of a
+    net is a C-order copy of its transpose."""
+    shape = tuple(len(a) for a in axes)
+    grid = np.empty((len(axes), math.prod(shape)))
+    for i, (row, a) in enumerate(zip(grid, axes)):
+        row.reshape(shape)[...] = a.reshape([-1 if k == i else 1 for k in range(len(shape))])
+    return grid
+
+
+def _farthest_nearest(q_cols: np.ndarray, cols: np.ndarray) -> tuple[float, int]:
+    """The largest distance from a column of q_cols to the nearest column
+    of cols, and the lowest index attaining it: the max and the argmax of
+    every query's distance from approx._nearest_blocks, bit for bit,
+    without measuring every query.
+
+    Each query first gets a bound, its least distance to the
+    _BOUND_NEIGHBOURS columns of cols nearest to it in the key order of
+    _least_distance (the weights _key_weights). Those distances are entries
+    of the query's brute-force row, formed by the same subtraction, abs and
+    max, so the bound is at least the nearest distance, exactly. The
+    queries are then measured by approx._nearest_blocks in order of
+    decreasing bound, lower index first among equal bounds, until a block
+    starts below the running maximum: no query after it can reach that
+    maximum. A query whose bound equals the maximum is measured, as it may
+    attain it at a lower index. _nearest_blocks gives a query the same
+    distance in any block, so the result is the brute force's."""
+    p, m = cols.shape
+    weights = _key_weights(p)
+    key = weights @ cols
+    order = np.argsort(key, kind="stable")
+    ref, key = cols[:, order], key[order]
+    width = min(_BOUND_NEIGHBOURS, m)
+    first = np.searchsorted(key, weights @ q_cols) - width // 2
+    np.clip(first, 0, m - width, out=first)
+    # Row j of band i is the window of functional i's sorted values that
+    # starts at column j.
+    bands = [np.lib.stride_tricks.sliding_window_view(r, width) for r in ref]
+    bound = np.empty(q_cols.shape[1])
+    step = max(1, _NEAREST_BUDGET // width)
+    for start in range(0, bound.size, step):
+        near = first[start : start + step]
+        part = _max_abs(q[start : start + step, None] - b[near] for q, b in zip(q_cols, bands))
+        bound[start : start + step] = part.min(axis=1)
+
+    rank = np.argsort(-bound, kind="stable")
+    best, arg = -np.inf, -1
+    for start, d, _ in _nearest_blocks(q_cols[:, rank], cols):
+        if bound[rank[start]] < best:
+            break
+        top = d.max()
+        if top >= best:
+            low = int(rank[start : start + d.size][d == top].min())
+            arg = low if top > best else min(arg, low)
+            best = top
+    return float(best), arg
 
 
 @dataclass(frozen=True)
@@ -280,23 +348,22 @@ def hull_interval_gap(
 
     # Equal ends make both shapes one point, which the grid need not sample.
     gap, witness, step, n_grid, n_interval, n_hull = 0.0, None, 0.0, 1, 1, 1
-    if norm(s, vx - vy) != 0.0:
-        grid, cols, step = _gap_grid(s, vx, vy, res)
+    dist = norm(s, vx - vy)
+    if dist != 0.0:
+        grid, cols, step = _gap_grid(s, vx, vy, res, dist)
         in_box = _in_slabs(cols, box.lo, box.hi)
         in_hull = _in_slabs(cols, approx.lo, approx.hi)
-        n_grid, n_interval, n_hull = grid.shape[0], int(in_box.sum()), int(in_hull.sum())
-        sliver = in_hull & ~in_box
-        if sliver.any():
+        n_grid, n_interval, n_hull = grid.shape[1], int(in_box.sum()), int(in_hull.sum())
+        sliver = np.flatnonzero(in_hull & ~in_box)
+        if sliver.size:
             # Distance reference: interval grid points plus a dense segment
             # sample, so thin intervals that miss every grid node still have
             # a target.
             ts = np.linspace(0.0, 1.0, 257)[:, None]
             segment = vx[None, :] * (1.0 - ts) + vy[None, :] * ts
             reference = np.hstack([cols[:, in_box], _values(s, segment)])
-            best, _ = _nearest(cols[:, sliver], reference)
-            k = int(np.argmax(best))
-            gap = float(best[k])
-            witness = grid[sliver][k].tolist()
+            gap, k = _farthest_nearest(cols[:, sliver], reference)
+            witness = grid[:, sliver[k]].tolist()
 
     return GapReport(
         pair=(vx.tolist(), vy.tolist()),

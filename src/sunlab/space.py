@@ -35,13 +35,15 @@ def _first_rows(rows: np.ndarray) -> np.ndarray:
 
     Rows are compared by their bytes, not by float ==, so NaN rows with one
     bit pattern match each other. Each folded row is viewed as one void
-    scalar; np.unique sorts stably when asked for indices, so it returns
-    first occurrences.
+    scalar, which needs C-order rows: np.where keeps the layout of rows,
+    so the folded copy of an F-order array or of a transposed view is
+    made contiguous first. np.unique sorts stably when asked for indices,
+    so it returns first occurrences.
     """
     m, width = rows.shape
     if width == 0:  # no void view of zero bytes; every empty row matches row 0
         return np.zeros(m, dtype=np.intp)
-    folded = np.where(rows == 0.0, 0.0, rows)
+    folded = np.ascontiguousarray(np.where(rows == 0.0, 0.0, rows))
     keys = folded.view(np.dtype((np.void, folded.itemsize * width))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first[inverse]
@@ -259,7 +261,13 @@ def _values(s: Space, points: np.ndarray) -> np.ndarray:
     BLAS sums each entry over the n coordinates in the same order, with the
     same fused multiply-adds, as the row form points times reps.T, so the
     block is its transpose bit for bit (tests/test_properties.py checks this
-    in dimensions 1 to 5, up to 13824 points)."""
+    in dimensions 1 to 5, up to 13824 points).
+
+    A caller that builds its points may pass points as the transpose of a
+    C-order (n, m) block, as the gap grid does (hull._grid_block): the
+    product then reads a contiguous operand, where rows give it a
+    transposed one, and it gives the same bits in less time (21 against 35
+    us for the 24**3 linf3 grid, best of 7, one BLAS thread)."""
     return s.representatives @ points.T
 
 

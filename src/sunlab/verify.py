@@ -12,7 +12,7 @@ from .cloud import PointCloud
 from .hull import (
     _GRID_DEFAULT,
     _gap_grid,
-    _grid_points,
+    _grid_block,
     _grid_resolution,
     _in_slabs,
     ball_hull_outer,
@@ -81,14 +81,15 @@ def hull_inclusion_suite(spaces: list[Space], pairs: int, seed: int) -> dict:
             y = rng.uniform(-1.0, 1.0, size=s.dim)
             box = interval(s, x, y)
             approx = ball_hull_outer(s, x, y, n_balls=128, seed=seed + 7919 * t)
-            grid, cols, _ = _gap_grid(s, x, y, res)
+            grid, cols, _ = _gap_grid(s, x, y, res, norm(s, x - y))
             inside = _in_slabs(cols, box.lo, box.hi)
             checked += int(inside.sum())
             bad = inside & ~_in_slabs(cols, approx.lo, approx.hi)
             if bad.any():
                 violations += int(bad.sum())
                 if witness is None:
-                    witness = {"pair": [x.tolist(), y.tolist()], "point": grid[bad][0].tolist()}
+                    point = grid[:, bad.argmax()].tolist()
+                    witness = {"pair": [x.tolist(), y.tolist()], "point": point}
         total_violations += violations
         per_space.append(
             {
@@ -149,13 +150,13 @@ def convergence_suite(
 def _box_net(step: float) -> PointCloud:
     """The grid of spacing step on the unit square."""
     axis = np.arange(0.0, 1.0 + step / 2, step)
-    return PointCloud(_grid_points([axis, axis]))
+    return PointCloud(np.ascontiguousarray(_grid_block([axis, axis]).T))
 
 
 def two_sheet_cloud(q: int, step: float = 0.5) -> PointCloud:
     """Discretized union of the slices {x_1 = 1} and {x_1 = 2}."""
     axes = [np.arange(0.0, 1.0 + step / 2, step) for _ in range(q - 1)]
-    rest = _grid_points(axes)
+    rest = np.ascontiguousarray(_grid_block(axes).T)
     sheet1 = np.hstack([np.full((rest.shape[0], 1), 1.0), rest])
     sheet2 = np.hstack([np.full((rest.shape[0], 1), 2.0), rest])
     return PointCloud(np.vstack([sheet1, sheet2]))

@@ -1,11 +1,13 @@
-"""Dense references for the path kernels, for tests only.
+"""Dense references for the path and distance kernels, for tests only.
 
 assoc_dist_matrix is the full associated-distance matrix, one row dot
 product per point pair. dijkstra_path is the search monotone_path ran
 before its reachability sweep: scipy's Dijkstra on the hop graph of the
 whole cloud (every pair at distance <= hop, every pair at hop 0), built
 from the dense matrix, then the predecessor walk and the same
-refinement, length check and verdicts.
+refinement, length check and verdicts. nearest is every block of
+approx._nearest_blocks, the brute-force scan that the hull gap's bounded
+search (hull._farthest_nearest) skips most of.
 """
 
 import numpy as np
@@ -13,8 +15,21 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from sunlab import Path, PathNotFound
+from sunlab.approx import _nearest_blocks
 from sunlab.metric import BETWEEN_TOL, _pair_dists, _split_steps, _verdicts
 from sunlab.space import _values
+
+
+def nearest(q_cols, cols):
+    """For each column of q_cols, the max-norm distance to the nearest
+    column of cols and the lowest index attaining it."""
+    k = q_cols.shape[1]
+    dist = np.empty(k)
+    arg = np.empty(k, dtype=int)
+    for start, d, a in _nearest_blocks(q_cols, cols):
+        dist[start : start + len(d)] = d
+        arg[start : start + len(a)] = a
+    return dist, arg
 
 
 def assoc_dist_matrix(s, w, cloud) -> np.ndarray:

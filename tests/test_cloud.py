@@ -9,7 +9,11 @@ from sunlab import (
     EmptyCloud,
     ParseError,
     PointCloud,
+    builtin,
     load_cloud,
+    m_connected,
+    monotone_path,
+    uniform_weights,
 )
 from sunlab.cloud import cloud_from_json, cloud_to_json
 
@@ -159,3 +163,29 @@ def test_require_unique_on_zero_width_rows():
     with pytest.raises(DuplicatePoints) as err:
         PointCloud(np.empty((3, 0))).require_unique()
     assert str(err.value) == "points 0 and 1 coincide"
+
+
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "transposed": lambda g: np.ascontiguousarray(g.T).T,
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS), ids=list(LAYOUTS))
+def test_points_in_any_memory_layout_give_the_c_order_reports(layout):
+    """A cloud built from F-order points or from a transposed view names
+    its duplicates, and m_connected and monotone_path report on it as on
+    the C-order cloud. The duplicate check views each row as one void
+    scalar, which raised numpy's "the last axis must be contiguous" on
+    these layouts."""
+    s, w = builtin("linf", 2), uniform_weights(builtin("linf", 2))
+    ticks = np.arange(4) / 4.0
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    twice = LAYOUTS[layout](np.vstack([grid, grid[5:6]]))
+    with pytest.raises(DuplicatePoints, match="^points 5 and 16 coincide$"):
+        PointCloud(twice).require_unique()
+    base, cloud = PointCloud(grid), PointCloud(LAYOUTS[layout](grid))
+    assert not cloud.points.flags.c_contiguous
+    assert m_connected(s, cloud).to_json() == m_connected(s, base).to_json()
+    got = monotone_path(s, w, cloud, grid[0], grid[-1], hop=0.3).to_json()
+    assert got == monotone_path(s, w, base, grid[0], grid[-1], hop=0.3).to_json()

@@ -2,8 +2,10 @@
 refinement against a brute-force triple loop, m_connected's blocked pair
 scan against a pair-by-pair scan, the oracle's interval certificate against
 the sampled hulls it stands in for, the nearest-point kernel behind the sun
-ray scan and the hull gap against a brute-force scan, the ray kernel's
-early exit against a scan of the whole grid, the invariants of
+ray scan and the hull gap against a brute-force scan, the hull gap's
+bounded farthest-nearest search against that scan, the gap grid's column
+block against np.meshgrid, the ray kernel's early exit against a scan of
+the whole grid, the invariants of
 monotone paths on epsilon-nets, the monotone-path sweep against Dijkstra
 on the dense hop graph (tests/dense.py), the nearest-neighbour scale
 against the dense distance matrix, the sun test's
@@ -62,7 +64,6 @@ from sunlab import (
     uniform_weights,
 )
 from sunlab import approx, hull, metric, space
-from sunlab.approx import _nearest
 from sunlab.hull import _in_slabs, _slab_witnesses
 from sunlab.space import _first_rows
 from sunlab.verify import max_nn_distance
@@ -130,7 +131,7 @@ def test_nearest_is_lowest_brute_force_minimiser(case, data):
     q_vals = queries @ s.representatives.T
     budget = data.draw(st.sampled_from([1, 7, 100, approx._NEAREST_BUDGET]))
     with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
-        dist, arg = _nearest(q_vals.T, vals.T.copy())
+        dist, arg = dense.nearest(q_vals.T, vals.T.copy())
     for q, d, k in zip(q_vals, dist, arg):
         brute = [np.max(np.abs(q - v)) for v in vals]
         assert d == min(brute)
@@ -158,10 +159,94 @@ def test_nearest_equals_the_three_axis_formula(s, data):
     q_vals = _random_rows(data.draw, data.draw(st.integers(1, 20)), s.dim) @ reps.T
     budget = data.draw(st.integers(1, 5 * len(vals)) | st.just(approx._NEAREST_BUDGET))
     with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
-        dist, arg = _nearest(q_vals.T, vals.T.copy())
+        dist, arg = dense.nearest(q_vals.T, vals.T.copy())
     d = np.abs(q_vals[:, :, None] - vals.T).max(axis=1)
     assert dist.tobytes() == d.min(axis=1).tobytes()
     assert arg.tolist() == d.argmin(axis=1).tolist()
+
+
+@st.composite
+def sliver_cases(draw):
+    """Sliver and reference values: dyadic points, whose distances tie
+    often in builtin spaces, 1 to 40 queries against 1 to 80 reference
+    points, in builtin or random spaces."""
+    s = draw(st.sampled_from(SPACES + RANDOM_SPACES))
+    coords = st.tuples(*[st.integers(-6, 6)] * s.dim)
+    q, ref = (
+        np.asarray(draw(st.lists(coords, min_size=1, max_size=size)), dtype=float) / 8.0
+        for size in (40, 80)
+    )
+    return s, q, ref
+
+
+@contextmanager
+def _sliver_patches(neighbours, budget):
+    """Bounds from the given number of key neighbours, and blocks of the
+    given budget both for the bounds and for _nearest_blocks."""
+    with mock.patch.object(hull, "_BOUND_NEIGHBOURS", neighbours), mock.patch.object(
+        hull, "_NEAREST_BUDGET", budget
+    ), mock.patch.object(approx, "_NEAREST_BUDGET", budget):
+        yield
+
+
+@PROPERTY
+@given(sliver_cases(), st.sampled_from([1, 2, 5, 64]), st.sampled_from([1, 7, 1 << 14]))
+@example((LINF2, np.array([[0.0, 0.0]]), np.array([[0.5, 0.25], [1.0, 0.0]])), 64, 1 << 14)
+@example((L12, np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[0.25, 0.0]])), 1, 1)
+@example((LINF2, np.array([[5, 0], [5, -6]]) / 8.0, np.array([[3, 4], [1, -2]]) / 8.0), 1, 1)
+def test_farthest_nearest_is_the_brute_force_argmax(case, neighbours, budget):
+    """hull._farthest_nearest, the gap's bounded search, returns the max
+    of dense.nearest over every query and the lowest index attaining it, as
+    np.argmax gives them. One neighbour makes bounds loose, and a budget
+    of 1 measures one query per block, so a search that stopped at a bound
+    equal to its running maximum would miss a lower tied index (the third
+    example). The first two examples have a 1-column sliver and a 1-column
+    reference."""
+    s, q, ref = case
+    q_cols, cols = space._values(s, q), space._values(s, ref)
+    dist, _ = dense.nearest(q_cols, cols)
+    k = int(np.argmax(dist))
+    with _sliver_patches(neighbours, budget):
+        gap, index = hull._farthest_nearest(q_cols, cols)
+    assert (np.float64(gap).tobytes(), index) == (dist[k].tobytes(), k)
+
+
+GRID_SPACES = [builtin("linf", n) for n in (1, 2, 3)] + [builtin("l1", n) for n in (2, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_grid_block_is_the_meshgrid_rows(data):
+    """hull._grid_block against the row form np.meshgrid and np.stack built
+    before it, bit for bit, for the points and for their _values, in
+    dimensions 1 to 3 at up to the default gap grid sizes (512, 96 x 96 and
+    24 x 24 x 24 points), in builtin spaces and random ones (in dimension
+    1, one pair +-c with c drawn). The block is C-order, so _values reads
+    it as a contiguous (n, m) operand, where the rows gave a transposed
+    one."""
+    dim = data.draw(st.integers(1, 3))
+    family = data.draw(st.sampled_from(["builtin", "random"]))
+    if family == "builtin":
+        s = data.draw(st.sampled_from([g for g in GRID_SPACES if g.dim == dim]))
+    elif dim == 1:  # one antipodal pair is all a 1-d family holds
+        c = data.draw(st.floats(0.1, 10.0))
+        s = make_space([[c], [-c]])
+    else:
+        s = random_space(dim, data.draw(st.integers(dim, 6)), data.draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** data.draw(st.integers(-6, 12))
+    axes = []
+    for _ in range(dim):
+        size = data.draw(st.integers(1, hull._GRID_DEFAULT[dim]))
+        if data.draw(st.booleans()):
+            lo, hi = np.sort(rng.uniform(-4.0, 4.0, 2))
+            axes.append(np.linspace(lo, hi, size) * scale)
+        else:
+            axes.append(rng.uniform(-4.0, 4.0, size) * scale)
+    rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    block = hull._grid_block(axes)
+    assert block.flags.c_contiguous and block.tobytes() == rows.T.tobytes()
+    assert space._values(s, block.T).tobytes() == space._values(s, rows).tobytes()
 
 
 @st.composite
