@@ -167,7 +167,7 @@ def cmd_interval(args, s: Space, cloud: PointCloud | None) -> _Outcome:
     box = interval(s, x, y)
     result = {"interval": box.to_json()}
     if s.dim == 2:
-        result["vertices"] = [list(v) for v in slab_vertices_2d(box)]
+        result["vertices"] = slab_vertices_2d(box).tolist()
 
     def scene():
         sc = svg.Scene()

@@ -76,7 +76,7 @@ class PointCloud:
 
 
 def cloud_to_json(cloud: PointCloud) -> dict:
-    return {"points": [list(row) for row in cloud.points]}
+    return {"points": cloud.points.tolist()}
 
 
 def cloud_from_json(data) -> PointCloud:

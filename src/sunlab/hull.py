@@ -30,8 +30,8 @@ from .space import (
     _differences,
     _max_abs,
     _rep_mask,
+    _sorted_bands,
     _values,
-    _window_blocks,
     norm,
     unit_ball_extents,
 )
@@ -556,29 +556,20 @@ def _least_distance(cols: np.ndarray) -> float:
     are exact and |a - b| = |b - a|, so each measured distance is the one
     _sup_rows gives, and the minimum is the same.
 
-    The windows, beyond each row's neighbour, are read in the blocks of
-    space._window_blocks as a band: entry (i, t) of a block pairs row i
-    with row i + 2 + t of the sorted values, padded with inf, so the pairs
-    a block holds outside a window are still pairs of the cloud, or inf."""
+    The windows, beyond each row's neighbour, are offsets 2 up to the
+    reach relative to their rows, read as bands by space._sorted_bands: the
+    entries a band holds outside a window are still pairs of the cloud, or
+    inf."""
     p, m = cols.shape
-    key = _key_weights(p) @ cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # The sorted values, followed by inf columns that pad the band below.
-    pad = np.full((p, 2 * m), np.inf)
-    sub = cols.take(order, axis=1, out=pad[:, :m])
+    _, key, sub, bands = _sorted_bands(cols, _key_weights(p) @ cols)
     step = sub[:, 1:] - sub[:, :-1]
     best = float(np.abs(step, out=step).max(axis=0).min())
-    reach = best + (p + 8) * _ULP * (float(np.abs(sub).max()) + best) + 4 * p * _TINY
-    extra = np.searchsorted(key, key + reach, "right")
-    extra -= np.arange(2, m + 2)
-    width = int(extra.max())
-    if width <= 0:
+    reach = best + (p + 8) * _ULP * (float(np.abs(cols).max()) + best) + 4 * p * _TINY
+    hi = np.searchsorted(key, key + reach, "right") - np.arange(m)
+    if hi.max() <= 2:
         return best
-    size = pad.itemsize
-    band = np.ndarray((p, m + 2, width), buffer=pad, strides=(pad.strides[0], size, size))
-    for r0, r1, _, hi in _window_blocks(np.zeros_like(extra), np.maximum(extra, 0, out=extra)):
-        d = band[:, r0 + 2 : r1 + 2, :hi] - sub[:, r0:r1, None]
+    for r0, r1, _, band in bands(np.full(m, 2), np.maximum(hi, 2, out=hi)):
+        d = band - sub[:, r0:r1, None]
         best = min(best, float(np.abs(d, out=d).max(axis=0).min(initial=np.inf)))
     return best
 

@@ -25,8 +25,8 @@ from .space import (
     _check_slack,
     _check_vector,
     _holds_non_numbers,
+    _sorted_bands,
     _values,
-    _window_blocks,
     norms,
     unit_ball_extents,
 )
@@ -221,57 +221,56 @@ def between_equiv_check(
 
 def _pair_dists(cols, alphas, a, b) -> np.ndarray:
     """Associated distances of the point pairs (a[t], b[t]) of the (p, m)
-    block cols, one row dot product each, as _sorted_windows' callers."""
+    block cols, one row dot product each, as _band_dists."""
     return np.abs(cols.T[b] - cols.T[a]) @ alphas
 
 
-def _sorted_windows(cols, order, start, stop):
-    """Yield blocks (rows, near, diff) over the points order[i] of the
-    cloud with (p, m) representative values cols: rows and near are ranges
-    of positions in order, and diff[r, c] holds the p differences
-    f(order[near[c]]) - f(order[rows[r]]) in C order. Rows come in order,
-    in the blocks of space._window_blocks over the rows' own windows
-    [start, stop) of positions, each holding its row; near is the union of
-    the block's windows."""
-    sub = cols[:, order]
-    for r0, r1, lo, hi in _window_blocks(start, stop):
-        # One functional at a time: a broadcast over the short last axis
-        # is several times slower.
-        diff = np.empty((r1 - r0, hi - lo, sub.shape[0]))
-        for j, col in enumerate(sub):
-            np.subtract(col[lo:hi], col[r0:r1, None], out=diff[:, :, j])
-        yield np.arange(r0, r1), np.arange(lo, hi), diff
+def _band_dists(band, rows, alphas) -> np.ndarray:
+    """The associated distances from each row, given by its values rows[:,
+    i], to the entries band[:, i, t] of its band in space._sorted_bands.
+    The differences are formed one functional at a time into a C-order
+    (rows, width, p) block, whose row dot products are _pair_dists' bits: a
+    broadcast over the short last axis is several times slower."""
+    diff = np.empty(band.shape[1:] + band.shape[:1])
+    for j, (near, row) in enumerate(zip(band, rows)):
+        np.subtract(near, row[:, None], out=diff[:, :, j])
+    return np.abs(diff, out=diff) @ alphas
 
 
 def _nearest_dists(cols, alphas, reach=None) -> np.ndarray:
     """The associated distance from each point of the (p, m) block cols to
     its nearest other point, exact where it is at most reach and inf where
-    no point is that near; reach defaults to the distance to a neighbour in
-    the order by g, which bounds it. g is f_k, the functional of largest
-    weight, plus a blend of the others, spread by the golden ratio so that
-    no two points of a grid tie, and small enough that |g(i) - g(j)| <=
-    d(i, j) / alpha_k. Each window is widened by a few ulps of the distance
-    sum and of g, and by the p subnormals that a distance's products may
-    lose to underflow: at reach 0, a point a subnormal away in g can still
-    be at distance 0."""
+    no point is that near, in the order by g; reach defaults to the
+    distance to a neighbour in that order, which bounds it. g is f_k, the
+    functional of largest weight, plus a blend of the others, spread by the
+    golden ratio so that no two points of a grid tie, and small enough that
+    |g(i) - g(j)| <= d(i, j) / alpha_k. Each window is widened by a few ulps
+    of the distance sum and of g, and by the p subnormals that a distance's
+    products may lose to underflow: at reach 0, a point a subnormal away in
+    g can still be at distance 0. Near the float limit g may overflow, and
+    a window bound that is then NaN reads -inf, so every window holds its
+    row. The windows are read as bands of space._sorted_bands and measured
+    by _band_dists; a row's own entry, at offset 0, is set to inf."""
     p, k = cols.shape[0], int(np.argmax(alphas))
     c = 2.0**-10 * alphas / alphas[k] * (1.0 + np.arange(p) * 0.6180339887498949 % 1.0)
     c[k] = 1.0
-    order = np.argsort(c @ cols, kind="stable")
+    order, key, sub, bands = _sorted_bands(cols, c @ cols)
     if reach is None:
         steps = _pair_dists(cols, alphas, order[:-1], order[1:])
         reach = np.minimum(np.append(steps, np.inf), np.insert(steps, 0, np.inf))
-    key = np.sort(c @ cols)
     reach = (reach + p * _TINY) / alphas[k] * (1.0 + (p + 8) * _ULP)
-    slack = (p + 8) * _ULP * (c @ np.abs(cols[:, order]) + reach) + p * _TINY
-    start = np.searchsorted(key, key - reach - slack, "left")
-    stop = np.searchsorted(key, key + reach + slack, "right")
-    if np.all(stop - start == 1):
+    slack = (p + 8) * _ULP * (c @ np.abs(sub) + reach) + p * _TINY
+    rows = np.arange(order.size)
+    lo = np.searchsorted(key, np.fmax(key - reach - slack, -np.inf), "left") - rows
+    hi = np.searchsorted(key, key + reach + slack, "right") - rows
+    if np.all(hi - lo == 1):
         return np.full(order.size, np.inf)
-    return np.concatenate([
-        np.where(near == rows[:, None], np.inf, np.abs(diff, out=diff) @ alphas).min(axis=1)
-        for rows, near, diff in _sorted_windows(cols, order, start, stop)
-    ])
+    out = []
+    for r0, r1, a, band in bands(lo, hi):
+        d = _band_dists(band, sub[:, r0:r1], alphas)
+        d[:, -a] = np.inf
+        out.append(d.min(axis=1))
+    return np.concatenate(out)
 
 
 def _monotone_route(cols, alphas, ix: int, iy: int, hop: float, tol: float):
@@ -285,10 +284,18 @@ def _monotone_route(cols, alphas, ix: int, iy: int, hop: float, tol: float):
     the candidates, ties broken by index. A step rises in phi by at most
     its length, so the points that can step to v lie within hop of phi(v)
     before it, a window widened by ulps of hop and of the phi sums (each at
-    most sum_k alpha_k (|f_k(y - x)| + tol)). The sweep visits the
-    candidates in that order, in the blocks of _sorted_windows: v is
-    reached when a reached point before it has an admissible step to it,
-    and its predecessor is the first such point."""
+    most sum_k alpha_k (|f_k(y - x)| + tol)); a bound that is NaN, where phi
+    overflows near the float limit, reads -inf. The sweep visits the
+    candidates in that order, their windows read as bands of
+    space._sorted_bands and measured by _band_dists: v is reached when a
+    reached point before it has an admissible step to it, and its
+    predecessor is the first such point. Each window ends with its row,
+    whose step to itself is never taken, so a band that holds a step is at
+    least two entries wide: numpy can round the dot product of a one-entry
+    row otherwise than a longer row's, and a step of exactly hop would be
+    lost. A functional with s_k = 0
+    admits every finite step and is not tested, so no padding inf is
+    multiplied by 0."""
     if hop == 0.0:
         return [ix, iy]
     p = cols.shape[0]
@@ -297,19 +304,19 @@ def _monotone_route(cols, alphas, ix: int, iy: int, hop: float, tol: float):
     ends = cols[:, [ix, iy]]
     cand = np.flatnonzero(_in_slabs(cols, ends.min(axis=1), ends.max(axis=1), tol))
     phi = (sign * alphas) @ (cols[:, cand] - cols[:, [ix]])
-    order, key = cand[np.argsort(phi, kind="stable")], np.sort(phi, kind="stable")
+    by_phi, key, sub, bands = _sorted_bands(cols[:, cand], phi)
+    order = cand[by_phi]
     reach = hop + (p + 8) * _ULP * (hop + 2.0 * (np.abs(span) + tol) @ alphas) + 4 * p * _TINY
-    start = np.searchsorted(key, key - reach, "left")
+    rows = np.arange(order.size)
     pred = {ix: -1}
-    for rows, near, diff in _sorted_windows(cols, order, start, np.arange(1, order.size + 1)):
-        # diff holds f(u) - f(v) for a step from u, a near point, to v, a row.
-        ok = near < rows[:, None]
-        for j in range(p):
-            ok &= sign[j] * diff[:, :, j] <= back[j]
-        ok &= np.abs(diff, out=diff) @ alphas <= hop
+    lo = np.searchsorted(key, np.fmax(key - reach, -np.inf), "left") - rows
+    for r0, r1, a, band in bands(lo, np.ones_like(rows)):
+        ok = _band_dists(band, sub[:, r0:r1], alphas) <= hop
+        for j in np.flatnonzero(sign):
+            ok &= sign[j] * (sub[j, r0:r1, None] - band[j]) >= -back[j]
         # Steps by row, then in order: the first from a reached point wins.
-        r, c = np.nonzero(ok)
-        for v, u in zip(order[rows[r]].tolist(), order[near[c]].tolist()):
+        r, t = np.nonzero(ok)
+        for v, u in zip(order[r0 + r].tolist(), order[r0 + r + a + t].tolist()):
             if u in pred and v not in pred:
                 pred[v] = u
     if iy not in pred:
@@ -373,7 +380,7 @@ class Path:
 
     def to_json(self) -> dict:
         return {
-            "points": [list(p) for p in self.points],
+            "points": self.points.tolist(),
             "length": self.length,
             "defect": self.defect,
             "monotone": {str(v.functional): v.label() for v in self.verdicts},

@@ -303,7 +303,7 @@ _TINY = np.finfo(float).smallest_subnormal
 
 def _window_blocks(start, stop):
     """Split rows 0..n-1, row r holding the window [start[r], stop[r]) of
-    columns, into blocks (r0, r1, lo, hi) of consecutive rows, in order:
+    offsets, into blocks (r0, r1, lo, hi) of consecutive rows, in order:
     [lo, hi) is the union of the block's windows, and the rectangle of its
     rows by [lo, hi) holds at most _WINDOW_BUDGET pairs, at most
     _WINDOW_WASTE of them outside the rows' own windows, or is one row. Both
@@ -326,6 +326,33 @@ def _window_blocks(start, stop):
         n = max(1, np.count_nonzero((cost <= _WINDOW_BUDGET) & (waste <= _WINDOW_WASTE)))
         yield r0, r0 + n, lo[n - 1], hi[n - 1]
         r0 += n
+
+
+def _sorted_bands(cols, key):
+    """Sort the m points of a cloud with (p, m) values cols by key, stably,
+    and read windows of that order as bands. Returns (order, key[order],
+    sub, bands), where sub = cols[:, order] is taken straight into one copy
+    padded with m inf columns on each side. bands(lo, hi) takes the window
+    [lo[r], hi[r]) of offsets relative to each row r of sub, -m <= lo[r] <=
+    hi[r] <= m, and yields (r0, r1, a, band) in the blocks of
+    _window_blocks, rows in order: [a, b) is the union of the block's
+    windows, and band is a strided (p, r1 - r0, b - a) view of the copy
+    whose entry [:, i, t] is sub[:, r0 + i + a + t], inf where that column
+    lies before 0 or past m - 1. A band thus holds each row's window and,
+    beside it, only other points of the cloud or inf. sub comes back before
+    any window is read, as a caller's windows may depend on it."""
+    p, m = cols.shape
+    order = np.argsort(key, kind="stable")
+    pad = np.full((p, 3 * m), np.inf)
+    sub = cols.take(order, axis=1, out=pad[:, m : 2 * m])
+    strides = (*pad.strides, pad.itemsize)
+
+    def bands(lo, hi):
+        for r0, r1, a, b in _window_blocks(lo, hi):
+            at = (m + r0 + a) * pad.itemsize
+            yield r0, r1, a, np.ndarray((p, r1 - r0, b - a), buffer=pad, offset=at, strides=strides)
+
+    return order, key[order], sub, bands
 
 
 def norm(s: Space, x) -> float:
@@ -369,7 +396,7 @@ def _distances(s: Space, points: np.ndarray, x: np.ndarray) -> np.ndarray:
 def space_to_json(s: Space) -> dict:
     return {
         "dim": s.dim,
-        "functionals": [list(row) for row in s.functionals],
+        "functionals": s.functionals.tolist(),
         "name": s.name,
     }
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,8 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sunlab import builtin, check_monotone, cli, hull, norms, random_space, svg
+from sunlab import (
+    PointCloud,
+    builtin,
+    check_monotone,
+    cli,
+    hull,
+    make_space,
+    metric,
+    norms,
+    random_space,
+    svg,
+)
 from sunlab.cli import main
+from sunlab.cloud import cloud_to_json
 from sunlab.space import space_to_json
 
 COLLINEAR3 = {"points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
@@ -94,6 +107,29 @@ def test_interval_reports_vertices(capsys):
     report = json.loads(out)
     verts = {tuple(v) for v in report["result"]["vertices"]}
     assert verts == {(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (1.0, -1.0)}
+
+
+def test_report_point_lists_dump_as_rows_of_numpy_floats():
+    """Reports build their point lists with tolist(); json.dumps writes the
+    same string as for the rows of np.float64 they held before, also for
+    -0.0, the least subnormal, 1e16 and the largest float."""
+    big = np.finfo(float).max
+    pts = np.array([[-0.0, 5e-324], [1e16, big], [-big, 0.1]])
+    rows = [list(row) for row in pts]
+    path = metric.Path(pts, 1.0, 1.0, 0.0, [metric.MonotoneVerdict(0, True, False)])
+    s = make_space([[1e16, 5e-324], [-1e16, -5e-324], [0.1, 1e16], [-0.1, -1e16]])
+    ends = {"from": "-0.0,5e-324", "to": "1e16,-0.0"}
+    linf2 = builtin("linf", 2)
+    result, _, _ = cli.cmd_interval(argparse.Namespace(**ends), linf2, None)
+    box = hull.interval(linf2, [-0.0, 5e-324], [1e16, -0.0])
+    pairs = [
+        (cloud_to_json(PointCloud(pts)), {"points": rows}),
+        (path.to_json()["points"], rows),
+        (space_to_json(s)["functionals"], [list(row) for row in s.functionals]),
+        (result["vertices"], [list(v) for v in hull.slab_vertices_2d(box)]),
+    ]
+    for got, old in pairs:
+        assert json.dumps(got) == json.dumps(old)
 
 
 def test_hull_contained(capsys):

@@ -335,6 +335,22 @@ def test_max_nn_distance_checks_weights_and_emptiness():
     assert max_nn_distance(LINF2, ONES, PointCloud([[1.0, 2.0]])) == np.inf
 
 
+@pytest.mark.parametrize("near", [[], [[0.0, 0.0], [1.0, 1.0]]], ids=["two", "five"])
+def test_nearest_distances_where_the_sort_key_overflows(near):
+    """Near the float limit the zero check's sort key, f_k plus a blend of
+    the other functionals, overflows to inf, and an inf key less an
+    infinite reach is NaN. Such a window starts at the first point, so every
+    point still finds its nearest, d / 2 away under uniform weights. With
+    two points the NaN start once left each window empty."""
+    top = [[1.796e308, 1.796e308], [1.795e308, 1.796e308], [1.796e308, 1.795e308]]
+    cloud = PointCloud(top[: 3 if near else 2] + near)
+    w = uniform_weights(LINF2)
+    d = 1.796e308 - 1.795e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert max_nn_distance(LINF2, w, cloud) == d / 2
+        assert monotone_path(LINF2, w, cloud, top[0], top[1], hop=d).length == d / 2
+
+
 def test_path_at_hop_0_needs_no_quadratic_memory():
     """Corner to corner on a 41 x 41 net at hop 0, where a shortest-path
     search on the complete hop graph peaked at 122 MB."""

@@ -5,9 +5,10 @@ the sampled hulls it stands in for, the nearest-point kernel behind the sun
 ray scan and the hull gap against a brute-force scan, the hull gap's
 bounded farthest-nearest search against that scan, the gap grid's column
 block against np.meshgrid, the ray kernel's early exit against a scan of
-the whole grid, the invariants of
-monotone paths on epsilon-nets, the monotone-path sweep against Dijkstra
-on the dense hop graph (tests/dense.py), the nearest-neighbour scale
+the whole grid, the sorted-window reader's bands against the padded
+sorted values, the invariants of monotone paths on epsilon-nets, the
+monotone-path sweep against Dijkstra on the dense hop graph
+(tests/dense.py), the nearest-neighbour scale
 against the dense distance matrix, the sun test's
 candidate loop against sun_check on one nearest point at a time, the
 batched sun certificate against the one-candidate pass, the symmetries of
@@ -666,6 +667,50 @@ def _window_patch(patches):
     return mock.patch.multiple(space, _WINDOW_BUDGET=budget, _WINDOW_WASTE=waste)
 
 
+@st.composite
+def band_cases(draw):
+    """A (p, m) block of any finite floats (-0.0 and subnormals included),
+    sort keys with ties, and for each row r a window [lo, hi) of offsets
+    with -m <= lo <= hi <= m, so windows run past both ends."""
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cols = draw(npst.arrays(float, (p, m), elements=finite))
+    key = draw(npst.arrays(float, m, elements=st.sampled_from([-1.0, 0.0, 0.5, 2.0])))
+    lo = np.array(draw(st.lists(st.integers(-m, m), min_size=m, max_size=m)))
+    hi = np.array([draw(st.integers(a, m)) for a in lo])
+    return cols, key, lo, hi
+
+
+@PROPERTY
+@given(band_cases(), WINDOW_PATCHES)
+@example(
+    (np.arange(6.0).reshape(2, 3), np.zeros(3), np.array([-3, -1, 0]), np.array([3, 1, 2])),
+    (1, _WASTE),
+)
+def test_sorted_bands_read_every_window_from_the_padded_values(case, patches):
+    """Against the brute force: sub is the stable key order's columns, the
+    blocks hold each row once and in order, each band covers its rows'
+    windows, and its entry [:, i, t] is the column r0 + i + a + t of sub, bit
+    for bit, or inf where that column lies past either end."""
+    cols, key, lo, hi = case
+    p, m = cols.shape
+    with _window_patch(patches):
+        order, skey, sub, bands = space._sorted_bands(cols, key)
+        blocks = list(bands(lo, hi))
+    assert order.tolist() == np.argsort(key, kind="stable").tolist()
+    assert skey.tobytes() == key[order].tobytes()
+    assert sub.tobytes() == cols[:, order].tobytes()
+    assert np.concatenate([np.arange(r0, r1) for r0, r1, _, _ in blocks]).tolist() == list(range(m))
+    padded = np.full((p, 3 * m), np.inf)
+    padded[:, m : 2 * m] = cols[:, order]
+    for r0, r1, a, band in blocks:
+        assert band.shape[:2] == (p, r1 - r0)
+        assert a <= lo[r0:r1].min() and hi[r0:r1].max() <= a + band.shape[2]
+        for i, r in enumerate(range(r0, r1)):
+            want = padded[:, m + r + a : m + r + a + band.shape[2]]
+            assert band[:, i].tobytes() == want.tobytes()
+
+
 def _separated(case):
     """At least two points, and no two distinct values of a functional
     closer than 1e-6: no point lies within the path tolerance of a slab box
@@ -673,6 +718,10 @@ def _separated(case):
     s, w, cloud = case
     gaps = [np.diff(np.unique(col)) for col in space._values(s, cloud.points)]
     return len(cloud) > 1 and all(g.size == 0 or g.min() >= 1e-6 for g in gaps)
+
+
+# The pair (0, 0), (0, 3.25) of the third example below.
+RANDOM_763 = random_space(2, 2, seed=763)
 
 
 @PROPERTY
@@ -691,6 +740,10 @@ def _separated(case):
     (LINF2, geometric_weights(LINF2), PointCloud([[0, -0.125], [0, 0.25], [0, 0]])),
     1.0, 1, 0, (1, _WASTE),
 )
+@example(
+    (RANDOM_763, geometric_weights(RANDOM_763), PointCloud([[0, 0], [0, 3.25]])),
+    1.0, 0, 0, (1, _WASTE),
+)
 def test_monotone_path_agrees_with_dense_dijkstra(case, scale, pick, ends, patches):
     """The sweep looks for a monotone route inside the slab box of the ends;
     the reference, Dijkstra on the whole cloud's hop graph, for a shortest
@@ -700,7 +753,11 @@ def test_monotone_path_agrees_with_dense_dijkstra(case, scale, pick, ends, patch
     the target stays in the box and rises in every functional, and the two
     searches agree. The first example steps 1e-11 back in f_1, which only
     the sweep's rise tolerance admits; in the second, the step of length hop
-    from (0, 0) to (0, 0.25) rises in phi by one ulp more than hop."""
+    from (0, 0) to (0, 0.25) rises in phi by one ulp more than hop. In the
+    third, hop is the pair's distance as a row of a longer block, and
+    numpy's dot product of the lone pair rounds one ulp above it: a window
+    that left out its own row would hold the step in a band one entry wide
+    and miss it."""
     s, w, cloud = case
     m = len(cloud)
     dist = dense.assoc_dist_matrix(s, w, cloud)
