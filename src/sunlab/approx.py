@@ -24,8 +24,11 @@ distance kernel, _nearest_blocks, and the scan stops at the first block
 that holds a failing point. A row's distances do not depend on its block,
 so the falsifier is the one a scan of the whole grid finds.
 _ray_certificates computes it for all of a query's tied candidates at
-once: b for every candidate, and the cloud's extremes max_u c_u,i and
-min_u c_u,i, once per query. Rounding is monotone, so
+once, b for every candidate. What the loop reads of the cloud alone, a
+_RayCloud, is formed once per find_luminosity or is_sun_sampled call:
+the values block, the extremes max_u c_u,i and min_u c_u,i, the largest
+|coordinate| and the largest l1 norm of a representative. Rounding is
+monotone, so
 
     min_u fl(a - c_u) = fl(a - max_u c_u),
 
@@ -263,11 +266,38 @@ def _ray_certificate(reps: np.ndarray, cols: np.ndarray, idx: int, vx, vy, margi
     return float(g.min()) + 0.0
 
 
-def _ray_certificates(reps: np.ndarray, cols: np.ndarray, points: np.ndarray, indices, vx, margin):
+@dataclass(frozen=True)
+class _RayCloud:
+    """The cloud-only values of the candidate loop: cols, the (p, m)
+    space._values block c; hi and lo, the extremes max_u c_u,i and
+    min_u c_u,i per functional i; top, the largest |coordinate| of the
+    cloud; and l1, the largest l1 norm of a representative."""
+
+    cols: np.ndarray
+    hi: list
+    lo: list
+    top: float
+    l1: float
+
+
+def _ray_cloud(s: Space, cloud: PointCloud) -> _RayCloud:
+    """Form the _RayCloud of cloud once per call. The initial values only
+    serve an empty cloud, which project rejects before any of them is read."""
+    cols = _values(s, cloud.points)
+    return _RayCloud(
+        cols=cols,
+        hi=cols.max(axis=1, initial=-math.inf).tolist(),
+        lo=cols.min(axis=1, initial=math.inf).tolist(),
+        top=float(np.abs(cloud.points).max(initial=0.0)),
+        l1=float(np.abs(s.representatives).sum(axis=1).max()),
+    )
+
+
+def _ray_certificates(reps: np.ndarray, rc: _RayCloud, points: np.ndarray, indices, vx, margin):
     """_ray_certificate for each candidate points[idx], idx in indices, of
     query vx, bit for bit, in order and lazily. b = F(x - y) is computed for
-    every candidate at once, and the extremes max_u c_u,i and min_u c_u,i
-    of the cloud's functional values c = cols once. A candidate with one
+    every candidate at once; the extremes max_u c_u,i and min_u c_u,i of
+    the cloud's functional values c = rc.cols come with rc. A candidate with one
     active functional i and b_i != 0 then costs O(p): its g(u) is
     sgn(b_i) (c_y,i - c_u,i), and rounding is monotone, so
 
@@ -281,7 +311,7 @@ def _ray_certificates(reps: np.ndarray, cols: np.ndarray, points: np.ndarray, in
     certifies the very candidates that _ray_certificate alone would, and
     every report is unchanged."""
     b = _ray_directions(reps, vx, points[indices])
-    hi, lo = cols.max(axis=1).tolist(), cols.min(axis=1).tolist()
+    cols, hi, lo = rc.cols, rc.hi, rc.lo
     for j, idx in enumerate(indices):
         row = b[j].tolist()
         a = list(map(abs, row))
@@ -323,18 +353,17 @@ def sun_check(
     return _sun_report(vx, vy, lambda_max, grid, falsifier)
 
 
-def _certificate_floor(s: Space, cloud: PointCloud, vx, lambda_max) -> tuple[float, float]:
+def _certificate_floor(s: Space, rc: _RayCloud, vx, lambda_max) -> tuple[float, float]:
     """The active-set margin of _ray_certificate for query vx, and the
     least certificate that passes a candidate: slack - TIE_TOL, rounded up."""
-    top = max(float(np.abs(cloud.points).max()), float(np.abs(vx).max()))
-    l1 = float(np.abs(s.representatives).sum(axis=1).max())
-    margin, slack = _ray_slack(top, l1, s.dim, float(lambda_max))
+    top = max(rc.top, float(np.abs(vx).max()))
+    margin, slack = _ray_slack(top, rc.l1, s.dim, float(lambda_max))
     return margin, math.nextafter(slack - TIE_TOL, math.inf)
 
 
-def _candidate_falsifiers(s: Space, cloud: PointCloud, cols, vx, lambda_max, grid, stop: bool):
+def _candidate_falsifiers(s: Space, cloud: PointCloud, rc: _RayCloud, vx, lambda_max, grid, stop: bool):
     """Project vx, then test each nearest point y in index order against
-    cols, the cloud's space._values block, giving (y, falsifier) pairs up
+    the cloud's _RayCloud rc, giving (y, falsifier) pairs up
     to and including the first whose (falsifier is None) equals stop (True:
     a luminosity point was found; False: a candidate was falsified). A
     candidate whose certificate clears slack - TIE_TOL gets no falsifier
@@ -342,16 +371,16 @@ def _candidate_falsifiers(s: Space, cloud: PointCloud, cols, vx, lambda_max, gri
     pr = project(s, cloud, vx)
     _check_ray_grid(lambda_max, grid)
     reps = s.representatives
-    margin, floor = _certificate_floor(s, cloud, vx, lambda_max)
+    margin, floor = _certificate_floor(s, rc, vx, lambda_max)
     # g(y) = 0 for the candidate itself, so a floor above 0 certifies nothing.
     if floor <= 0.0:
-        certs = _ray_certificates(reps, cols, cloud.points, pr.indices, vx, margin)
+        certs = _ray_certificates(reps, rc, cloud.points, pr.indices, vx, margin)
     else:
         certs = itertools.repeat(-math.inf)
     pairs = []
     for idx, cert in zip(pr.indices, certs):
         vy = cloud.points[idx]
-        f = None if cert >= floor else _ray_falsifier(s, cloud, cols, vx, vy, lambda_max, grid)
+        f = None if cert >= floor else _ray_falsifier(s, cloud, rc.cols, vx, vy, lambda_max, grid)
         pairs.append((vy, f))
         if (f is None) == stop:
             break
@@ -387,8 +416,7 @@ def find_luminosity(
     vx = _check_vector(s, x)
     if cloud.index_of(vx) is not None:
         raise QueryInCloud("query already belongs to the cloud")
-    cols = _values(s, cloud.points)
-    pairs = _candidate_falsifiers(s, cloud, cols, vx, lambda_max, grid, stop=True)
+    pairs = _candidate_falsifiers(s, cloud, _ray_cloud(s, cloud), vx, lambda_max, grid, stop=True)
     if pairs[-1][1] is None:
         return _sun_report(vx, pairs[-1][0], lambda_max, grid)
     return NoCandidate([_sun_report(vx, vy, lambda_max, grid, f) for vy, f in pairs])
@@ -431,14 +459,14 @@ def is_sun_sampled(
     _check_ray_grid(lambda_max, grid)
     cloud.require_dim(s.dim)
     qs = _check_points(s, queries, "query")
-    cols = _values(s, cloud.points)
+    rc = _ray_cloud(s, cloud)
     skipped: list[int] = []
     failures: list[dict] = []
     for qi, q in enumerate(qs):
         if cloud.index_of(q) is not None:
             skipped.append(qi)
             continue
-        pairs = _candidate_falsifiers(s, cloud, cols, q, lambda_max, grid, stop=not strict)
+        pairs = _candidate_falsifiers(s, cloud, rc, q, lambda_max, grid, stop=not strict)
         if pairs[-1][1] is not None:
             tested = pairs[-1:] if strict else pairs
             reports = [_sun_report(q, vy, lambda_max, grid, f) for vy, f in tested]

@@ -29,24 +29,77 @@ def _canonical(rows: np.ndarray) -> np.ndarray:
     return rows[order]
 
 
-def _first_rows(rows: np.ndarray) -> np.ndarray:
-    """For each row, the index of the first row with the same bytes, with
-    -0.0 read as 0.0.
+# The finaliser of splitmix64 (Steele, Lea and Flood 2014), a bijection of
+# uint64 in which every output bit depends on every input bit, and a salt
+# per column, _SALT * (k + 1) for column k. Every constant is a np.uint64,
+# so no step of the mix is promoted to float64.
+_SALT = np.uint64(0x9E3779B97F4A7C15)
+_MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_MIX_MULTS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
-    Rows are compared by their bytes, not by float ==, so NaN rows with one
-    bit pattern match each other. Each folded row is viewed as one void
-    scalar, which needs C-order rows: np.where keeps the layout of rows,
-    so the folded copy of an F-order array or of a transposed view is
-    made contiguous first. np.unique sorts stably when asked for indices,
-    so it returns first occurrences.
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """One uint64 per row of the (m, w) uint64 array words: the sum, mod
+    2**64, over the columns k of the finaliser of words[:, k] ^ salt_k.
+    The finaliser is a bijection, so width-1 rows never collide."""
+    m, w = words.shape
+    h = np.empty((w, m), dtype=np.uint64)
+    np.bitwise_xor(words.T, _SALT * np.arange(1, w + 1, dtype=np.uint64)[:, None], out=h)
+    t = np.empty_like(h)
+    for shift, mult in zip(_MIX_SHIFTS, _MIX_MULTS):
+        np.right_shift(h, shift, out=t)
+        h ^= t
+        h *= mult
+    np.right_shift(h, _MIX_SHIFTS[2], out=t)
+    h ^= t
+    return np.add.reduce(h, axis=0)
+
+
+def _first_by_bytes(words: np.ndarray, idx: np.ndarray) -> list[int]:
+    """For each row i of words, i in the increasing indices idx, the first
+    of idx whose row has the same bytes. _first_rows runs it on a run of
+    equal hashes that holds two different rows, a true collision."""
+    seen: dict[bytes, int] = {}
+    return [seen.setdefault(words[i].tobytes(), i) for i in idx.tolist()]
+
+
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row of the float64 (m, w) array rows, the index of the
+    first row with the same bytes, with -0.0 read as 0.0.
+
+    Rows are compared by their bits, not by float ==, so NaN rows with one
+    bit pattern match each other, and other NaN payloads do not. Each
+    folded row's words, viewed as uint64, get one hash (_row_hashes), and
+    one unstable integer sort groups equal hashes into runs. The result is
+    exact whatever the hashes: equal rows have equal words, so equal
+    hashes, so they lie in one run. A run whose neighbouring rows are bit
+    for bit equal holds one row, and the least original index in it
+    (np.minimum.reduceat over the sorted order) is each member's first
+    occurrence, however the sort ordered the run. A run with two different
+    rows is a collision of the hash, and _first_by_bytes settles that run
+    alone by the rows' bytes. A hash only groups rows; the bits decide,
+    and the order of the sort within a run never shows. Width-0 rows all
+    hash to 0, so each matches row 0.
     """
-    m, width = rows.shape
-    if width == 0:  # no void view of zero bytes; every empty row matches row 0
-        return np.zeros(m, dtype=np.intp)
-    folded = np.ascontiguousarray(np.where(rows == 0.0, 0.0, rows))
-    keys = folded.view(np.dtype((np.void, folded.itemsize * width))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first[inverse]
+    m = rows.shape[0]
+    words = np.where(rows == 0.0, 0.0, rows).view(np.uint64)
+    hashes = _row_hashes(words)
+    order = np.argsort(hashes)
+    ranked = hashes[order]
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return np.arange(m)
+    starts = np.concatenate(([True], ~tied))
+    bounds = np.append(np.flatnonzero(starts), m)
+    run = np.cumsum(starts) - 1
+    first = np.empty(m, dtype=np.intp)
+    first[order] = np.minimum.reduceat(order, bounds[:-1])[run]
+    k = np.flatnonzero(tied)
+    split = (words[order[k]] != words[order[k + 1]]).any(axis=1)
+    for r in np.unique(run[k[split]]).tolist():
+        idx = np.sort(order[bounds[r] : bounds[r + 1]])
+        first[idx] = _first_by_bytes(words, idx)
+    return first
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
-"""Dense references for the path and distance kernels, for tests only.
+"""Dense references for the path, distance and duplicate-row kernels, for
+tests only.
 
 assoc_dist_matrix is the full associated-distance matrix, one row dot
 product per point pair. dijkstra_path is the search monotone_path ran
@@ -7,7 +8,9 @@ whole cloud (every pair at distance <= hop, every pair at hop 0), built
 from the dense matrix, then the predecessor walk and the same
 refinement, length check and verdicts. nearest is every block of
 approx._nearest_blocks, the brute-force scan that the hull gap's bounded
-search (hull._farthest_nearest) skips most of.
+search (hull._farthest_nearest) skips most of. first_rows is the kernel
+space._first_rows ran before it sorted hashes: np.unique on each folded
+row viewed as one void scalar, a stable byte-compare sort.
 """
 
 import numpy as np
@@ -18,6 +21,21 @@ from sunlab import Path, PathNotFound
 from sunlab.approx import _nearest_blocks
 from sunlab.metric import BETWEEN_TOL, _pair_dists, _split_steps, _verdicts
 from sunlab.space import _values
+
+
+def first_rows(rows):
+    """For each row, the index of the first row with the same bytes, with
+    -0.0 read as 0.0. The void view needs C-order rows, and np.where keeps
+    the layout of rows, so the folded copy is made contiguous first.
+    np.unique sorts stably when asked for indices, so it returns first
+    occurrences."""
+    m, width = rows.shape
+    if width == 0:  # no void view of zero bytes; every empty row matches row 0
+        return np.zeros(m, dtype=np.intp)
+    folded = np.ascontiguousarray(np.where(rows == 0.0, 0.0, rows))
+    keys = folded.view(np.dtype((np.void, folded.itemsize * width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 def nearest(q_cols, cols):

@@ -17,7 +17,7 @@ from sunlab import (
     project,
     sun_check,
 )
-from sunlab import approx, space
+from sunlab import approx
 
 LINF2 = builtin("linf", 2)
 
@@ -307,8 +307,8 @@ def test_only_uncertified_candidates_run_the_grid(cloud, q, ray, stop, reports, 
     """The candidate loop runs the ray kernel only on candidates whose
     certificate fails, and its reports are the grid's."""
     with mock.patch.object(approx, "_ray_falsifier", wraps=approx._ray_falsifier) as spy:
-        cols = space._values(LINF2, cloud.points)
-        got = approx._candidate_falsifiers(LINF2, cloud, cols, np.asarray(q), stop=stop, **ray)
+        rc = approx._ray_cloud(LINF2, cloud)
+        got = approx._candidate_falsifiers(LINF2, cloud, rc, np.asarray(q), stop=stop, **ray)
     want = _grid_reference(cloud, q, ray, stop)
     assert (len(got), spy.call_count) == (reports, calls)
     assert [(y.tolist(), f) for y, f in got] == [(r.y, r.falsifier) for r in want]

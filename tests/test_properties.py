@@ -14,7 +14,9 @@ candidate loop against sun_check on one nearest point at a time, the
 batched sun certificate against the one-candidate pass, the symmetries of
 project, contraction under a partial embedding, the three-way
 betweenness equivalence, and the duplicate-row kernel against a byte-keyed
-dict.
+dict and against its void-keyed predecessor (tests/dense.py) on special
+floats and on hash collisions built by inverting the kernel's own mixer,
+with a mock count of its collision fallback.
 
 Coordinates are dyadic (small integers times a power of two), so every
 functional value and every distance is exact in binary floating point and
@@ -991,11 +993,12 @@ def test_certified_candidates_hold_on_the_grid(case):
     the slack keeps the certificate from passing it."""
     s, cloud, queries, ray = case
     reps = s.representatives
-    cols = np.ascontiguousarray((cloud.points @ reps.T).T)
+    rc = approx._ray_cloud(s, cloud)
+    cols = rc.cols
     for x in queries:
         if cloud.index_of(x) is not None:
             continue
-        margin, floor = approx._certificate_floor(s, cloud, x, ray["lambda_max"])
+        margin, floor = approx._certificate_floor(s, rc, x, ray["lambda_max"])
         for idx in project(s, cloud, x).indices:
             y = cloud.points[idx]
             if approx._ray_certificate(reps, cols, idx, x, y, margin) >= floor:
@@ -1014,14 +1017,15 @@ def test_batched_certificates_are_the_single_candidate_pass(case):
     second the candidates 1/4 along the segment from the query do."""
     s, cloud, queries, ray = case
     reps = s.representatives
-    cols = np.ascontiguousarray((cloud.points @ reps.T).T)
+    rc = approx._ray_cloud(s, cloud)
+    cols = rc.cols
     for x in queries:
         if cloud.index_of(x) is not None:
             continue
-        margin, _ = approx._certificate_floor(s, cloud, x, ray["lambda_max"])
+        margin, _ = approx._certificate_floor(s, rc, x, ray["lambda_max"])
         indices = project(s, cloud, x).indices
         with mock.patch.object(approx, "_ray_certificate", wraps=approx._ray_certificate) as spy:
-            got = list(approx._ray_certificates(reps, cols, cloud.points, indices, x, margin))
+            got = list(approx._ray_certificates(reps, rc, cloud.points, indices, x, margin))
         want = [approx._ray_certificate(reps, cols, i, x, cloud.points[i], margin) for i in indices]
         assert np.array(got).tobytes() == np.array(want).tobytes()
         a = np.abs(approx._ray_directions(reps, x, cloud.points[indices]))
@@ -1103,3 +1107,116 @@ def test_first_rows_matches_byte_keyed_dict(width, data):
     seen: dict[bytes, int] = {}
     want = [seen.setdefault(np.where(r == 0.0, 0.0, r).tobytes(), i) for i, r in enumerate(rows)]
     assert _first_rows(rows).tolist() == want
+
+
+# Bit patterns of float64 entries: both zeros, subnormals, infinities and
+# NaNs with several payloads, signalling ones and a negative one among them.
+_SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x3FF0000000000000, 0xBFE0000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0008000000000000, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+    0x7FF4000000000123, 0x7FFFFFFFFFFFFFFF,
+]
+_SIGN = 0x8000000000000000
+_U64 = (1 << 64) - 1
+
+
+def _unshift(y: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == y."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix(y: int) -> int:
+    """The inverse of space._row_hashes' finaliser, from its own constants."""
+    shifts = [int(v) for v in space._MIX_SHIFTS]
+    mults = [int(v) for v in space._MIX_MULTS]
+    y = _unshift(y, shifts[2])
+    for shift, mult in zip(shifts[1::-1], mults[::-1]):
+        y = _unshift((y * pow(mult, -1, 1 << 64)) & _U64, shift)
+    return y
+
+
+def _colliding_row(target: np.ndarray, prefix: list[int]) -> np.ndarray:
+    """A width-w row of uint64 words that starts with prefix (w - 1 words,
+    none of them -0.0) and hashes like the folded words target."""
+    w = len(target)
+    rows = np.array([target, prefix + [0]], dtype=np.uint64)
+    want = int(space._row_hashes(rows[:1])[0])
+    head = int(space._row_hashes(rows[1:, : w - 1])[0])
+    rows[1, -1] = _unmix((want - head) & _U64) ^ ((int(space._SALT) * w) & _U64)
+    return rows[1]
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.data())
+def test_first_rows_matches_void_keyed_reference(width, data):
+    """Bit for bit against tests/dense.first_rows, on rows drawn from a
+    small pool so that they repeat, with special floats and NaN payloads,
+    in C and F order. At width >= 2 rows built to share another row's hash
+    are mixed in, so the fallback for collisions runs; at width 1 the hash
+    is a bijection and cannot collide."""
+    entry = st.sampled_from(_SPECIAL_BITS)
+    pool = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=12))
+    pool = np.array(pool, dtype=np.uint64)
+    if width >= 2:
+        folded = np.where(pool == _SIGN, 0, pool)
+        for j in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4)):
+            prefix = data.draw(st.lists(st.sampled_from(_SPECIAL_BITS[2:]), min_size=width - 1, max_size=width - 1))
+            row = _colliding_row(folded[j], prefix)
+            assume(row[-1] != _SIGN and (row != folded[j]).any())
+            assert space._row_hashes(row[None, :])[0] == space._row_hashes(folded[j][None, :])[0]
+            pool = np.vstack([pool, row])
+    m = data.draw(st.integers(0, 2000))
+    pick = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, len(pool), m)
+    rows = pool[pick].view(np.float64)
+    want = dense.first_rows(rows)
+    assert _first_rows(rows).tolist() == want.tolist()
+    assert _first_rows(np.asfortranarray(rows)).tolist() == want.tolist()
+
+
+def _counted_fallback():
+    return mock.patch.object(space, "_first_by_bytes", wraps=space._first_by_bytes)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.random.default_rng(5).uniform(-1, 1, (20000, 3)),
+        np.stack(np.meshgrid(*[np.arange(-150, 151) / 32] * 2, indexing="ij"), -1).reshape(-1, 2),
+        np.stack(np.meshgrid(*[np.arange(-22, 23) / 32] * 3, indexing="ij"), -1).reshape(-1, 3),
+        np.random.default_rng(6).uniform(-1, 1, (100, 3))[np.random.default_rng(7).integers(0, 100, 20000)],
+    ],
+    ids=["random-20000", "grid-301x301", "grid-45^3", "100-distinct-of-20000"],
+)
+def test_first_rows_collision_fallback_never_runs_on_clouds(rows):
+    """A cost model, not a timing: on clouds and dyadic grids no two
+    different rows share a hash, so the byte fallback runs 0 times."""
+    with _counted_fallback() as fallback:
+        got = _first_rows(rows)
+    assert fallback.call_count == 0
+    assert got.tolist() == dense.first_rows(rows).tolist()
+
+
+def test_first_rows_collision_fallback_reads_its_run_only():
+    """One built collision among 20000 rows: the fallback runs once, on the
+    indices of that run and no others."""
+    rows = np.random.default_rng(8).uniform(-1, 1, (20000, 3))
+    rows[[100, 700]] = rows[5]
+    words = rows.view(np.uint64)
+    rows[9000] = _colliding_row(words[5], words[9000, :2].tolist()).view(np.float64)
+    with _counted_fallback() as fallback:
+        got = _first_rows(rows)
+    assert fallback.call_count == 1
+    assert fallback.call_args.args[1].tolist() == [5, 100, 700, 9000]
+    assert got.tolist() == dense.first_rows(rows).tolist()
+    assert got[[5, 100, 700, 9000]].tolist() == [5, 5, 5, 9000]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0), (1, 3), (1, 0), (5, 0)])
+def test_first_rows_edge_shapes_match_reference(shape):
+    """No rows, one row and width-0 rows: each width-0 row matches row 0."""
+    rows = np.full(shape, -0.0)
+    assert _first_rows(rows).tolist() == dense.first_rows(rows).tolist()
