@@ -8,23 +8,26 @@ Distances to the cloud come from column-form products: one per projection
 (space._distances), and the cloud's (p, m) space._values block, which each
 driver forms once per call, for all of its queries, and every kernel reads.
 One kernel, _ray_falsifier, gives every grid verdict: the first failing
-point's lambda and competitor, or None. One loop over a query's nearest
-points, _candidate_falsifiers, runs it for find_luminosity and both modes
-of is_sun_sampled, and sun_check runs it on one checked pair; these three
-build a SunReport only for a record they return or print. The loop first
-tries a certificate: with b = F(x - y) and c_u,i = f_i(u), it is the
-minimum over the cloud points u of the maximum, over the functionals i
-whose |b_i| is within a margin of max |b| (the active ones), of sgn(b_i)
-(c_y,i - c_u,i). A candidate whose certificate clears a rounding slack
-(_ray_slack) stays nearest on the whole ray, so the grid cannot falsify
-it, and it skips the grid with no falsifier. The grid runs on every other
-candidate, so every falsifier is the grid's.
+point's lambda and competitor, or None. It reads every distance, to the
+candidate y as to its competitors, from one ray x cloud block of values, so
+the nearest distance never exceeds y's own and y is never its own
+competitor. One loop over a query's nearest points, _candidate_falsifiers,
+runs it for find_luminosity and both modes of is_sun_sampled, and
+sun_check runs it on one checked pair; these three build a SunReport only
+for a record they return or print. The loop first tries a certificate:
+with b = F(x - y) and c_u,i = f_i(u), it is the maximum, over the
+functionals i whose |b_i| is within a margin of max |b| (the active ones),
+of the minimum over the cloud points u of sgn(b_i) (c_y,i - c_u,i). A
+candidate whose certificate clears a rounding slack (_ray_slack) stays
+nearest on the whole ray, so the grid cannot falsify it, and it skips the
+grid with no falsifier. The grid runs on every other candidate, so every
+falsifier is the grid's.
 The grid is scanned in blocks of ray points, in ray order, by the one
 distance kernel, _nearest_blocks, and the scan stops at the first block
 that holds a failing point. A row's distances do not depend on its block,
 so the falsifier is the one a scan of the whole grid finds.
-_ray_certificates computes it for all of a query's tied candidates at
-once, b for every candidate. What the loop reads of the cloud alone, a
+_ray_certificates computes it for all of a query's tied candidates, b for
+every candidate at once. What the loop reads of the cloud alone, a
 _RayCloud, is formed once per find_luminosity or is_sun_sampled call:
 the values block, the extremes max_u c_u,i and min_u c_u,i, the largest
 |coordinate| and the largest l1 norm of a representative. Rounding is
@@ -32,9 +35,7 @@ monotone, so
 
     min_u fl(a - c_u) = fl(a - max_u c_u),
 
-and a candidate with exactly one active functional costs O(p), with the
-very value of the O(m p) pass over the cloud, _ray_certificate. That pass
-runs only for a candidate with several active functionals, or with b_i = 0.
+and each candidate's certificate costs O(p).
 """
 
 from __future__ import annotations
@@ -163,17 +164,23 @@ def _sun_report(vx, vy, lambda_max, grid, falsifier=None) -> SunReport:
     return SunReport(vx.tolist(), vy.tolist(), float(lambda_max), int(grid), falsifier)
 
 
-def _ray_falsifier(s: Space, cloud: PointCloud, cols, vx, vy, lambda_max, grid) -> dict | None:
-    """The ray kernel: the falsifier of candidate vy of query vx, None when
-    the grid passes, given the cloud's (p, m) functional values cols from
-    space._values. Callers check the grid and that vy is a nearest point.
+def _ray_falsifier(s: Space, cloud: PointCloud, cols, vx, idx, lambda_max, grid) -> dict | None:
+    """The ray kernel: the falsifier of candidate y = cloud point idx of
+    query vx, None when the grid passes, given the cloud's (p, m)
+    functional values cols from space._values. Callers check the grid and
+    that y is a nearest point. The distance from a ray point to y is read
+    from the same ray x cloud values as its distance to every other point:
+    it is column idx of each block of _nearest_blocks, bit for bit, so the
+    nearest distance never exceeds it and y never falsifies itself.
     It walks the blocks of _nearest_blocks in ray order and stops at the
     first block that holds a failing grid point; the falsifier's lambda and
     competitor are that point's, as a scan of the whole grid gives them."""
+    vy = cloud.points[idx]
     lams = np.linspace(0.0, float(lambda_max), int(grid))
     ray = vy[None, :] + lams[:, None] * (vx - vy)[None, :]
-    to_y = _distances(s, ray, vy)
-    for start, best, arg in _nearest_blocks(_values(s, ray), cols):
+    ray_cols = _values(s, ray)
+    to_y = _max_abs(_differences(ray_cols, cols[:, [idx]]))[:, 0]
+    for start, best, arg in _nearest_blocks(ray_cols, cols):
         ok = to_y[start : start + len(best)] <= _tie_threshold(best, TIE_TOL)
         if not ok.all():
             g = int(np.argmin(ok))
@@ -183,7 +190,7 @@ def _ray_falsifier(s: Space, cloud: PointCloud, cols, vx, vy, lambda_max, grid) 
 
 
 def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[float, float]:
-    """The active-set margin and the slack of _ray_certificate. top is the
+    """The active-set margin and the slack of _ray_certificates. top is the
     largest |coordinate| X of the cloud and the query, l1 the largest
     l1-norm L of a representative, dim the dimension n, lambda_max the
     grid's end; u = 2**-53 and eta = 2**-1074, the least subnormal.
@@ -194,50 +201,55 @@ def _ray_slack(top: float, l1: float, dim: int, lambda_max: float) -> tuple[floa
 
         ||z - u|| - ||z - y|| >= s (f_i(y) - f_i(u)) - lam (d - s b_i).
 
-    The certificate takes s = sgn(b_i') for the computed b' and the i whose
-    |b_i'| lies within the margin of d' = max |b_i'|. Each b_i' is a dot
-    product of a representative with fl(x - y), |x_k - y_k| <= 2X, so it
-    lies within 2 (n + 1) u L X of b_i (gamma_n = n u / (1 - n u) for the
-    sum, u for the difference), plus n eta for products that underflow; E =
-    2**-51 (n + 1) L X + n eta is twice that, and s b_i >= |b_i'| - E. Likewise each value
+    The certificate takes one i for every u: an i whose |b_i'| lies within
+    the margin of d' = max |b_i'| for the computed b', with s = sgn(b_i'),
+    and it reports the least computed s (f_i(y) - f_i(u)) over u, so every
+    u has a bound at least as large. Each b_i' is a dot product of a
+    representative with fl(x - y), |x_k - y_k| <= 2X, so it lies within 2
+    (n + 1) u L X of b_i (gamma_n = n u / (1 - n u) for the sum, u for the
+    difference), plus n eta for products that underflow; E = 2**-51 (n + 1)
+    L X + n eta is twice that, and s b_i >= |b_i'| - E. Likewise each value
     cols[i, u] = fl(f_i(u)) of the product reps @ cloud.points.T lies within
     gamma_n L X of f_i(u), so the certificate's fl(cols[i, y] - cols[i, u])
     lies within E of f_i(y) - f_i(u). The margin is 2E, so every i with
     |b_i| = d exactly is active, and for an active i, d - s b_i <= (d' -
     |b_i'|) + 2E <= 5E, counting E for the rounding of d' - margin. Then
-    for lam <= lambda_max and every u, with G' the computed minimum over u
-    of the maximum over the active i,
+    for lam <= lambda_max and every u, with G' the computed maximum over the
+    active i of the minimum over u,
 
         ||z - u|| - ||z - y|| >= G' - E - 5 lambda_max E.
 
     The grid does not see z but z' = fl(y + fl(lam fl(x - y))), whose
     coordinates lie within u X (1 + 6 lambda_max) of z's, so ||z' - z|| <=
     u L X (1 + 6 lambda_max), counted once for y and once for u. Its
-    distance to u, the maximum over i of |fl(fl(f_i(z')) - cols[i, u])|,
-    lies within (n + 1) u L (Z + X) of ||z' - u||, |z'_k| <= Z = X (1 +
-    2 lambda_max); its distance to y, from _distances(ray, vy), lies within
-    (n + 1) u L W of ||z' - y||, W = 2 lambda_max X. Doubling these
-    first-order terms covers the factors 1 + O(n u), and the sum,
+    distance to any cloud point v, y included, the maximum over i of
+    |fl(fl(f_i(z')) - cols[i, v])|, lies within (n + 1) u L (Z + X) of
+    ||z' - v||, |z'_k| <= Z = X (1 + 2 lambda_max), and the grid compares
+    two such distances. Doubling these first-order terms covers the factors
+    1 + O(n u), and the sum,
 
         E (1 + 5 lambda_max) + 2**-51 L X (1 + 6 lambda_max)
-            + 2**-51 (n + 1) L X (1 + 2 lambda_max),
+            + 2**-50 (n + 1) L X (1 + lambda_max),
 
-    is at most the slack 2**-51 L X (n + 2) (2 + 7 lambda_max), plus (n +
-    L) (1 + lambda_max) 2**-1071 for underflow. So when G' >= slack -
-    TIE_TOL, every computed distance from a grid point to y exceeds the
-    computed distance to any cloud point by at most TIE_TOL, which the
-    grid's tie threshold forgives, and every grid point passes.
+    is at most the slack 2**-51 L X (n + 2) (3 + 7 lambda_max). Underflow
+    adds n eta (1 + 5 lambda_max) through E, 2 n eta to each distance and
+    L eta to each ||z' - z||, below the slack's (n + L) (3 + 7 lambda_max)
+    2**-1071. So when G' >= slack - TIE_TOL, every computed distance from a
+    grid point to y exceeds the computed distance to any cloud point by at
+    most TIE_TOL, which the grid's tie threshold forgives, and every grid
+    point passes.
 
     Every magnitude the grid and the certificate form is at most L X (2 +
-    2 lambda_max) up to the same factors, below scale = L X (n + 2) (2 +
+    2 lambda_max) up to the same factors, below scale = L X (n + 2) (3 +
     7 lambda_max). When 2 scale overflows, so may the grid's arithmetic,
     and the slack is inf: the loop then certifies nothing and runs the grid
     on every candidate."""
-    scale = top * l1 * (dim + 2.0) * (2.0 + 7.0 * lambda_max)
+    grow = 3.0 + 7.0 * lambda_max
+    scale = top * l1 * (dim + 2.0) * grow
     if not math.isfinite(2.0 * scale):
         return math.inf, math.inf
     margin = 2.0 * (2.0**-51 * (dim + 1.0) * l1 * top + dim * 2.0**-1074)
-    return margin, 2.0**-51 * scale + (dim + l1) * (1.0 + lambda_max) * 2.0**-1071
+    return margin, 2.0**-51 * scale + (dim + l1) * grow * 2.0**-1071
 
 
 def _ray_directions(reps: np.ndarray, vx, ys: np.ndarray) -> np.ndarray:
@@ -247,23 +259,6 @@ def _ray_directions(reps: np.ndarray, vx, ys: np.ndarray) -> np.ndarray:
     the call; so a row's bits do not depend on how many rows share it."""
     d = vx - ys
     return functools.reduce(np.add, (d[:, k, None] * reps[:, k] for k in range(reps.shape[1])))
-
-
-def _ray_certificate(reps: np.ndarray, cols: np.ndarray, idx: int, vx, vy, margin: float) -> float:
-    """min over the cloud points u of g(u) = max over the active i of
-    sgn(b_i) (f_i(y) - f_i(u)), for the candidate vy = cloud row idx of
-    query vx, with b = F(x - y) and cols the cloud's (p, m) functional
-    values. i is active when |b_i| is within margin of max |b|.
-    Exactly, g(u) is the limit of ||z - u|| - ||z - y|| along the ray
-    z = y + lam (x - y), which never increases, so a minimum >= 0 means y
-    stays nearest on the whole ray (_ray_slack bounds the rounding)."""
-    b = _ray_directions(reps, vx, vy[None, :])[0]
-    a = np.abs(b)
-    active = np.flatnonzero(a >= a.max() - margin).tolist()
-    g = functools.reduce(np.maximum, (np.sign(b[i]) * (cols[i, idx] - cols[i]) for i in active))
-    # A zero minimum carries the sign of whichever zero the reduction kept;
-    # adding 0.0 makes it +0.0 and leaves every other value as it is.
-    return float(g.min()) + 0.0
 
 
 @dataclass(frozen=True)
@@ -294,35 +289,33 @@ def _ray_cloud(s: Space, cloud: PointCloud) -> _RayCloud:
 
 
 def _ray_certificates(reps: np.ndarray, rc: _RayCloud, points: np.ndarray, indices, vx, margin):
-    """_ray_certificate for each candidate points[idx], idx in indices, of
-    query vx, bit for bit, in order and lazily. b = F(x - y) is computed for
-    every candidate at once; the extremes max_u c_u,i and min_u c_u,i of
-    the cloud's functional values c = rc.cols come with rc. A candidate with one
-    active functional i and b_i != 0 then costs O(p): its g(u) is
-    sgn(b_i) (c_y,i - c_u,i), and rounding is monotone, so
+    """The certificate of each candidate y = points[idx], idx in indices, of
+    query vx, in order and lazily: with b = F(x - y) and c = rc.cols, the
+    maximum over the active i (|b_i| within margin of max |b|) of the
+    minimum over the cloud points u of sgn(b_i) (c_y,i - c_u,i). Rounding
+    is monotone, so with the extremes max_u c_u,i and min_u c_u,i that come
+    with rc each minimum is one subtraction,
 
         min_u fl(c_y,i - c_u,i) = fl(c_y,i - max_u c_u,i)    (b_i > 0),
         min_u fl(c_u,i - c_y,i) = fl(min_u c_u,i - c_y,i)    (b_i < 0),
 
-    the value _ray_certificate's O(m p) pass returns (a zero as +0.0,
-    there as here). A candidate with
-    several active functionals, whose maximum over i does not commute with
-    the minimum over u, or with b_i = 0, runs _ray_certificate. So the loop
-    certifies the very candidates that _ray_certificate alone would, and
-    every report is unchanged."""
+    or 0 where b_i = 0, and a candidate costs O(p); a zero is yielded as
+    +0.0. Exactly, min_u max_i sgn(b_i) (f_i(y) - f_i(u)) is the limit of
+    min_u ||z - u|| - ||z - y|| along the ray z = y + lam (x - y), which
+    never increases, and max_i min_u never exceeds min_u max_i, so a
+    certificate >= 0 means y stays nearest on the whole ray (_ray_slack
+    bounds the rounding). b is computed for every candidate at once."""
     b = _ray_directions(reps, vx, points[indices])
     cols, hi, lo = rc.cols, rc.hi, rc.lo
     for j, idx in enumerate(indices):
         row = b[j].tolist()
-        a = list(map(abs, row))
-        top = max(a) - margin
-        active = [i for i, ai in enumerate(a) if ai >= top]
-        i = active[0]
-        if len(active) == 1 and row[i] != 0.0:
-            cy = float(cols[i, idx])
-            yield (cy - hi[i] if row[i] > 0.0 else lo[i] - cy) + 0.0
-        else:
-            yield _ray_certificate(reps, cols, idx, vx, points[idx], margin)
+        top = max(map(abs, row)) - margin
+        g = -math.inf
+        for i, bi in enumerate(row):
+            if abs(bi) >= top:
+                cy = float(cols[i, idx])
+                g = max(g, cy - hi[i] if bi > 0.0 else lo[i] - cy if bi < 0.0 else 0.0)
+        yield g + 0.0
 
 
 def sun_check(
@@ -345,16 +338,17 @@ def sun_check(
     vy = _check_vector(s, y)
     pr = project(s, cloud, vx)
     dy = norm(s, vx - vy)
-    if cloud.index_of(vy) is None or dy > _tie_threshold(pr.distance, TIE_TOL):
+    idx = cloud.index_of(vy)
+    if idx is None or dy > _tie_threshold(pr.distance, TIE_TOL):
         raise NotANearestPoint(
             f"candidate at distance {dy} is not nearest (distance {pr.distance})"
         )
-    falsifier = _ray_falsifier(s, cloud, _values(s, cloud.points), vx, vy, lambda_max, grid)
+    falsifier = _ray_falsifier(s, cloud, _values(s, cloud.points), vx, idx, lambda_max, grid)
     return _sun_report(vx, vy, lambda_max, grid, falsifier)
 
 
 def _certificate_floor(s: Space, rc: _RayCloud, vx, lambda_max) -> tuple[float, float]:
-    """The active-set margin of _ray_certificate for query vx, and the
+    """The active-set margin of _ray_certificates for query vx, and the
     least certificate that passes a candidate: slack - TIE_TOL, rounded up."""
     top = max(rc.top, float(np.abs(vx).max()))
     margin, slack = _ray_slack(top, rc.l1, s.dim, float(lambda_max))
@@ -379,9 +373,8 @@ def _candidate_falsifiers(s: Space, cloud: PointCloud, rc: _RayCloud, vx, lambda
         certs = itertools.repeat(-math.inf)
     pairs = []
     for idx, cert in zip(pr.indices, certs):
-        vy = cloud.points[idx]
-        f = None if cert >= floor else _ray_falsifier(s, cloud, rc.cols, vx, vy, lambda_max, grid)
-        pairs.append((vy, f))
+        f = None if cert >= floor else _ray_falsifier(s, cloud, rc.cols, vx, idx, lambda_max, grid)
+        pairs.append((cloud.points[idx], f))
         if (f is None) == stop:
             break
     return pairs

@@ -1,5 +1,5 @@
-"""Dense references for the path, distance and duplicate-row kernels, for
-tests only.
+"""Dense references for the path, distance, duplicate-row and sun
+certificate kernels, for tests only.
 
 assoc_dist_matrix is the full associated-distance matrix, one row dot
 product per point pair. dijkstra_path is the search monotone_path ran
@@ -10,15 +10,20 @@ refinement, length check and verdicts. nearest is every block of
 approx._nearest_blocks, the brute-force scan that the hull gap's bounded
 search (hull._farthest_nearest) skips most of. first_rows is the kernel
 space._first_rows ran before it sorted hashes: np.unique on each folded
-row viewed as one void scalar, a stable byte-compare sort.
+row viewed as one void scalar, a stable byte-compare sort. ray_certificate
+is the sun certificate as an O(m p) pass over the cloud: the minimum over
+the cloud points of the maximum over the active functionals, which
+approx._ray_certificates bounds from below in O(p) per candidate.
 """
+
+import functools
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from sunlab import Path, PathNotFound
-from sunlab.approx import _nearest_blocks
+from sunlab.approx import _nearest_blocks, _ray_directions
 from sunlab.metric import BETWEEN_TOL, _pair_dists, _split_steps, _verdicts
 from sunlab.space import _values
 
@@ -48,6 +53,22 @@ def nearest(q_cols, cols):
         dist[start : start + len(d)] = d
         arg[start : start + len(a)] = a
     return dist, arg
+
+
+def ray_certificate(reps, cols, idx, vx, vy, margin):
+    """min over the cloud points u of g(u) = max over the active i of
+    sgn(b_i) (f_i(y) - f_i(u)), for the candidate vy = cloud row idx of
+    query vx, with b = F(x - y) and cols the cloud's (p, m) functional
+    values; i is active when |b_i| is within margin of max |b|. Exactly,
+    g(u) is the limit of ||z - u|| - ||z - y|| along the ray z = y + lam
+    (x - y)."""
+    b = _ray_directions(reps, vx, vy[None, :])[0]
+    a = np.abs(b)
+    active = np.flatnonzero(a >= a.max() - margin).tolist()
+    g = functools.reduce(np.maximum, (np.sign(b[i]) * (cols[i, idx] - cols[i]) for i in active))
+    # A zero minimum carries the sign of whichever zero the reduction kept;
+    # adding 0.0 makes it +0.0 and leaves every other value as it is.
+    return float(g.min()) + 0.0
 
 
 def assoc_dist_matrix(s, w, cloud) -> np.ndarray:

@@ -11,7 +11,8 @@ monotone-path sweep against Dijkstra on the dense hop graph
 (tests/dense.py), the nearest-neighbour scale
 against the dense distance matrix, the sun test's
 candidate loop against sun_check on one nearest point at a time, the
-batched sun certificate against the one-candidate pass, the symmetries of
+sun certificate against the dense pass over the cloud (tests/dense.py)
+and every falsifier's competitor against its candidate, the symmetries of
 project, contraction under a partial embedding, the three-way
 betweenness equivalence, and the duplicate-row kernel against a byte-keyed
 dict and against its void-keyed predecessor (tests/dense.py) on special
@@ -296,19 +297,20 @@ def test_ray_report_is_the_full_grid_scan(case, budget):
     """The ray kernel stops at the first block with a failing grid point;
     its falsifier, None when every point passes, under any budget, must
     equal a brute-force scan of the whole grid: the max-norm distance from
-    every ray point to every cloud point, the lowest index at each row's
-    minimum and the first failing point."""
+    every ray point to every cloud point, the candidate's among them, the
+    lowest index at each row's minimum and the first failing point."""
     s, cloud, x, y, ray = case
+    idx = cloud.index_of(y)
     reps = s.representatives
     vals = cloud.points @ reps.T
     with mock.patch.object(approx, "_NEAREST_BUDGET", budget):
-        falsifier = approx._ray_falsifier(s, cloud, vals.T.copy(), x, y, **ray)
+        falsifier = approx._ray_falsifier(s, cloud, vals.T.copy(), x, idx, **ray)
     lams = np.linspace(0.0, ray["lambda_max"], ray["grid"])
     pts = y[None, :] + lams[:, None] * (x - y)[None, :]
     q_vals = pts @ reps.T
     d = np.max(np.abs(q_vals[:, None] - vals[None]), axis=2)
     best, arg = d.min(axis=1), d.argmin(axis=1)
-    ok = norms(s, pts - y) <= approx._tie_threshold(best, approx.TIE_TOL)
+    ok = d[:, idx] <= approx._tie_threshold(best, approx.TIE_TOL)
     if ok.all():
         assert falsifier is None
     else:
@@ -981,56 +983,90 @@ def certificate_cases(draw):
     return s, PointCloud(cloud.points + shift), queries + shift, ray
 
 
+def _certificates(s, cloud, rc, x, lambda_max):
+    """The active-set margin, the floor and (index, certificate) for each
+    nearest point of x, from the kernel the candidate loop runs."""
+    margin, floor = approx._certificate_floor(s, rc, x, lambda_max)
+    indices = project(s, cloud, x).indices
+    certs = approx._ray_certificates(s.representatives, rc, cloud.points, indices, x, margin)
+    return margin, floor, list(zip(indices.tolist(), certs))
+
+
 @settings(max_examples=200, deadline=None)
 @given(certificate_cases())
 @example((LINF2, PointCloud([[0, 0], [0, -1]]), np.array([[0, -0.4]]), {"lambda_max": 4.0, "grid": 64}))
-@example((L12, PointCloud([[24 * 2.0**30, 0]]), np.array([[24 * 2.0**30, 0.125]]), DEFAULT_RAY))
+@example(
+    (
+        builtin("l1", 3),
+        PointCloud([[0, 0, 2.0**29 - 0.5], [0, 0.25, 2.0**29 - 0.25]]),
+        np.array([[0, 0.25, 2.0**29 - 0.5]]),
+        DEFAULT_RAY,
+    )
+)
 def test_certified_candidates_hold_on_the_grid(case):
-    """Every nearest point the certificate passes also passes sun_check's
-    grid, at every scale and offset. In the first example the ray from
-    (0, 0) runs down into (0, -1), which only the sign of b sees. In the
-    second the grid's rounding falsifies even a one-point cloud, so only
-    the slack keeps the certificate from passing it."""
+    """Every nearest point that _ray_certificates passes also passes
+    sun_check's grid, at every scale and offset. In the first example the
+    ray from (0, 0) runs down into (0, -1), which only the sign of b sees.
+    In the second both points stay exactly tied from lambda 1 on, so the
+    first one's certificate is 0, and near 2**29 the grid's rounding breaks
+    the tie at lambda 4.02: only the slack keeps the certificate from
+    passing it."""
     s, cloud, queries, ray = case
-    reps = s.representatives
     rc = approx._ray_cloud(s, cloud)
-    cols = rc.cols
     for x in queries:
         if cloud.index_of(x) is not None:
             continue
-        margin, floor = approx._certificate_floor(s, rc, x, ray["lambda_max"])
-        for idx in project(s, cloud, x).indices:
-            y = cloud.points[idx]
-            if approx._ray_certificate(reps, cols, idx, x, y, margin) >= floor:
-                assert sun_check(s, cloud, x, y, **ray).holds
+        _, floor, certs = _certificates(s, cloud, rc, x, ray["lambda_max"])
+        for idx, cert in certs:
+            if cert >= floor:
+                assert sun_check(s, cloud, x, cloud.points[idx], **ray).holds
 
 
 @settings(max_examples=200, deadline=None)
 @given(certificate_cases())
 @example((LINF2, PointCloud([[0, 0], [1, 0]]), np.array([[0.5, 0.5]]), DEFAULT_RAY))
 @example((LINF2, PointCloud([[i / 8, 0] for i in range(9)]), np.array([[0.5, 0.25]]), DEFAULT_RAY))
-def test_batched_certificates_are_the_single_candidate_pass(case):
-    """_ray_certificates gives each nearest point the value of
-    _ray_certificate's O(m p) pass bit for bit, at every scale and offset,
-    and runs that pass only for the candidates with several active
-    functionals. In the first example both candidates have two; in the
-    second the candidates 1/4 along the segment from the query do."""
+def test_certificates_are_at_most_the_dense_pass(case):
+    """_ray_certificates' O(p) value, a maximum over the active functionals
+    of a minimum over the cloud, never exceeds the dense O(m p) pass, the
+    minimum over the cloud of the maximum, and equals it bit for bit where
+    one functional is active. In the first example both candidates have
+    two active functionals; in the second the candidates 1/4 along the
+    segment from the query do."""
     s, cloud, queries, ray = case
     reps = s.representatives
     rc = approx._ray_cloud(s, cloud)
-    cols = rc.cols
     for x in queries:
         if cloud.index_of(x) is not None:
             continue
-        margin, _ = approx._certificate_floor(s, rc, x, ray["lambda_max"])
-        indices = project(s, cloud, x).indices
-        with mock.patch.object(approx, "_ray_certificate", wraps=approx._ray_certificate) as spy:
-            got = list(approx._ray_certificates(reps, rc, cloud.points, indices, x, margin))
-        want = [approx._ray_certificate(reps, cols, i, x, cloud.points[i], margin) for i in indices]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
-        a = np.abs(approx._ray_directions(reps, x, cloud.points[indices]))
-        several = (a >= a.max(axis=1, keepdims=True) - margin).sum(axis=1) > 1
-        assert [int(c.args[2]) for c in spy.call_args_list] == indices[several].tolist()
+        margin, _, certs = _certificates(s, cloud, rc, x, ray["lambda_max"])
+        for idx, cert in certs:
+            y = cloud.points[idx]
+            want = dense.ray_certificate(reps, rc.cols, idx, x, y, margin)
+            a = np.abs(approx._ray_directions(reps, x, y[None, :])[0])
+            if np.count_nonzero(a >= a.max() - margin) == 1:
+                assert np.float64(cert).tobytes() == np.float64(want).tobytes()
+            else:
+                assert cert <= want
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+@example((L12, PointCloud([[24 * 2.0**30, 0]]), np.array([[24 * 2.0**30, 0.125]]), DEFAULT_RAY))
+def test_falsifiers_name_another_cloud_point(case):
+    """Every falsifier's competitor is a cloud point other than the
+    candidate, at every scale and offset: the grid reads the candidate's
+    distance from the block its competitors' come from. The example is a
+    one-point cloud far from the origin, which the grid once falsified by
+    rounding, with the candidate as its own competitor."""
+    s, cloud, queries, ray = case
+    for x in queries:
+        if cloud.index_of(x) is not None:
+            continue
+        for idx in project(s, cloud, x).indices:
+            f = sun_check(s, cloud, x, cloud.points[idx], **ray).falsifier
+            if f is not None:
+                assert cloud.index_of(f["competitor"]) not in (None, idx)
 
 
 def _dyadic_vector(dim):
